@@ -7,7 +7,6 @@ from .dynamics import (
     certify_period,
     detect_revival,
     evolve,
-    free_hamiltonian,
     populated_levels,
 )
 from .errors import (
@@ -45,6 +44,7 @@ from .spectral import (
     commutator_qp,
     commutator_spectrum,
     floratos_approx,
+    free_hamiltonian,
     hermitian_eig,
     oscillator_hamiltonian,
     quasi_eigen_residual,

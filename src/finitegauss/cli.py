@@ -1,8 +1,11 @@
 """Command-line surface: every table and grid as deterministic CSV/JSON.
 
-Exit codes: 0 success, 2 usage/parameter error, 3 numerical failure or
-an uncertified revival period.  Floats are printed with the shortest
-round-trip decimal so identical configs give byte-identical files.
+Each subcommand accepts only the flags it reads.  Exit codes: 0 success,
+2 usage/parameter error, 3 numerical failure or an uncertified revival
+period.  Floats are printed with the shortest round-trip decimal so
+identical configs give byte-identical files.  Each cmd_* takes the parsed
+arguments and returns its rendered text (None when it writes its own
+files) and its exit code.
 """
 from __future__ import annotations
 
@@ -10,55 +13,26 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .dynamics import certify_period, detect_revival, free_hamiltonian, populated_levels
+from .dynamics import certify_period, detect_revival, populated_levels
 from .errors import FiniteGaussError, InvalidDimensionError, InvalidParameterError
 from .hilbert import PhasePoint, StateVector, coherent_state
 from .lattice import Dimension
 from .spectral import (
     commutator_spectrum,
+    free_hamiltonian,
     hermitian_eig,
     oscillator_hamiltonian,
     quasi_eigen_residual,
     uncertainty_product,
 )
-from .wigner import WignerSource, wigner_closed_form, wigner_definition, wigner_theta_form
+from .wigner import wigner_closed_form, wigner_definition, wigner_theta_form
 from .wrapped import finite_gaussian, naive_gaussian, shifted_finite_gaussian
 
 DEFAULT_D_LIST = (3, 5, 7, 9, 11, 13, 15)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated knobs shared by all subcommands."""
-
-    d: int
-    kappa: float = 1.0
-    term_tol: float = 1e-18
-    eig_tol: float = 1e-10
-    rel_tol: float = 1e-9
-    max_den: int = 10**6
-    fmt: str = "csv"
-    output_path: str | None = None
-
-    def __post_init__(self):
-        Dimension(self.d)
-        for name in ("kappa", "term_tol", "eig_tol", "rel_tol"):
-            v = getattr(self, name)
-            if not (isinstance(v, float) and math.isfinite(v) and v > 0.0):
-                raise InvalidParameterError(f"{name} must be a positive finite real, got {v!r}")
-        if self.max_den < 1:
-            raise InvalidParameterError(f"max_den must be >= 1, got {self.max_den}")
-        if self.fmt not in ("csv", "json"):
-            raise InvalidParameterError(f"format must be csv or json, got {self.fmt!r}")
-
-    @property
-    def dim(self) -> Dimension:
-        return Dimension(self.d)
 
 
 def _fmt(x) -> str:
@@ -98,79 +72,90 @@ def _write(text: str, output_path: str | None) -> None:
         Path(output_path).write_text(text, encoding="utf-8", newline="\n")
 
 
-def cmd_gauss(config: RunConfig):
-    """Rows n, g(n), g_plus(n), naive(n) for the configured lattice."""
-    dim = config.dim
-    g = finite_gaussian(dim, config.kappa, config.term_tol).values
-    gp = shifted_finite_gaussian(dim, config.kappa, config.term_tol).values
-    nv = naive_gaussian(dim, config.kappa)
+def cmd_gauss(args):
+    """Rows n, g(n), g_plus(n), naive(n) for the given lattice."""
+    dim = Dimension(args.d)
+    g = finite_gaussian(dim, args.kappa, args.term_tol).values
+    gp = shifted_finite_gaussian(dim, args.kappa, args.term_tol).values
+    nv = naive_gaussian(dim, args.kappa)
     header = ["n", "g", "g_plus", "naive"]
     rows = [[int(n), g[i], gp[i], nv[i]] for i, n in enumerate(dim.indices())]
-    return header, rows
+    return _render_table(header, rows, args.format), 0
 
 
-def cmd_commutator(config: RunConfig):
+def cmd_commutator(args):
     """Imaginary parts of the commutator spectrum, ascending."""
-    spec = commutator_spectrum(config.dim)
+    spec = commutator_spectrum(Dimension(args.d))
     header = ["k", "eta_imag"]
     rows = [[k, v] for k, v in enumerate(spec.eigenvalues)]
-    return header, rows
+    return _render_table(header, rows, args.format), 0
 
 
-def cmd_uncertainty(config: RunConfig, d_list):
+def cmd_uncertainty(args):
     """One row per lattice size: spreads, product, bound, gap."""
+    try:
+        d_list = [int(tok) for tok in args.d_list.split(",") if tok.strip()]
+    except ValueError as exc:
+        raise InvalidParameterError(f"bad --d-list: {exc}") from exc
+    if not d_list:
+        raise InvalidParameterError("--d-list must name at least one lattice size")
     header = ["d", "delta_q", "delta_p", "product", "half_comm", "gap"]
     rows = []
     for d in d_list:
-        r = uncertainty_product(Dimension(d), config.kappa, config.term_tol)
+        r = uncertainty_product(Dimension(d), args.kappa, args.term_tol)
         rows.append([int(d), r.delta_q, r.delta_p, r.product, r.half_comm, r.gap])
-    return header, rows
+    return _render_table(header, rows, args.format), 0
 
 
-def _hamiltonian(config: RunConfig, which: str):
-    if which == "free":
-        return free_hamiltonian(config.dim)
-    return oscillator_hamiltonian(config.dim)
+def _hamiltonian(which: str, dim: Dimension):
+    return free_hamiltonian(dim) if which == "free" else oscillator_hamiltonian(dim)
 
 
-def cmd_spectrum(config: RunConfig, hamiltonian: str):
+def cmd_spectrum(args):
     """Eigenvalues descending with the gap down to the next level."""
-    spec = hermitian_eig(_hamiltonian(config, hamiltonian), config.eig_tol)
+    spec = hermitian_eig(_hamiltonian(args.ham, Dimension(args.d)), args.eig_tol)
     vals = spec.eigenvalues[::-1]
     header = ["k", "eigenvalue", "gap"]
     rows = []
     for k, v in enumerate(vals):
         gap = vals[k] - vals[k + 1] if k + 1 < len(vals) else None
         rows.append([k, v, gap])
-    return header, rows
+    return _render_table(header, rows, args.format), 0
 
 
-def cmd_quasi(config: RunConfig):
+def cmd_quasi(args):
     """Quasi-eigenvalue and the defect at n = 1..s."""
-    rep = quasi_eigen_residual(config.dim, config.term_tol)
+    dim = Dimension(args.d)
+    rep = quasi_eigen_residual(dim, args.term_tol)
     header = ["quantity", "value"]
     rows = [["lambda", rep.lam]]
-    s = config.dim.s
-    for n in range(1, s + 1):
-        rows.append([f"residual_{n}", rep.residual[s + n]])
-    return header, rows
+    for n in range(1, dim.s + 1):
+        rows.append([f"residual_{n}", rep.residual[dim.s + n]])
+    return _render_table(header, rows, args.format), 0
 
 
-def cmd_wigner(config: RunConfig, source: str, check: bool):
+def cmd_wigner(args):
     """The d x d Wigner grid from the chosen route; optional cross-check."""
-    dim = config.dim
-    if source == "definition":
-        grid = wigner_definition(dim, config.kappa, config.term_tol)
-    elif source == "closed":
-        grid = wigner_closed_form(dim, config.kappa, config.term_tol)
+    dim = Dimension(args.d)
+    if args.source == "definition":
+        grid = wigner_definition(dim, args.kappa, args.term_tol)
+    elif args.source == "closed":
+        grid = wigner_closed_form(dim, args.kappa, args.term_tol)
     else:
-        grid = wigner_theta_form(dim, config.term_tol)
-    check_value = None
-    if check:
-        wd = wigner_definition(dim, config.kappa, config.term_tol).values
-        wc = wigner_closed_form(dim, config.kappa, config.term_tol).values
-        check_value = float(np.max(np.abs(wd - wc)))
-    return grid, check_value
+        grid = wigner_theta_form(dim, args.term_tol)
+    check_value = _wigner_check(args, grid) if args.check else None
+    return _render_wigner(grid, check_value, args.format), 0
+
+
+def _wigner_check(args, grid) -> float:
+    """max |definition - closed form|, reusing grid for the route that made it.
+
+    A function of its own so that the second grid is freed before rendering.
+    """
+    dim = grid.dim
+    wd = grid if args.source == "definition" else wigner_definition(dim, args.kappa, args.term_tol)
+    wc = grid if args.source == "closed" else wigner_closed_form(dim, args.kappa, args.term_tol)
+    return float(np.max(np.abs(wd.values - wc.values)))
 
 
 def _render_wigner(grid, check_value, fmt: str) -> str:
@@ -198,13 +183,12 @@ def _render_wigner(grid, check_value, fmt: str) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _revival_state(config: RunConfig, state_spec: list[str]) -> StateVector:
+def _revival_state(dim: Dimension, state_spec: list[str], kappa: float, term_tol: float) -> StateVector:
     kind = state_spec[0]
-    dim = config.dim
     if kind == "gauss":
         if len(state_spec) != 1:
             raise InvalidParameterError("state gauss takes no arguments")
-        g = finite_gaussian(dim, config.kappa, config.term_tol)
+        g = finite_gaussian(dim, kappa, term_tol)
         return StateVector(dim, g.values.astype(complex)).normalized()
     if kind == "coherent":
         if len(state_spec) != 3:
@@ -213,7 +197,7 @@ def _revival_state(config: RunConfig, state_spec: list[str]) -> StateVector:
             alpha, beta = int(state_spec[1]), int(state_spec[2])
         except ValueError as exc:
             raise InvalidParameterError(f"coherent labels must be integers: {exc}") from exc
-        return coherent_state(dim, PhasePoint(alpha, beta), config.term_tol)
+        return coherent_state(dim, PhasePoint(alpha, beta), term_tol)
     if kind == "delta":
         if len(state_spec) != 2:
             raise InvalidParameterError("state delta needs one integer: n")
@@ -229,25 +213,22 @@ def _revival_state(config: RunConfig, state_spec: list[str]) -> StateVector:
     raise InvalidParameterError(f"unknown state kind {kind!r}; use gauss, coherent, or delta")
 
 
-def cmd_revival(
-    config: RunConfig,
-    hamiltonian: str,
-    state_spec: list[str],
-    cert_tol: float = 1e-8,
-    weight_floor: float = 1e-12,
-):
-    """Detect and certify a revival period; returns (report dict, exit code)."""
-    h = _hamiltonian(config, hamiltonian)
-    psi = _revival_state(config, state_spec)
-    spec = hermitian_eig(h, config.eig_tol)
-    levels, weights, _ = populated_levels(spec, psi, weight_floor)
-    report = detect_revival(levels, weights, config.rel_tol, config.max_den, weight_floor)
+def cmd_revival(args):
+    """Detect and certify a revival period; JSON report, exit 3 if uncertified."""
+    if not (math.isfinite(args.cert_tol) and args.cert_tol > 0.0):
+        raise InvalidParameterError(f"cert_tol must be finite and positive, got {args.cert_tol}")
+    dim = Dimension(args.d)
+    h = _hamiltonian(args.ham, dim)
+    psi = _revival_state(dim, args.state, args.kappa, args.term_tol)
+    spec = hermitian_eig(h, args.eig_tol)
+    levels, weights, _ = populated_levels(spec, psi, args.weight_floor)
+    report = detect_revival(levels, weights, args.rel_tol, args.max_den, args.weight_floor)
 
     certified = False
     max_residual = None
     if report.period is not None:
         max_residual = float(certify_period(h, psi, report.period, spectrum=spec))
-        certified = max_residual <= cert_tol
+        certified = max_residual <= args.cert_tol
     payload = {
         "kind": report.kind,
         "period": None if report.period is None else float(report.period),
@@ -257,7 +238,9 @@ def cmd_revival(
         "zero_level": bool(report.zero_level),
         "note": report.note,
     }
-    return payload, (0 if certified else 3)
+    if not certified:
+        print(f"period not certified: kind={report.kind} max_residual={max_residual}", file=sys.stderr)
+    return json.dumps(payload, indent=2) + "\n", (0 if certified else 3)
 
 
 def _golden_jobs():
@@ -289,27 +272,37 @@ def _golden_jobs():
     ]
 
 
-def cmd_make_goldens(out_dir: str) -> int:
-    """Regenerate the full golden set under out_dir."""
-    base = Path(out_dir)
+def cmd_make_goldens(args):
+    """Regenerate the full golden set under --out-dir; writes no output of its own."""
+    base = Path(args.out_dir)
     base.mkdir(parents=True, exist_ok=True)
     for name, argv in _golden_jobs():
         code = main(argv + ["--out", str(base / name)])
         if code not in (0, 3):
-            return code
-    return 0
+            return None, code
+    return None, 0
 
 
-def _add_common(parser: argparse.ArgumentParser, with_d: bool = True) -> None:
-    if with_d:
-        parser.add_argument("--d", type=int, required=True, help="odd lattice size >= 3")
-    parser.add_argument("--kappa", type=float, default=1.0, help="squeezing parameter (default 1)")
-    parser.add_argument("--term-tol", type=float, default=1e-18, help="wrapped-sum truncation tolerance")
-    parser.add_argument("--eig-tol", type=float, default=1e-10, help="eigenpair residual tolerance factor")
-    parser.add_argument("--rel-tol", type=float, default=1e-9, help="revival rational-certification tolerance")
-    parser.add_argument("--max-den", type=int, default=10**6, help="largest admissible ratio denominator")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
-    parser.add_argument("--out", default=None, help="output path (default stdout)")
+# Flags read by more than one subcommand; each subcommand lists the ones it reads.
+_SHARED_FLAGS = {
+    "--d": dict(type=int, required=True, help="odd lattice size >= 3"),
+    "--kappa": dict(type=float, default=1.0, help="squeezing parameter (default 1)"),
+    "--term-tol": dict(type=float, default=1e-18, help="wrapped-sum truncation tolerance"),
+    "--eig-tol": dict(type=float, default=1e-10, help="eigenpair residual tolerance factor"),
+    "--rel-tol": dict(type=float, default=1e-9, help="revival rational-certification tolerance"),
+    "--max-den": dict(type=int, default=10**6, help="largest admissible ratio denominator"),
+    "--format": dict(choices=("csv", "json"), default="csv", help="output format"),
+    "--out": dict(default=None, help="output path (default stdout)"),
+}
+
+
+def _add_command(sub, name: str, run, summary: str, *flags: str) -> argparse.ArgumentParser:
+    """Subcommand `name` dispatching to `run`, with the named shared flags."""
+    p = sub.add_parser(name, help=summary)
+    p.set_defaults(run=run)
+    for flag in flags:
+        p.add_argument(flag, **_SHARED_FLAGS[flag])
+    return p
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -318,30 +311,31 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Wrapped Gaussians and exact discrete-quantum tables on odd lattices.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    table = ("--format", "--out")
 
-    p = sub.add_parser("gauss", help="wrapped, shifted, and naive Gaussian columns")
-    _add_common(p)
+    _add_command(sub, "gauss", cmd_gauss, "wrapped, shifted, and naive Gaussian columns",
+                 "--d", "--kappa", "--term-tol", *table)
 
-    p = sub.add_parser("commutator", help="spectrum of the position-momentum commutator")
-    _add_common(p)
+    _add_command(sub, "commutator", cmd_commutator, "spectrum of the position-momentum commutator",
+                 "--d", *table)
 
-    p = sub.add_parser("uncertainty", help="spread products over a list of lattice sizes")
-    _add_common(p, with_d=False)
+    p = _add_command(sub, "uncertainty", cmd_uncertainty, "spread products over a list of lattice sizes",
+                     "--kappa", "--term-tol", *table)
     p.add_argument(
         "--d-list",
         default=",".join(str(d) for d in DEFAULT_D_LIST),
         help="comma-separated odd lattice sizes",
     )
 
-    p = sub.add_parser("spectrum", help="Hamiltonian eigenvalues, descending, with gaps")
-    _add_common(p)
+    p = _add_command(sub, "spectrum", cmd_spectrum, "Hamiltonian eigenvalues, descending, with gaps",
+                     "--d", "--eig-tol", *table)
     p.add_argument("--ham", choices=("osc", "free"), default="osc", help="which Hamiltonian")
 
-    p = sub.add_parser("quasi", help="quasi-eigenvalue of the wrapped Gaussian and its defect")
-    _add_common(p)
+    _add_command(sub, "quasi", cmd_quasi, "quasi-eigenvalue of the wrapped Gaussian and its defect",
+                 "--d", "--term-tol", *table)
 
-    p = sub.add_parser("wigner", help="discrete Wigner grid")
-    _add_common(p)
+    p = _add_command(sub, "wigner", cmd_wigner, "discrete Wigner grid",
+                     "--d", "--kappa", "--term-tol", *table)
     p.add_argument(
         "--source",
         choices=("definition", "closed", "theta"),
@@ -350,8 +344,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--check", action="store_true", help="also emit max |definition - closed_form|")
 
-    p = sub.add_parser("revival", help="detect and certify a revival period")
-    _add_common(p)
+    # revival always writes JSON; --kappa and --term-tol shape the initial state
+    p = _add_command(sub, "revival", cmd_revival, "detect and certify a revival period",
+                     "--d", "--kappa", "--term-tol", "--eig-tol", "--rel-tol", "--max-den", "--out")
     p.add_argument("--ham", choices=("osc", "free"), default="free", help="which Hamiltonian")
     p.add_argument(
         "--state",
@@ -363,76 +358,24 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cert-tol", type=float, default=1e-8, help="direct-evolution certification tolerance")
     p.add_argument("--weight-floor", type=float, default=1e-12, help="population threshold on |<v|psi>|^2")
 
-    p = sub.add_parser("make-goldens", help="regenerate all golden outputs")
+    p = _add_command(sub, "make-goldens", cmd_make_goldens, "regenerate all golden outputs")
     p.add_argument("--out-dir", default="tests/goldens", help="directory for golden files")
     return parser
 
 
-def _config_from(args: argparse.Namespace, d: int | None = None) -> RunConfig:
-    return RunConfig(
-        d=d if d is not None else args.d,
-        kappa=args.kappa,
-        term_tol=args.term_tol,
-        eig_tol=args.eig_tol,
-        rel_tol=args.rel_tol,
-        max_den=args.max_den,
-        fmt=args.format,
-        output_path=args.out,
-    )
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "make-goldens":
-            return cmd_make_goldens(args.out_dir)
-
-        if args.command == "uncertainty":
-            try:
-                d_list = [int(tok) for tok in args.d_list.split(",") if tok.strip()]
-            except ValueError as exc:
-                raise InvalidParameterError(f"bad --d-list: {exc}") from exc
-            if not d_list:
-                raise InvalidParameterError("--d-list must name at least one lattice size")
-            config = _config_from(args, d=d_list[0])
-            header, rows = cmd_uncertainty(config, d_list)
-            _write(_render_table(header, rows, config.fmt), config.output_path)
-            return 0
-
-        config = _config_from(args)
-        if args.command == "gauss":
-            header, rows = cmd_gauss(config)
-        elif args.command == "commutator":
-            header, rows = cmd_commutator(config)
-        elif args.command == "spectrum":
-            header, rows = cmd_spectrum(config, args.ham)
-        elif args.command == "quasi":
-            header, rows = cmd_quasi(config)
-        elif args.command == "wigner":
-            grid, check_value = cmd_wigner(config, args.source, args.check)
-            _write(_render_wigner(grid, check_value, config.fmt), config.output_path)
-            return 0
-        elif args.command == "revival":
-            payload, code = cmd_revival(config, args.ham, args.state, args.cert_tol, args.weight_floor)
-            _write(json.dumps(payload, indent=2) + "\n", config.output_path)
-            if code != 0:
-                print(
-                    f"period not certified: kind={payload['kind']} "
-                    f"max_residual={payload['max_residual']}",
-                    file=sys.stderr,
-                )
-            return code
-        else:  # pragma: no cover - argparse guards the choices
-            raise InvalidParameterError(f"unknown command {args.command!r}")
-        _write(_render_table(header, rows, config.fmt), config.output_path)
-        return 0
+        text, code = args.run(args)
     except (InvalidDimensionError, InvalidParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except FiniteGaussError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    if text is not None:
+        _write(text, args.out)
+    return code
 
 
 if __name__ == "__main__":

@@ -20,9 +20,8 @@ from .errors import (
     KindMismatchError,
     NoLevelsError,
 )
-from .hilbert import MatrixKind, OperatorMatrix, StateVector, momentum_operator
-from .lattice import as_dimension
-from .spectral import Spectrum, hermitian_eig
+from .hilbert import MatrixKind, OperatorMatrix, StateVector
+from .spectral import Spectrum, free_hamiltonian, hermitian_eig  # noqa: F401  (re-exports free_hamiltonian)
 
 DEFAULT_WEIGHT_FLOOR = 1e-12
 
@@ -59,11 +58,13 @@ class TimeSeries:
         self.values.setflags(write=False)
 
 
-def free_hamiltonian(dim) -> OperatorMatrix:
-    """H = P**2 / 2; its spectrum is pi*n**2/d over the centered labels."""
-    dim = as_dimension(dim)
-    p = momentum_operator(dim).entries
-    return OperatorMatrix(dim, 0.5 * (p @ p), MatrixKind.HERMITIAN)
+def _spectrum_for(h: OperatorMatrix, psi: StateVector, spectrum: Spectrum | None) -> Spectrum:
+    """Check that h can evolve psi and return its spectrum, solving only if none is given."""
+    if h.kind is not MatrixKind.HERMITIAN:
+        raise KindMismatchError(f"evolution needs a hermitian generator, got {h.kind.value}")
+    if psi.dim != h.dim:
+        raise DimensionMismatchError("state and generator live on different lattices")
+    return spectrum if spectrum is not None else hermitian_eig(h)
 
 
 def evolve(h: OperatorMatrix, psi: StateVector, t: float, spectrum: Spectrum | None = None) -> StateVector:
@@ -72,11 +73,7 @@ def evolve(h: OperatorMatrix, psi: StateVector, t: float, spectrum: Spectrum | N
     A precomputed Spectrum of h may be passed to amortize repeated
     evolutions.
     """
-    if h.kind is not MatrixKind.HERMITIAN:
-        raise KindMismatchError(f"evolution needs a hermitian generator, got {h.kind.value}")
-    if psi.dim != h.dim:
-        raise DimensionMismatchError("state and generator live on different lattices")
-    spec = spectrum if spectrum is not None else hermitian_eig(h)
+    spec = _spectrum_for(h, psi, spectrum)
     coeffs = spec.eigenvectors.conj().T @ psi.amps
     out = spec.eigenvectors @ (np.exp(-1j * float(t) * spec.eigenvalues) * coeffs)
     return StateVector(psi.dim, out)
@@ -84,14 +81,10 @@ def evolve(h: OperatorMatrix, psi: StateVector, t: float, spectrum: Spectrum | N
 
 def autocorrelation(h: OperatorMatrix, psi: StateVector, times) -> TimeSeries:
     """|<psi| exp(-1j*t*H) |psi>| sampled at the given times."""
-    if h.kind is not MatrixKind.HERMITIAN:
-        raise KindMismatchError(f"evolution needs a hermitian generator, got {h.kind.value}")
-    if psi.dim != h.dim:
-        raise DimensionMismatchError("state and generator live on different lattices")
-    spec = hermitian_eig(h)
-    weights = np.abs(spec.eigenvectors.conj().T @ psi.amps) ** 2
+    spec = _spectrum_for(h, psi, None)
+    levels, weights, _ = populated_levels(spec, psi)
     times = np.asarray(times, dtype=float)
-    phases = np.exp(-1j * np.outer(times, spec.eigenvalues))
+    phases = np.exp(-1j * np.outer(times, levels))
     return TimeSeries(times, np.abs(phases @ weights))
 
 
@@ -136,6 +129,13 @@ def _merge_levels(eps: np.ndarray, wts: np.ndarray, tol: float):
     return np.array(reps), np.array(reps_w)
 
 
+def _zero_level_fits(base: float, gap: float, rel_tol: float) -> bool:
+    """A populated zero level keeps the up-to-phase period 2*pi/gap only
+    when the smallest nonzero level is a whole number of gaps."""
+    ratio = base / gap
+    return abs(ratio - round(ratio)) <= rel_tol * max(1.0, abs(ratio))
+
+
 def detect_revival(
     levels,
     weights,
@@ -166,11 +166,14 @@ def detect_revival(
     if np.any(wts < 0.0):
         raise InvalidParameterError("weights must be nonnegative")
     rel_tol = float(rel_tol)
-    if rel_tol <= 0.0:
-        raise InvalidParameterError(f"rel_tol must be positive, got {rel_tol}")
+    if not (math.isfinite(rel_tol) and rel_tol > 0.0):
+        raise InvalidParameterError(f"rel_tol must be finite and positive, got {rel_tol}")
     max_den = int(max_den)
     if max_den < 1:
         raise InvalidParameterError(f"max_den must be >= 1, got {max_den}")
+    weight_floor = float(weight_floor)
+    if not (math.isfinite(weight_floor) and weight_floor >= 0.0):
+        raise InvalidParameterError(f"weight_floor must be finite and nonnegative, got {weight_floor}")
 
     selected = np.flatnonzero(wts > weight_floor)
     if selected.size == 0:
@@ -201,15 +204,14 @@ def detect_revival(
     if nonzero.size >= 3:
         gaps = np.diff(nonzero)
         mean_gap = float(np.mean(gaps))
-        if mean_gap > 0.0 and float(np.max(np.abs(gaps - mean_gap))) <= rel_tol * abs(mean_gap):
-            compatible = True
-            if zero_level:
-                ratio = base / mean_gap
-                compatible = abs(ratio - round(ratio)) <= rel_tol * max(1.0, abs(ratio))
-            if compatible:
-                return RevivalReport(
-                    "equidistant", 2.0 * math.pi / mean_gap, None, subset, rel_tol, zero_level
-                )
+        if (
+            mean_gap > 0.0
+            and float(np.max(np.abs(gaps - mean_gap))) <= rel_tol * abs(mean_gap)
+            and (not zero_level or _zero_level_fits(base, mean_gap, rel_tol))
+        ):
+            return RevivalReport(
+                "equidistant", 2.0 * math.pi / mean_gap, None, subset, rel_tol, zero_level
+            )
 
     denominators = [1]
     for e in nonzero:
@@ -224,11 +226,7 @@ def detect_revival(
 
     if nonzero.size == 2:
         gap = float(abs(nonzero[1] - nonzero[0]))
-        compatible = True
-        if zero_level:
-            ratio = base / gap
-            compatible = abs(ratio - round(ratio)) <= rel_tol * max(1.0, abs(ratio))
-        if compatible:
+        if not zero_level or _zero_level_fits(base, gap, rel_tol):
             return RevivalReport(
                 "equidistant", 2.0 * math.pi / gap, None, subset, rel_tol, zero_level
             )
@@ -252,7 +250,7 @@ def certify_period(
     max_n |psi(n, t0+period) - e^{1j*phi} psi(n, t0)|.  Returns the
     maximum over start times.
     """
-    spec = spectrum if spectrum is not None else hermitian_eig(h)
+    spec = _spectrum_for(h, psi, spectrum)
     worst = 0.0
     for t0 in start_times:
         before = evolve(h, psi, float(t0), spec).amps

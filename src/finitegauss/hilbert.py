@@ -165,6 +165,16 @@ def position_operator(dim) -> OperatorMatrix:
     return OperatorMatrix(dim, np.diag(q).astype(complex), MatrixKind.HERMITIAN)
 
 
+def _lattice_kernel(dim: Dimension):
+    """Label differences u = j - l, the signs (-1)**u and sin(pi*u/d) with a unit diagonal."""
+    n = dim.indices()
+    u = n[:, None] - n[None, :]
+    signs = np.where(u % 2 == 0, 1.0, -1.0)
+    sines = np.sin(np.pi * u / dim.d)
+    np.fill_diagonal(sines, 1.0)
+    return u, signs, sines
+
+
 def momentum_operator(dim) -> OperatorMatrix:
     """P = F Q F^dag in closed form.
 
@@ -172,15 +182,19 @@ def momentum_operator(dim) -> OperatorMatrix:
     * (-1)**(j-l) / sin(pi*(j-l)/d) off the diagonal, zero on it.
     """
     dim = as_dimension(dim)
-    d = dim.d
-    n = dim.indices()
-    u = n[:, None] - n[None, :]
-    signs = np.where(u % 2 == 0, 1.0, -1.0)
-    denom = np.sin(np.pi * u / d)
-    np.fill_diagonal(denom, 1.0)
-    entries = -0.5j * math.sqrt(2.0 * math.pi / d) * signs / denom
+    _, signs, sines = _lattice_kernel(dim)
+    entries = -0.5j * math.sqrt(2.0 * math.pi / dim.d) * signs / sines
     np.fill_diagonal(entries, 0.0)
     return OperatorMatrix(dim, entries, MatrixKind.HERMITIAN)
+
+
+def _displacement_action(dim: Dimension, point: PhasePoint):
+    """(D psi)[j] = phases[j] * psi[cols[j]] in storage order."""
+    d = dim.d
+    a, b = point.alpha, point.beta
+    phases = np.exp(-1j * np.pi * a * b / d) * _root_table(dim)[np.mod(b * dim.indices(), d)]
+    cols = np.mod(np.arange(d) - a, d)
+    return phases, cols
 
 
 def displacement(dim, point: PhasePoint) -> OperatorMatrix:
@@ -194,28 +208,10 @@ def displacement(dim, point: PhasePoint) -> OperatorMatrix:
     """
     dim = as_dimension(dim)
     point.check_range(dim)
-    d, s = dim.d, dim.s
-    a, b = point.alpha, point.beta
-    w = _root_table(dim)
-    n = dim.indices()
-    phases = np.exp(-1j * np.pi * a * b / d) * w[np.mod(b * n, d)]
-    entries = np.zeros((d, d), dtype=complex)
-    rows = np.arange(d)
-    cols = np.mod(rows - a, d)
-    entries[rows, cols] = phases
+    phases, cols = _displacement_action(dim, point)
+    entries = np.zeros((dim.d, dim.d), dtype=complex)
+    entries[np.arange(dim.d), cols] = phases
     return OperatorMatrix(dim, entries, MatrixKind.UNITARY)
-
-
-def _coherent_amps(dim: Dimension, point: PhasePoint, base: np.ndarray) -> np.ndarray:
-    d = dim.d
-    a, b = point.alpha, point.beta
-    w = _root_table(dim)
-    n = dim.indices()
-    return (
-        np.exp(-1j * np.pi * a * b / d)
-        * w[np.mod(b * n, d)]
-        * base[np.mod(np.arange(d) - a, d)]
-    )
 
 
 def coherent_state(dim, point: PhasePoint, term_tol: float = 1e-18) -> StateVector:
@@ -228,7 +224,8 @@ def coherent_state(dim, point: PhasePoint, term_tol: float = 1e-18) -> StateVect
     point.check_range(dim)
     g = finite_gaussian(dim, 1.0, term_tol)
     base = g.values / math.sqrt(g.squared_norm())
-    return StateVector(dim, _coherent_amps(dim, point, base))
+    phases, cols = _displacement_action(dim, point)
+    return StateVector(dim, phases * base[cols])
 
 
 def frame_resolution_residual(dim, term_tol: float = 1e-18) -> float:
@@ -243,7 +240,8 @@ def frame_resolution_residual(dim, term_tol: float = 1e-18) -> float:
     acc = np.zeros((d, d), dtype=complex)
     for alpha in range(-s, s + 1):
         for beta in range(-s, s + 1):
-            v = _coherent_amps(dim, PhasePoint(alpha, beta), base)
+            phases, cols = _displacement_action(dim, PhasePoint(alpha, beta))
+            v = phases * base[cols]
             acc += np.outer(v, v.conj())
     acc /= d
     return float(np.max(np.abs(acc - np.eye(d))))

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import KindMismatchError, NumericalFailureError
-from .hilbert import MatrixKind, OperatorMatrix, momentum_operator, position_operator
+from .errors import InvalidParameterError, KindMismatchError, NumericalFailureError
+from .hilbert import MatrixKind, OperatorMatrix, _lattice_kernel, momentum_operator, position_operator
 from .lattice import Dimension, as_dimension
 from .wrapped import finite_gaussian
 
@@ -79,6 +79,9 @@ def hermitian_eig(m: OperatorMatrix, residual_tol: float = EIG_RESIDUAL_TOL) -> 
     """
     if m.kind is not MatrixKind.HERMITIAN:
         raise KindMismatchError(f"eigensolver needs a hermitian operator, got {m.kind.value}")
+    residual_tol = float(residual_tol)
+    if not (math.isfinite(residual_tol) and residual_tol > 0.0):
+        raise InvalidParameterError(f"residual_tol must be finite and positive, got {residual_tol}")
     try:
         vals, vecs = np.linalg.eigh(m.entries)
     except np.linalg.LinAlgError as exc:
@@ -101,16 +104,6 @@ def hermitian_eig(m: OperatorMatrix, residual_tol: float = EIG_RESIDUAL_TOL) -> 
     return Spectrum(m.dim, vals, vecs, residual)
 
 
-def _lattice_weight(dim: Dimension) -> np.ndarray:
-    """Even kernel w(u) = (pi*u/d) / sin(pi*u/d) with w(0) = 1, off-diagonal use."""
-    u = dim.indices()[:, None] - dim.indices()[None, :]
-    denom = np.sin(np.pi * u / dim.d)
-    np.fill_diagonal(denom, 1.0)
-    w = (np.pi * u / dim.d) / denom
-    np.fill_diagonal(w, 1.0)
-    return w
-
-
 def commutator_qp(dim) -> OperatorMatrix:
     """Exact commutator [Q, P]; anti-Hermitian with zero diagonal.
 
@@ -118,9 +111,8 @@ def commutator_qp(dim) -> OperatorMatrix:
     -1j * (pi*(j-l)/d) * (-1)**(j-l) / sin(pi*(j-l)/d).
     """
     dim = as_dimension(dim)
-    u = dim.indices()[:, None] - dim.indices()[None, :]
-    signs = np.where(u % 2 == 0, 1.0, -1.0)
-    entries = -1j * signs * _lattice_weight(dim)
+    u, signs, sines = _lattice_kernel(dim)
+    entries = -1j * signs * ((np.pi * u / dim.d) / sines)
     np.fill_diagonal(entries, 0.0)
     return OperatorMatrix(dim, entries, MatrixKind.GENERAL)
 
@@ -143,18 +135,29 @@ def floratos_approx(dim) -> OperatorMatrix:
     (1-d)*1j, so it reproduces the commutator's bulk but not its tails.
     """
     dim = as_dimension(dim)
-    u = dim.indices()[:, None] - dim.indices()[None, :]
-    signs = np.where(u % 2 == 0, 1.0, -1.0)
+    _, signs, _ = _lattice_kernel(dim)
     entries = 1j * signs * (np.eye(dim.d) - 1.0)
     return OperatorMatrix(dim, entries, MatrixKind.GENERAL)
 
 
-def oscillator_hamiltonian(dim) -> OperatorMatrix:
-    """H = (P**2 + Q**2) / 2 on the centered lattice."""
+def free_hamiltonian(dim) -> OperatorMatrix:
+    """H = P**2 / 2; its spectrum is pi*n**2/d over the centered labels."""
     dim = as_dimension(dim)
     p = momentum_operator(dim).entries
-    q = position_operator(dim).entries
-    return OperatorMatrix(dim, 0.5 * (p @ p + q @ q), MatrixKind.HERMITIAN)
+    return OperatorMatrix(dim, 0.5 * (p @ p), MatrixKind.HERMITIAN)
+
+
+def oscillator_hamiltonian(dim) -> OperatorMatrix:
+    """H = (P**2 + Q**2) / 2 on the centered lattice.
+
+    Q is diagonal, so H is the free Hamiltonian with Q**2 / 2 added on
+    its diagonal.
+    """
+    dim = as_dimension(dim)
+    h = free_hamiltonian(dim).entries.copy()
+    q = position_operator(dim).entries.diagonal().real
+    h[np.diag_indices(dim.d)] += 0.5 * q * q
+    return OperatorMatrix(dim, h, MatrixKind.HERMITIAN)
 
 
 def quasi_eigen_residual(dim, term_tol: float = 1e-18) -> QuasiEigenReport:
@@ -200,15 +203,11 @@ def uncertainty_product(dim, kappa: float, term_tol: float = 1e-18) -> Uncertain
     gdualsq = float(np.dot(gdual, gdual))
     var_p = 2.0 * math.pi / d * float(np.dot(ns * ns * gdual, gdual)) / gdualsq
 
-    u = dim.indices()[:, None] - dim.indices()[None, :]
-    signs = np.where(u % 2 == 0, 1.0, -1.0)
-    pair_kernel = signs * _lattice_weight(dim)
-    np.fill_diagonal(pair_kernel, 0.0)
-    # sum over j > l only, then the expectation carries a factor 2
-    pair_sum = float(g @ (np.tril(pair_kernel, -1) @ g))
-    expect_mag = abs(2.0 * pair_sum / gsq)
-
     cross = commutator_qp(dim).entries
+    # i*[Q, P] is the real kernel (-1)**u * (pi*u/d) / sin(pi*u/d); sum
+    # over j > l only, then the expectation carries a factor 2
+    pair_sum = float(g @ (np.tril((1j * cross).real, -1) @ g))
+    expect_mag = abs(2.0 * pair_sum / gsq)
     quad_mag = abs(complex(g @ (cross @ g)) / gsq)
     if abs(expect_mag - quad_mag) > HALF_COMM_CROSS_TOL:
         raise NumericalFailureError(

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalFailureError
+from .hilbert import _root_table
 from .lattice import Dimension, as_dimension
 from .wrapped import (
     ThetaKind,
@@ -82,10 +83,7 @@ def wigner_definition(dim, kappa: float, term_tol: float = 1e-18) -> WignerGrid:
     g = finite_gaussian(dim, kappa, term_tol).values
     chords = _chord_table(dim, g)
     # exp(4j*pi*m*k/d) = w[(2*m*k) mod d] with w the d-th roots of unity
-    w = np.exp(2j * np.pi * np.arange(d) / d)
-    m = dim.indices()
-    k = dim.indices()
-    kernel = w[np.mod(2 * np.outer(m, k), d)]
+    kernel = _root_table(dim)[np.mod(2 * np.outer(dim.indices(), dim.indices()), d)]
     grid = chords @ kernel.T / d
     top = float(np.max(np.abs(grid)))
     residue = float(np.max(np.abs(grid.imag)))

@@ -75,48 +75,46 @@ def _check_tol(term_tol: float) -> float:
     return term_tol
 
 
-def _gauss_halfwidth(d: int, kappa: float, term_tol: float, shifted: bool) -> int:
+def _halfwidth(c: float, step: float, shift: float, half: float, term_tol: float, what: str) -> int:
     """Smallest window halfwidth A meeting the truncation rule.
 
-    Unshifted windows cover alpha in [-A, A]; shifted windows cover the
-    offset pairs (a, -a-1) for a in [0, A].  The first excluded term is
-    evaluated at the worst lattice point |n| = s.
+    The window sums exp(-c*((a + half)*step + x)**2) for |x| <= shift.
+    Unshifted windows (half = 0) cover a in [-A, A]; shifted windows
+    (half = 1/2) cover the offset pairs (a, -a-1) for a in [0, A].  The
+    first excluded term is evaluated at the worst point x = -shift and
+    compared with the partial sum at x = 0.
     """
-    s = (d - 1) // 2
-    c = kappa * math.pi / d
-    half = 0.5 if shifted else 0.0
-    # partial sum at n=0 over the current window
-    partial = 2.0 * math.exp(-c * (half * d) ** 2) if shifted else 1.0
+    center = half * step
+    partial = 2.0 * math.exp(-c * center ** 2) if half else 1.0
     a = 0
     while True:
-        edge = (a + 1 + half) * d - s
+        edge = center + step - shift
         excluded = math.exp(-c * edge * edge)
-        # an underflowed term can never contribute, whatever the partial sum
-        if excluded == 0.0 or excluded < term_tol * partial:
+        # an underflowed term can never contribute, whatever the partial sum;
+        # an edge at or inside the worst point is not excluded yet
+        if (excluded == 0.0 or excluded < term_tol * partial) and edge > 0:
             return a
         a += 1
         if a > _WINDOW_CAP:
-            raise NumericalFailureError("wrapped sum window did not converge")
-        partial += 2.0 * math.exp(-c * ((a + half) * d) ** 2)
+            raise NumericalFailureError(f"{what} window did not converge")
+        center += step
+        partial += 2.0 * math.exp(-c * center ** 2)
 
 
 def _wrapped_values(dim: Dimension, kappa: float, term_tol: float, shifted: bool) -> np.ndarray:
     d = dim.d
     ns = dim.indices().astype(float)
     c = kappa * math.pi / d
-    halfwidth = _gauss_halfwidth(d, kappa, term_tol, shifted)
+    half = 0.5 if shifted else 0.0
+    halfwidth = _halfwidth(c, d, dim.s, half, term_tol, "wrapped sum")
     acc = np.zeros(d)
-    if shifted:
-        # pairs (a, -a-1) give offsets +-(a+1/2)d
-        for a in range(halfwidth, -1, -1):
-            x = (a + 0.5) * d + ns
-            y = -(a + 0.5) * d + ns
-            acc += np.exp(-c * x * x) + np.exp(-c * y * y)
-    else:
-        for a in range(halfwidth, 0, -1):
-            x = a * d + ns
-            y = -a * d + ns
-            acc += np.exp(-c * x * x) + np.exp(-c * y * y)
+    # shifted pairs (a, -a-1) give offsets +-(a+1/2)d down to a = 0; the
+    # unshifted center term a = 0 is added once, last
+    for a in range(halfwidth, -1 if shifted else 0, -1):
+        x = (a + half) * d + ns
+        y = -(a + half) * d + ns
+        acc += np.exp(-c * x * x) + np.exp(-c * y * y)
+    if not shifted:
         acc += np.exp(-c * ns * ns)
     return acc
 
@@ -146,20 +144,6 @@ def shifted_finite_gaussian(dim, kappa: float, term_tol: float = 1e-18) -> Finit
     return FiniteGaussian(dim, kappa, True, values, term_tol)
 
 
-def _theta_halfwidth(t: float, term_tol: float, half: float) -> int:
-    partial = 2.0 * math.exp(-math.pi * t * half * half) if half else 1.0
-    a = 0
-    while True:
-        edge = a + 1 + half
-        excluded = math.exp(-math.pi * t * edge * edge)
-        if excluded == 0.0 or excluded < term_tol * partial:
-            return a
-        a += 1
-        if a > _WINDOW_CAP:
-            raise NumericalFailureError("theta series window did not converge")
-        partial += 2.0 * math.exp(-math.pi * t * (a + half) ** 2)
-
-
 def theta(kind: ThetaKind, z: float, t: float, term_tol: float = 1e-18) -> float:
     """Jacobi theta series theta_k(z, i*t) for purely imaginary modulus.
 
@@ -181,22 +165,15 @@ def theta(kind: ThetaKind, z: float, t: float, term_tol: float = 1e-18) -> float
         raise InvalidParameterError(f"t must be finite and positive, got {t}")
     term_tol = _check_tol(term_tol)
 
-    if kind is ThetaKind.THETA2:
-        halfwidth = _theta_halfwidth(t, term_tol, 0.5)
-        acc = 0.0
-        for a in range(halfwidth, -1, -1):
-            h = a + 0.5
-            acc += 2.0 * math.exp(-math.pi * t * h * h) * math.cos(2.0 * math.pi * h * z)
-        return acc
-
-    halfwidth = _theta_halfwidth(t, term_tol, 0.0)
+    c = math.pi * t
+    half = 0.5 if kind is ThetaKind.THETA2 else 0.0
+    halfwidth = _halfwidth(c, 1.0, 0.0, half, term_tol, "theta series")
     acc = 0.0
-    for a in range(halfwidth, 0, -1):
-        term = 2.0 * math.exp(-math.pi * t * a * a) * math.cos(2.0 * math.pi * a * z)
-        if kind is ThetaKind.THETA4 and a % 2 == 1:
-            term = -term
-        acc += term
-    return acc + 1.0
+    for a in range(halfwidth, -1 if half else 0, -1):
+        h = a + half
+        term = 2.0 * math.exp(-c * h * h) * math.cos(2.0 * math.pi * h * z)
+        acc += -term if kind is ThetaKind.THETA4 and a % 2 == 1 else term
+    return acc if half else acc + 1.0
 
 
 def naive_gaussian(dim, kappa: float) -> np.ndarray:
@@ -226,6 +203,7 @@ def periodize(sample: Callable[[float], float], dim, term_tol: float = 1e-18) ->
     d, s = dim.d, dim.s
     step = math.sqrt(2.0 * math.pi / d)
 
+    # not _halfwidth: the sample is an arbitrary callable, tested at both edges
     phi0 = float(sample(0.0))
     halfwidth = 0
     while True:
@@ -266,16 +244,7 @@ def alternating_wrapped_sum(dim, kappa: float, n, term_tol: float = 1e-18):
     c = kappa * math.pi / d
 
     nmax = int(np.max(np.abs(narr))) if narr.size else 0
-    partial = 1.0
-    halfwidth = 0
-    while True:
-        edge = (halfwidth + 1) * d - nmax
-        if edge > 0 and math.exp(-c * edge * edge) < term_tol * partial:
-            break
-        halfwidth += 1
-        if halfwidth > _WINDOW_CAP:
-            raise NumericalFailureError("alternating sum window did not converge")
-        partial += 2.0 * math.exp(-c * (halfwidth * d) ** 2)
+    halfwidth = _halfwidth(c, d, nmax, 0.0, term_tol, "alternating sum")
 
     nf = narr.astype(float)
     acc = np.zeros(nf.shape)

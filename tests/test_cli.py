@@ -1,4 +1,5 @@
-"""Command-line surface: goldens, determinism, formats, exit codes."""
+"""Command-line surface: goldens, determinism, formats, exit codes, flags."""
+import argparse
 import json
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from finitegauss import Dimension, commutator_spectrum
-from finitegauss.cli import _golden_jobs, main
+from finitegauss.cli import _build_parser, _golden_jobs, main
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
@@ -120,6 +121,35 @@ class TestExitCodes:
         assert main(["quasi", "--d", "5"]) == 0
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--cert-tol", "nan"],
+            ["--cert-tol", "-1"],
+            ["--weight-floor", "nan"],
+            ["--rel-tol", "nan"],
+            ["--eig-tol", "nan"],
+            ["--max-den", "0"],
+        ],
+    )
+    def test_bad_revival_tolerance_rejected(self, flags, capsys):
+        argv = ["revival", "--d", "9", "--ham", "free", "--state", "delta", "0"]
+        assert main(argv + flags) == 2
+        assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spectrum", "--d", "5", "--eig-tol", "-1"],
+            ["gauss", "--d", "5", "--term-tol", "0"],
+            ["uncertainty", "--d-list", "3,5", "--kappa", "inf"],
+            ["wigner", "--d", "5", "--kappa", "nan"],
+        ],
+    )
+    def test_bad_library_parameter_rejected(self, argv, capsys):
+        assert main(argv) == 2
+        assert "error" in capsys.readouterr().err
+
 
 class TestFormats:
     def test_json_table(self, capsys):
@@ -167,6 +197,49 @@ class TestFormats:
         for k, gap in enumerate(gaps):
             assert gap == pytest.approx(vals[k] - vals[k + 1], abs=1e-15)
         assert lines[-1].endswith(",")
+
+
+# The flags each subcommand reads; any other flag is a usage error.
+COMMAND_FLAGS = {
+    "gauss": {"--d", "--kappa", "--term-tol", "--format", "--out"},
+    "commutator": {"--d", "--format", "--out"},
+    "uncertainty": {"--d-list", "--kappa", "--term-tol", "--format", "--out"},
+    "spectrum": {"--d", "--ham", "--eig-tol", "--format", "--out"},
+    "quasi": {"--d", "--term-tol", "--format", "--out"},
+    "wigner": {"--d", "--kappa", "--term-tol", "--source", "--check", "--format", "--out"},
+    "revival": {
+        "--d", "--ham", "--state", "--kappa", "--term-tol", "--eig-tol", "--rel-tol",
+        "--max-den", "--cert-tol", "--weight-floor", "--out",
+    },
+    "make-goldens": {"--out-dir"},
+}
+
+
+class TestFlags:
+    def test_each_subcommand_takes_only_the_flags_it_reads(self):
+        parser = _build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        got = {
+            name: {flag for action in p._actions for flag in action.option_strings} - {"-h", "--help"}
+            for name, p in sub.choices.items()
+        }
+        assert got == COMMAND_FLAGS
+        assert sum(len(flags) for flags in got.values()) == 41
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["commutator", "--d", "5", "--kappa", "2"],
+            ["revival", "--d", "9", "--state", "delta", "0", "--format", "csv"],
+            ["quasi", "--d", "5", "--kappa", "2"],
+            ["spectrum", "--d", "5", "--term-tol", "1e-12"],
+        ],
+    )
+    def test_unread_flag_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestMakeGoldens:

@@ -224,6 +224,21 @@ class TestDetectRevival:
         with pytest.raises(InvalidParameterError):
             detect_revival([math.nan], [1.0])
 
+    @pytest.mark.parametrize("rel_tol", [math.nan, math.inf, 0.0, -1e-9])
+    def test_rejects_bad_rel_tol(self, rel_tol):
+        # A nan tolerance used to pass every comparison and report a period.
+        with pytest.raises(InvalidParameterError):
+            detect_revival([1.0, 2.0], [0.5, 0.5], rel_tol=rel_tol)
+
+    @pytest.mark.parametrize("weight_floor", [math.nan, math.inf, -1e-12])
+    def test_rejects_bad_weight_floor(self, weight_floor):
+        with pytest.raises(InvalidParameterError):
+            detect_revival([1.0, 2.0], [0.5, 0.5], weight_floor=weight_floor)
+
+    def test_zero_weight_floor_keeps_every_positive_weight(self):
+        rep = detect_revival([1.0, 2.0, 3.0], [0.5, 0.5, 0.0], weight_floor=0.0)
+        assert rep.level_subset == (0, 1)
+
     @given(
         st.integers(min_value=1, max_value=9),
         st.integers(min_value=1, max_value=40),

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from finitegauss import (
     Dimension,
+    InvalidParameterError,
     KindMismatchError,
     MatrixKind,
     OperatorMatrix,
@@ -169,6 +170,15 @@ class TestHermitianEig:
         with pytest.raises(KindMismatchError):
             hermitian_eig(g)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_bad_residual_tol_before_solving(self, tol, monkeypatch):
+        def no_solve(_):
+            raise AssertionError("eigh called")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_solve)
+        with pytest.raises(InvalidParameterError):
+            hermitian_eig(oscillator_hamiltonian(Dimension(5)), tol)
+
     def test_residual_bound_holds(self):
         dim = Dimension(21)
         h = oscillator_hamiltonian(dim)
@@ -212,6 +222,15 @@ class TestOscillator:
         for d, want in OSCILLATOR_LEVELS.items():
             got = hermitian_eig(oscillator_hamiltonian(Dimension(d))).eigenvalues
             assert np.max(np.abs(np.asarray(got) - np.asarray(want))) <= 1e-12
+
+    @pytest.mark.parametrize("d", [5, 9, 13, 31, 101])
+    def test_bitwise_equal_to_dense_reference(self, d):
+        # Adding Q**2/2 on the diagonal of P**2/2 rounds exactly like the
+        # dense 0.5*(P@P + Q@Q), signed zeros included.
+        p = momentum_operator(Dimension(d)).entries
+        q = position_operator(Dimension(d)).entries
+        want = 0.5 * (p @ p + q @ q)
+        assert oscillator_hamiltonian(Dimension(d)).entries.tobytes() == want.tobytes()
 
     def test_hamiltonian_commutes_with_fourier(self):
         # FQF+ = P and FPF+ = -Q make H Fourier invariant.
