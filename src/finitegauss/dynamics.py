@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import (
     CapacityExceededError,
+    DegenerateVectorError,
     DimensionMismatchError,
     InvalidParameterError,
     KindMismatchError,
@@ -248,14 +249,20 @@ def certify_period(
     For each start time t0, evolves to t0 and t0 + period, fits the
     global phase from the largest component at t0, and measures
     max_n |psi(n, t0+period) - e^{1j*phi} psi(n, t0)|.  Returns the
-    maximum over start times.
+    maximum over start times.  The zero state raises DegenerateVectorError.
     """
+    period = float(period)
+    start_times = [float(t0) for t0 in start_times]
+    if not all(map(math.isfinite, [period, *start_times])):
+        raise InvalidParameterError(f"period and start times must be finite, got {period}, {start_times}")
     spec = _spectrum_for(h, psi, spectrum)
     worst = 0.0
     for t0 in start_times:
-        before = evolve(h, psi, float(t0), spec).amps
-        after = evolve(h, psi, float(t0) + float(period), spec).amps
+        before = evolve(h, psi, t0, spec).amps
+        after = evolve(h, psi, t0 + period, spec).amps
         anchor = int(np.argmax(np.abs(before)))
+        if before[anchor] == 0.0:
+            raise DegenerateVectorError("the zero state has no phase to fit a period against")
         phase = after[anchor] / before[anchor]
         phase = phase / abs(phase)
         worst = max(worst, float(np.max(np.abs(after - phase * before))))

@@ -139,23 +139,20 @@ def _root_table(dim: Dimension) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(dim.d) / dim.d)
 
 
-def _fourier_entries(dim: Dimension, sign: int) -> np.ndarray:
-    n = dim.indices()
-    w = _root_table(dim)
-    prods = np.mod(sign * np.outer(n, n), dim.d)
-    return w[prods] / math.sqrt(dim.d)
-
-
 def fourier_matrix(dim) -> OperatorMatrix:
-    """The unitary finite Fourier transform on the centered lattice."""
+    """The unitary finite Fourier transform on the centered lattice, as a dense matrix."""
     dim = as_dimension(dim)
-    return OperatorMatrix(dim, _fourier_entries(dim, +1), MatrixKind.UNITARY)
+    n = dim.indices()
+    entries = _root_table(dim)[np.mod(np.outer(n, n), dim.d)] / math.sqrt(dim.d)
+    return OperatorMatrix(dim, entries, MatrixKind.UNITARY)
 
 
 def fourier_apply(state: StateVector, inverse: bool = False) -> StateVector:
-    """Apply the finite Fourier transform (or its inverse) to a state."""
-    kernel = _fourier_entries(state.dim, -1 if inverse else +1)
-    return StateVector(state.dim, kernel @ state.amps)
+    """Apply the finite Fourier transform (or its inverse) to a state by FFT."""
+    # the kernel's positive sign is numpy's inverse FFT; labels roll so n = 0 comes first
+    transform = np.fft.fft if inverse else np.fft.ifft
+    amps = np.fft.fftshift(transform(np.fft.ifftshift(state.amps), norm="ortho"))
+    return StateVector(state.dim, amps)
 
 
 def position_operator(dim) -> OperatorMatrix:

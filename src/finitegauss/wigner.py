@@ -1,9 +1,9 @@
 """Discrete Wigner function of wrapped Gaussians and its factorized forms.
 
-Three routes to the same d x d grid: the defining chord sum, the exact
-two-term product of wrapped Gaussians at doubled/halved widths, and the
-kappa=1 theta-product form that matches the others up to one overall
-constant.
+Three routes to the same d x d grid: the defining chord sum, evaluated
+as a real FFT over the chord offset k; the exact two-term product of
+wrapped Gaussians at doubled/halved widths; and the kappa=1
+theta-product form that matches the others up to one overall constant.
 """
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalFailureError
-from .hilbert import _root_table
 from .lattice import Dimension, as_dimension
 from .wrapped import (
     ThetaKind,
@@ -61,19 +60,13 @@ class Marginals:
     mom: np.ndarray
 
 
-def _chord_table(dim: Dimension, g: np.ndarray) -> np.ndarray:
-    """C[i, j] = g(n-k) * g(n+k) with n = i-s, k = j-s, arguments recentered."""
-    n = dim.indices()[:, None]
-    k = dim.indices()[None, :]
-    return g[dim.offset(n - k)] * g[dim.offset(n + k)]
-
-
 def wigner_definition(dim, kappa: float, term_tol: float = 1e-18) -> WignerGrid:
     """Chord-sum Wigner grid of g_kappa.
 
         W(n, m) = (1/d) sum_k exp(4j*pi*m*k/d) g(n-k) g(n+k)
 
-    The result is real for an even state; the imaginary residue is
+    The chords are real and even in k, so the k-sum is a real DFT read
+    at frequency 2m mod d folded into 0..s.  Its imaginary residue is
     checked against 1e-13 times the largest value and discarded.
     """
     dim = as_dimension(dim)
@@ -81,10 +74,12 @@ def wigner_definition(dim, kappa: float, term_tol: float = 1e-18) -> WignerGrid:
     term_tol = _check_tol(term_tol)
     d = dim.d
     g = finite_gaussian(dim, kappa, term_tol).values
-    chords = _chord_table(dim, g)
-    # exp(4j*pi*m*k/d) = w[(2*m*k) mod d] with w the d-th roots of unity
-    kernel = _root_table(dim)[np.mod(2 * np.outer(dim.indices(), dim.indices()), d)]
-    grid = chords @ kernel.T / d
+    n = dim.indices()[:, None]
+    k = np.fft.ifftshift(dim.indices())[None, :]  # 0..s, -s..-1: the order the DFT reads
+    chords = g[dim.offset(n - k)] * g[dim.offset(n + k)]
+    spectrum = np.fft.rfft(chords, axis=1) / d
+    freq = np.mod(2 * dim.indices(), d)
+    grid = np.take(spectrum, np.minimum(freq, d - freq), axis=1)
     top = float(np.max(np.abs(grid)))
     residue = float(np.max(np.abs(grid.imag)))
     if residue > REALNESS_TOL * top:
@@ -127,10 +122,10 @@ def wigner_theta_form(dim, term_tol: float = 1e-18) -> WignerGrid:
     term_tol = _check_tol(term_tol)
     d = dim.d
     ns = dim.indices()
-    col3 = np.array([theta(ThetaKind.THETA3, n / d, 1.0 / (2.0 * d), term_tol) for n in ns])
-    col4 = np.array([theta(ThetaKind.THETA4, n / d, 1.0 / (2.0 * d), term_tol) for n in ns])
-    row3 = np.array([theta(ThetaKind.THETA3, 2.0 * m / d, 2.0 / d, term_tol) for m in ns])
-    row2 = np.array([theta(ThetaKind.THETA2, 2.0 * m / d, 2.0 / d, term_tol) for m in ns])
+    col3 = theta(ThetaKind.THETA3, ns / d, 1.0 / (2.0 * d), term_tol)
+    col4 = theta(ThetaKind.THETA4, ns / d, 1.0 / (2.0 * d), term_tol)
+    row3 = theta(ThetaKind.THETA3, 2.0 * ns / d, 2.0 / d, term_tol)
+    row2 = theta(ThetaKind.THETA2, 2.0 * ns / d, 2.0 / d, term_tol)
     grid = np.outer(col3, row3) + np.outer(col4, row2)
 
     reference = wigner_definition(dim, 1.0, term_tol).values

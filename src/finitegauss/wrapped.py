@@ -144,7 +144,7 @@ def shifted_finite_gaussian(dim, kappa: float, term_tol: float = 1e-18) -> Finit
     return FiniteGaussian(dim, kappa, True, values, term_tol)
 
 
-def theta(kind: ThetaKind, z: float, t: float, term_tol: float = 1e-18) -> float:
+def theta(kind: ThetaKind, z, t: float, term_tol: float = 1e-18):
     """Jacobi theta series theta_k(z, i*t) for purely imaginary modulus.
 
     Only the even real cosine form is computed:
@@ -153,13 +153,13 @@ def theta(kind: ThetaKind, z: float, t: float, term_tol: float = 1e-18) -> float
         theta3 = sum_a exp(-pi*t*a**2)       * cos(2*pi*a*z)
         theta4 = sum_a (-1)**a exp(-pi*t*a**2) * cos(2*pi*a*z)
 
-    t must be positive.  Terms are paired (a, -a) so each contribution
-    is real; no complex arithmetic occurs.
+    t must be positive; z may be an array, all of it summed over one window.
+    Terms are paired (a, -a) so each contribution is real; no complex arithmetic.
     """
     kind = ThetaKind(kind)
-    z = float(z)
+    z = np.asarray(z, dtype=float)
     t = float(t)
-    if not math.isfinite(z):
+    if not np.all(np.isfinite(z)):
         raise InvalidParameterError(f"z must be finite, got {z}")
     if not math.isfinite(t) or t <= 0.0:
         raise InvalidParameterError(f"t must be finite and positive, got {t}")
@@ -168,12 +168,13 @@ def theta(kind: ThetaKind, z: float, t: float, term_tol: float = 1e-18) -> float
     c = math.pi * t
     half = 0.5 if kind is ThetaKind.THETA2 else 0.0
     halfwidth = _halfwidth(c, 1.0, 0.0, half, term_tol, "theta series")
-    acc = 0.0
+    acc = np.zeros(z.shape)
     for a in range(halfwidth, -1 if half else 0, -1):
         h = a + half
-        term = 2.0 * math.exp(-c * h * h) * math.cos(2.0 * math.pi * h * z)
+        term = 2.0 * math.exp(-c * h * h) * np.cos(2.0 * math.pi * h * z)
         acc += -term if kind is ThetaKind.THETA4 and a % 2 == 1 else term
-    return acc if half else acc + 1.0
+    acc = acc if half else acc + 1.0
+    return float(acc) if z.shape == () else acc
 
 
 def naive_gaussian(dim, kappa: float) -> np.ndarray:

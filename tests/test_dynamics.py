@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from finitegauss import (
     CapacityExceededError,
+    DegenerateVectorError,
     Dimension,
     InvalidParameterError,
     NoLevelsError,
@@ -315,3 +316,20 @@ class TestCertifyPeriod:
         assert rep.kind == "equidistant"
         assert rep.note is not None
         assert certify_period(h, psi, rep.period, spectrum=spec) <= 1e-10
+
+    def test_zero_state_is_refused(self):
+        # A zero state has no phase to fit: 0/0 used to read as a 0.0 residual.
+        dim = Dimension(9)
+        psi = StateVector(dim, np.zeros(9, dtype=complex))
+        with pytest.raises(DegenerateVectorError):
+            certify_period(free_hamiltonian(dim), psi, 17.0)
+
+    @pytest.mark.parametrize(
+        "period, start_times",
+        [(math.nan, (0.0, 0.7)), (math.inf, (0.0, 0.7)), (18.0, (0.0, math.nan)), (18.0, (-math.inf,))],
+    )
+    def test_non_finite_times_are_refused(self, period, start_times):
+        dim = Dimension(9)
+        h = free_hamiltonian(dim)
+        with pytest.raises(InvalidParameterError, match="period"):
+            certify_period(h, random_state(dim, 5), period, start_times=start_times)

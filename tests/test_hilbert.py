@@ -64,6 +64,18 @@ class TestFourier:
         via_matrix = fourier_matrix(dim).entries @ amps
         assert np.max(np.abs(via_apply - via_matrix)) <= 1e-13
 
+    @given(st.integers(min_value=1, max_value=100), st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_fft_matches_dense_matrix(self, s, seed):
+        # Forward against F, inverse against F^dag; rounding only, relative to |psi|.
+        dim = Dimension(2 * s + 1)
+        rng = np.random.default_rng(seed)
+        psi = StateVector(dim, rng.normal(size=dim.d) + 1j * rng.normal(size=dim.d))
+        f = fourier_matrix(dim).entries
+        assert np.max(np.abs(fourier_apply(psi).amps - f @ psi.amps)) <= 1e-14 * psi.norm()
+        back = fourier_apply(psi, inverse=True).amps
+        assert np.max(np.abs(back - f.conj().T @ psi.amps)) <= 1e-14 * psi.norm()
+
     def test_inverse_round_trip(self):
         dim = Dimension(9)
         rng = np.random.default_rng(3)

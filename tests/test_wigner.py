@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finitegauss import (
     Dimension,
@@ -34,12 +36,33 @@ def brute_wigner(d: int, kappa: float) -> np.ndarray:
     return out
 
 
+def dense_kernel_wigner(d: int, kappa: float) -> np.ndarray:
+    """Chord table times the d x d table of exp(4j*pi*m*k/d): the O(d**3) reference."""
+    dim = Dimension(d)
+    g = finite_gaussian(dim, kappa).values
+    n = dim.indices()[:, None]
+    k = dim.indices()[None, :]
+    chords = g[dim.offset(n - k)] * g[dim.offset(n + k)]
+    roots = np.exp(2j * np.pi * np.arange(d) / d)
+    kernel = roots[np.mod(2 * np.outer(dim.indices(), dim.indices()), d)]
+    return (chords @ kernel.T / d).real
+
+
 class TestDefinition:
     @pytest.mark.parametrize("d", [3, 5, 9])
     @pytest.mark.parametrize("kappa", [0.5, 1.0, 3.0])
     def test_matches_brute_force(self, d, kappa):
         grid = wigner_definition(Dimension(d), kappa)
         assert np.max(np.abs(grid.values - brute_wigner(d, kappa))) <= 1e-14
+
+    @given(st.integers(min_value=1, max_value=100), st.floats(min_value=-2.0, max_value=2.0))
+    @settings(max_examples=40, deadline=None)
+    def test_fft_matches_dense_kernel(self, s, log_kappa):
+        # Same sum, other order of additions: a few ulps of the peak.
+        d, kappa = 2 * s + 1, 10.0**log_kappa
+        want = dense_kernel_wigner(d, kappa)
+        got = wigner_definition(Dimension(d), kappa).values
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_real_valued(self):
         grid = wigner_definition(Dimension(15), 2.0)

@@ -155,6 +155,26 @@ class TestThetaIdentities:
                         )
                     assert theta(kind, z, t) == pytest.approx(ref, rel=1e-14, abs=1e-300)
 
+    @pytest.mark.parametrize("kind", list(ThetaKind))
+    @pytest.mark.parametrize("shape", [(0,), (7,), (3, 4)])
+    def test_theta_array_matches_scalar_calls(self, kind, shape):
+        z = np.linspace(-1.3, 1.3, math.prod(shape)).reshape(shape)
+        got = theta(kind, z, 0.37)
+        assert got.shape == shape
+        for zz, value in zip(z.ravel(), got.ravel()):
+            assert value == pytest.approx(theta(kind, float(zz), 0.37), rel=1e-15, abs=0.0)
+
+    def test_theta_scalar_returns_float(self):
+        assert type(theta(ThetaKind.THETA3, 0.25, 1.0)) is float
+        assert type(theta(ThetaKind.THETA2, np.float64(0.25), 1.0)) is float
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_theta_rejects_non_finite_element(self, bad):
+        with pytest.raises(InvalidParameterError):
+            theta(ThetaKind.THETA4, np.array([0.0, bad, 0.5]), 1.0)
+        with pytest.raises(InvalidParameterError):
+            theta(ThetaKind.THETA4, bad, 1.0)
+
     def test_theta_rejects_nonpositive_t(self):
         with pytest.raises(InvalidParameterError):
             theta(ThetaKind.THETA3, 0.0, 0.0)
