@@ -158,13 +158,31 @@ def _wigner_check(args, grid) -> float:
     return float(np.max(np.abs(wd.values - wc.values)))
 
 
+def _csv_row(row) -> str:
+    """The cells of one float64 grid row as `_fmt` text, joined by commas.
+
+    `repr` runs once per distinct value, not once per cell.  Values are
+    keyed by bit pattern, so 0.0 and -0.0 keep their own text.
+    """
+    keys, inverse = np.unique(row.view(np.int64), return_inverse=True)
+    texts = np.array(list(map(repr, keys.view(np.float64).tolist())), dtype=object)
+    return ",".join(texts[inverse].tolist())
+
+
 def _render_wigner(grid, check_value, fmt: str) -> str:
     ms = [int(m) for m in grid.dim.indices()]
     ns = [int(n) for n in grid.dim.indices()]
     if fmt == "csv":
+        bits = grid.values.view(np.int64)
         lines = [",".join(["n"] + [str(m) for m in ms])]
         for i, n in enumerate(ns):
-            lines.append(",".join([str(n)] + [_fmt(v) for v in grid.values[i]]))
+            mirror = len(ns) - 1 - i
+            if mirror < i and np.array_equal(bits[i], bits[mirror]):
+                # Row -n of an even grid repeats row n: reuse its cells.
+                cells = lines[mirror + 1]
+                lines.append(str(n) + cells[cells.index(","):])
+            else:
+                lines.append(str(n) + "," + _csv_row(grid.values[i]))
         if check_value is not None:
             lines.append(f"check_max_abs_diff,{_fmt(check_value)}")
         return "\n".join(lines) + "\n"
@@ -174,7 +192,7 @@ def _render_wigner(grid, check_value, fmt: str) -> str:
         "source": grid.source.value,
         "n": ns,
         "m": ms,
-        "values": [[float(v) for v in row] for row in grid.values],
+        "values": grid.values.tolist(),
     }
     if grid.fitted_scale is not None:
         payload["fitted_scale"] = float(grid.fitted_scale)

@@ -7,9 +7,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from finitegauss import Dimension, commutator_spectrum
-from finitegauss.cli import _build_parser, _golden_jobs, main
+from finitegauss import (
+    Dimension,
+    WignerGrid,
+    WignerSource,
+    commutator_spectrum,
+    wigner_closed_form,
+    wigner_definition,
+    wigner_theta_form,
+)
+from finitegauss.cli import _build_parser, _golden_jobs, _render_wigner, main
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
@@ -197,6 +207,101 @@ class TestFormats:
         for k, gap in enumerate(gaps):
             assert gap == pytest.approx(vals[k] - vals[k + 1], abs=1e-15)
         assert lines[-1].endswith(",")
+
+
+def reference_wigner_csv(grid, check_value) -> str:
+    """The CSV grid with one repr per cell: the renderer's reference."""
+    idx = [int(i) for i in grid.dim.indices()]
+    lines = [",".join(["n"] + [str(m) for m in idx])]
+    for i, n in enumerate(idx):
+        lines.append(",".join([str(n)] + [repr(float(v)) for v in grid.values[i]]))
+    if check_value is not None:
+        lines.append(f"check_max_abs_diff,{repr(float(check_value))}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_wigner_json(grid, check_value) -> str:
+    """The JSON grid with the values converted one cell at a time."""
+    idx = [int(i) for i in grid.dim.indices()]
+    payload = {
+        "d": grid.dim.d,
+        "kappa": float(grid.kappa),
+        "source": grid.source.value,
+        "n": idx,
+        "m": idx,
+        "values": [[float(v) for v in row] for row in grid.values],
+    }
+    if grid.fitted_scale is not None:
+        payload["fitted_scale"] = float(grid.fitted_scale)
+    if check_value is not None:
+        payload["check_max_abs_diff"] = float(check_value)
+    return json.dumps(payload, indent=2) + "\n"
+
+
+# Signed zeros, the smallest subnormal, and values on each side of repr's
+# switches between positional and exponent notation (1e-4, 1e16).
+_EDGE_VALUES = [0.0, -0.0, 5e-324, 1e-5, 1e-4, 1e15, 1e16, 0.1, 1.0 / 3.0]
+_EDGE_VALUES += [float(np.nextafter(v, 0.0)) for v in (1e-4, 1e16)]
+_EDGE_VALUES += [float(np.nextafter(v, np.inf)) for v in (1e-5, 1e15)]
+_EDGE_VALUES += [-v for v in _EDGE_VALUES]
+
+
+@st.composite
+def even_grids_with_defects(draw):
+    """Odd d in [3, 41]; rows -n mirror rows n except where perturbed.
+
+    Each row of the lower half either mirrors its partner bit for bit,
+    differs from it in one cell, or differs only by 0.0 against -0.0.
+    """
+    d = 2 * draw(st.integers(1, 20)) + 1
+    s = d // 2
+    extra = draw(st.lists(st.floats(width=64), max_size=6))
+    pool = np.array(_EDGE_VALUES + extra)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    upper = rng.choice(pool, size=(s + 1, d))
+    grid = np.vstack([upper, upper[-2::-1]])
+    kinds = draw(st.lists(st.sampled_from(["mirror", "cell", "zero_sign"]), min_size=s, max_size=s))
+    for r, kind in zip(range(s + 1, d), kinds):
+        col = draw(st.integers(0, d - 1))
+        if kind == "cell":
+            grid[r, col] = np.nextafter(grid[r, col], draw(st.sampled_from([-np.inf, np.inf])))
+        elif kind == "zero_sign":
+            grid[r, col], grid[d - 1 - r, col] = 0.0, -0.0
+    return WignerGrid(Dimension(d), 1.0, grid, WignerSource.DEFINITION)
+
+
+WIGNER_ROUTES = {
+    "definition": lambda dim: wigner_definition(dim, 1.0),
+    "closed": lambda dim: wigner_closed_form(dim, 1.0),
+    "theta": wigner_theta_form,
+}
+
+
+class TestWignerRendering:
+    @settings(max_examples=200, deadline=None)
+    @given(even_grids_with_defects(), st.sampled_from([None, 0.0, 1.3877787807814457e-17]))
+    def test_csv_matches_reference(self, grid, check_value):
+        assert _render_wigner(grid, check_value, "csv") == reference_wigner_csv(grid, check_value)
+
+    @pytest.mark.parametrize("check", [False, True])
+    @pytest.mark.parametrize("source", ["definition", "closed", "theta"])
+    def test_cli_csv_matches_reference(self, source, check, capsys):
+        dim = Dimension(101)
+        grid = WIGNER_ROUTES[source](dim)
+        check_value = None
+        if check:
+            diff = wigner_definition(dim, 1.0).values - wigner_closed_form(dim, 1.0).values
+            check_value = float(np.max(np.abs(diff)))
+        argv = ["wigner", "--d", "101", "--source", source] + (["--check"] if check else [])
+        assert main(argv) == 0
+        assert capsys.readouterr().out == reference_wigner_csv(grid, check_value)
+
+    @pytest.mark.parametrize("source", ["definition", "closed", "theta"])
+    def test_cli_json_matches_reference(self, source, capsys):
+        dim = Dimension(31)
+        grid = WIGNER_ROUTES[source](dim)
+        assert main(["wigner", "--d", "31", "--source", source, "--format", "json"]) == 0
+        assert capsys.readouterr().out == reference_wigner_json(grid, None)
 
 
 # The flags each subcommand reads; any other flag is a usage error.
