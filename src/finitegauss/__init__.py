@@ -45,6 +45,7 @@ from .spectral import (
     commutator_spectrum,
     floratos_approx,
     free_hamiltonian,
+    free_spectrum,
     hermitian_eig,
     oscillator_hamiltonian,
     quasi_eigen_residual,

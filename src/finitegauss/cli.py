@@ -24,6 +24,7 @@ from .lattice import Dimension
 from .spectral import (
     commutator_spectrum,
     free_hamiltonian,
+    free_spectrum,
     hermitian_eig,
     oscillator_hamiltonian,
     quasi_eigen_residual,
@@ -113,7 +114,11 @@ def _hamiltonian(which: str, dim: Dimension):
 
 def cmd_spectrum(args):
     """Eigenvalues descending with the gap down to the next level."""
-    spec = hermitian_eig(_hamiltonian(args.ham, Dimension(args.d)), args.eig_tol)
+    dim = Dimension(args.d)
+    if args.ham == "free":
+        spec = free_spectrum(dim, args.eig_tol)
+    else:
+        spec = hermitian_eig(oscillator_hamiltonian(dim), args.eig_tol)
     vals = spec.eigenvalues[::-1]
     header = ["k", "eigenvalue", "gap"]
     rows = []
@@ -238,7 +243,8 @@ def cmd_revival(args):
     dim = Dimension(args.d)
     h = _hamiltonian(args.ham, dim)
     psi = _revival_state(dim, args.state, args.kappa, args.term_tol)
-    spec = hermitian_eig(h, args.eig_tol)
+    # the free eigensystem is known in closed form; no eigensolve runs for it
+    spec = free_spectrum(dim, args.eig_tol) if args.ham == "free" else hermitian_eig(h, args.eig_tol)
     levels, weights, _ = populated_levels(spec, psi, args.weight_floor)
     report = detect_revival(levels, weights, args.rel_tol, args.max_den, args.weight_floor)
 

@@ -80,9 +80,12 @@ def evolve(h: OperatorMatrix, psi: StateVector, t: float, spectrum: Spectrum | N
     return StateVector(psi.dim, out)
 
 
-def autocorrelation(h: OperatorMatrix, psi: StateVector, times) -> TimeSeries:
-    """|<psi| exp(-1j*t*H) |psi>| sampled at the given times."""
-    spec = _spectrum_for(h, psi, None)
+def autocorrelation(h: OperatorMatrix, psi: StateVector, times, spectrum: Spectrum | None = None) -> TimeSeries:
+    """|<psi| exp(-1j*t*H) |psi>| sampled at the given times.
+
+    A precomputed Spectrum of h may be passed, as for evolve.
+    """
+    spec = _spectrum_for(h, psi, spectrum)
     levels, weights, _ = populated_levels(spec, psi)
     times = np.asarray(times, dtype=float)
     phases = np.exp(-1j * np.outer(times, levels))

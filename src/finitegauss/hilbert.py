@@ -69,6 +69,7 @@ class StateVector:
 class OperatorMatrix:
     """A d x d matrix tagged with its structural kind.
 
+    Real entries stay float64; any other input is stored as complex.
     Construction verifies the tag: hermitian matrices must equal their
     adjoint to 1e-13 relative in the max norm, unitary matrices must
     satisfy M^dag M = I to 1e-12 in the max norm.
@@ -79,7 +80,7 @@ class OperatorMatrix:
     kind: MatrixKind = field(default=MatrixKind.GENERAL)
 
     def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=complex)
+        entries = np.asarray(self.entries, dtype=complex if np.iscomplexobj(self.entries) else float)
         d = self.dim.d
         if entries.shape != (d, d):
             raise DimensionMismatchError(
@@ -159,7 +160,7 @@ def position_operator(dim) -> OperatorMatrix:
     """Q = sqrt(2*pi/d) * diag(n) over the centered labels."""
     dim = as_dimension(dim)
     q = math.sqrt(2.0 * math.pi / dim.d) * dim.indices().astype(float)
-    return OperatorMatrix(dim, np.diag(q).astype(complex), MatrixKind.HERMITIAN)
+    return OperatorMatrix(dim, np.diag(q), MatrixKind.HERMITIAN)
 
 
 def _lattice_kernel(dim: Dimension):
@@ -185,12 +186,17 @@ def momentum_operator(dim) -> OperatorMatrix:
     return OperatorMatrix(dim, entries, MatrixKind.HERMITIAN)
 
 
-def _displacement_action(dim: Dimension, point: PhasePoint):
-    """(D psi)[j] = phases[j] * psi[cols[j]] in storage order."""
+def _displacement_action(dim: Dimension, alpha: int, beta):
+    """(D psi)[j] = phases[j] * psi[cols[j]] in storage order.
+
+    beta may be an array of labels; phases then gains a trailing axis
+    over it, one column per displacement D(alpha, beta).
+    """
     d = dim.d
-    a, b = point.alpha, point.beta
-    phases = np.exp(-1j * np.pi * a * b / d) * _root_table(dim)[np.mod(b * dim.indices(), d)]
-    cols = np.mod(np.arange(d) - a, d)
+    b = np.asarray(beta)
+    roots = _root_table(dim)[np.mod(np.multiply.outer(dim.indices(), b), d)]
+    phases = np.exp(-1j * np.pi * alpha * b / d) * roots
+    cols = np.mod(np.arange(d) - alpha, d)
     return phases, cols
 
 
@@ -205,7 +211,7 @@ def displacement(dim, point: PhasePoint) -> OperatorMatrix:
     """
     dim = as_dimension(dim)
     point.check_range(dim)
-    phases, cols = _displacement_action(dim, point)
+    phases, cols = _displacement_action(dim, point.alpha, point.beta)
     entries = np.zeros((dim.d, dim.d), dtype=complex)
     entries[np.arange(dim.d), cols] = phases
     return OperatorMatrix(dim, entries, MatrixKind.UNITARY)
@@ -221,8 +227,25 @@ def coherent_state(dim, point: PhasePoint, term_tol: float = 1e-18) -> StateVect
     point.check_range(dim)
     g = finite_gaussian(dim, 1.0, term_tol)
     base = g.values / math.sqrt(g.squared_norm())
-    phases, cols = _displacement_action(dim, point)
+    phases, cols = _displacement_action(dim, point.alpha, point.beta)
     return StateVector(dim, phases * base[cols])
+
+
+def _frame_operator(dim: Dimension, term_tol: float) -> np.ndarray:
+    """(1/d) times the sum of the d**2 coherent projectors, one product per alpha.
+
+    The columns of v are the coherent states D(alpha, beta) g over every beta.
+    """
+    d = dim.d
+    g = finite_gaussian(dim, 1.0, term_tol)
+    base = g.values / math.sqrt(g.squared_norm())
+    labels = dim.indices()
+    acc = np.zeros((d, d), dtype=complex)
+    for alpha in labels:
+        phases, cols = _displacement_action(dim, int(alpha), labels)
+        v = phases * base[cols][:, None]
+        acc += v @ v.conj().T
+    return acc / d
 
 
 def frame_resolution_residual(dim, term_tol: float = 1e-18) -> float:
@@ -231,17 +254,7 @@ def frame_resolution_residual(dim, term_tol: float = 1e-18) -> float:
     Zero (to rounding) because the coherent family forms a tight frame.
     """
     dim = as_dimension(dim)
-    d, s = dim.d, dim.s
-    g = finite_gaussian(dim, 1.0, term_tol)
-    base = g.values / math.sqrt(g.squared_norm())
-    acc = np.zeros((d, d), dtype=complex)
-    for alpha in range(-s, s + 1):
-        for beta in range(-s, s + 1):
-            phases, cols = _displacement_action(dim, PhasePoint(alpha, beta))
-            v = phases * base[cols]
-            acc += np.outer(v, v.conj())
-    acc /= d
-    return float(np.max(np.abs(acc - np.eye(d))))
+    return float(np.max(np.abs(_frame_operator(dim, term_tol) - np.eye(dim.d))))
 
 
 def _hermite(k: int, x: float) -> float:

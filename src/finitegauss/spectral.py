@@ -2,8 +2,8 @@
 
 Holds the deterministic eigensolver contract used everywhere else,
 the exact commutator of position with momentum, its rank-one
-approximation, the oscillator Hamiltonian, and the uncertainty
-bookkeeping for wrapped Gaussians.
+approximation, the free and oscillator Hamiltonians with the closed-form
+free eigensystem, and the uncertainty bookkeeping for wrapped Gaussians.
 """
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError, KindMismatchError, NumericalFailureError
-from .hilbert import MatrixKind, OperatorMatrix, _lattice_kernel, momentum_operator, position_operator
+from .hilbert import MatrixKind, OperatorMatrix, _lattice_kernel, _root_table, position_operator
 from .lattice import Dimension, as_dimension
 from .wrapped import finite_gaussian
 
@@ -27,8 +27,10 @@ class Spectrum:
 
     eigenvectors[:, k] belongs to eigenvalues[k].  Each column is
     normalized so its largest-modulus component is real and positive;
-    exact eigenvalue ties are ordered by that component's index.
-    residual is max_k of the 2-norm of M v_k - lambda_k v_k.
+    exact eigenvalue ties are ordered by that component's index.  The
+    eigenvectors are float64 when the operator's entries are real and
+    complex otherwise.  residual is max_k of the 2-norm of
+    M v_k - lambda_k v_k.
     """
 
     dim: Dimension
@@ -70,22 +72,16 @@ class QuasiEigenReport:
         self.residual.setflags(write=False)
 
 
-def hermitian_eig(m: OperatorMatrix, residual_tol: float = EIG_RESIDUAL_TOL) -> Spectrum:
-    """Full eigensystem of a Hermitian operator with a deterministic gauge.
+def _checked_spectrum(residual_tol: float, solve) -> Spectrum:
+    """Validate residual_tol, run solve() -> (m, vals, vecs), fix the gauge, check the residual.
 
-    Raises NumericalFailureError if the solver fails to converge or the
-    worst eigenpair residual exceeds residual_tol times the largest
-    matrix entry.
+    The residual is measured on the full matrix m, however solve found
+    the eigenpairs.
     """
-    if m.kind is not MatrixKind.HERMITIAN:
-        raise KindMismatchError(f"eigensolver needs a hermitian operator, got {m.kind.value}")
     residual_tol = float(residual_tol)
     if not (math.isfinite(residual_tol) and residual_tol > 0.0):
         raise InvalidParameterError(f"residual_tol must be finite and positive, got {residual_tol}")
-    try:
-        vals, vecs = np.linalg.eigh(m.entries)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"eigensolver did not converge: {exc}") from exc
+    m, vals, vecs = solve()
 
     pivots = np.argmax(np.abs(vecs), axis=0)
     order = np.lexsort((pivots, vals))
@@ -104,6 +100,70 @@ def hermitian_eig(m: OperatorMatrix, residual_tol: float = EIG_RESIDUAL_TOL) -> 
     return Spectrum(m.dim, vals, vecs, residual)
 
 
+def _eigh(h: np.ndarray):
+    try:
+        return np.linalg.eigh(h)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(f"eigensolver did not converge: {exc}") from exc
+
+
+def _parity_split_eigh(h: np.ndarray):
+    """eigh of a real symmetric h that commutes with parity n -> -n.
+
+    In the basis delta_0, (delta_n + delta_-n)/sqrt(2) the even block
+    is up + down with row and column 0 scaled by 1/sqrt(2); in the basis
+    (delta_n - delta_-n)/sqrt(2) the odd block is up - down without
+    them.  Here up = h[n >= 0, m >= 0] and down = h[n >= 0, m <= 0].
+    """
+    d = h.shape[0]
+    s = d // 2
+    up, down = h[s:, s:], h[s:, s::-1]
+    even = up + down
+    even[0, :] *= math.sqrt(0.5)
+    even[:, 0] *= math.sqrt(0.5)
+    even_vals, even_w = _eigh(even)
+    odd_vals, odd_w = _eigh((up - down)[1:, 1:])
+
+    vecs = np.zeros((d, d))
+    vecs[s, : s + 1] = even_w[0]
+    vecs[s + 1 :, : s + 1] = math.sqrt(0.5) * even_w[1:]
+    vecs[s - 1 :: -1, : s + 1] = vecs[s + 1 :, : s + 1]
+    vecs[s + 1 :, s + 1 :] = math.sqrt(0.5) * odd_w
+    vecs[s - 1 :: -1, s + 1 :] = -vecs[s + 1 :, s + 1 :]
+    return np.concatenate((even_vals, odd_vals)), vecs
+
+
+def hermitian_eig(m: OperatorMatrix, residual_tol: float = EIG_RESIDUAL_TOL) -> Spectrum:
+    """Full eigensystem of a Hermitian operator with a deterministic gauge.
+
+    Real entries give float64 eigenvectors.  A real matrix that equals
+    its parity image h[::-1, ::-1] exactly is solved as two real blocks,
+    even and odd under n -> -n; any other matrix goes to one dense eigh.
+
+    Raises NumericalFailureError if the solver fails to converge or the
+    worst eigenpair residual exceeds residual_tol times the largest
+    matrix entry.
+    """
+    if m.kind is not MatrixKind.HERMITIAN:
+        raise KindMismatchError(f"eigensolver needs a hermitian operator, got {m.kind.value}")
+    h = m.entries
+
+    def solve():
+        if h.dtype.kind == "f" and np.array_equal(h, h[::-1, ::-1]):
+            return m, *_parity_split_eigh(h)
+        return m, *_eigh(h)
+
+    return _checked_spectrum(residual_tol, solve)
+
+
+def _commutator_kernel(dim: Dimension) -> np.ndarray:
+    """The real matrix 1j*[Q, P]: (-1)**(j-l) * (pi*(j-l)/d) / sin(pi*(j-l)/d), zero diagonal."""
+    u, signs, sines = _lattice_kernel(dim)
+    kernel = signs * ((np.pi * u / dim.d) / sines)
+    np.fill_diagonal(kernel, 0.0)
+    return kernel
+
+
 def commutator_qp(dim) -> OperatorMatrix:
     """Exact commutator [Q, P]; anti-Hermitian with zero diagonal.
 
@@ -111,21 +171,17 @@ def commutator_qp(dim) -> OperatorMatrix:
     -1j * (pi*(j-l)/d) * (-1)**(j-l) / sin(pi*(j-l)/d).
     """
     dim = as_dimension(dim)
-    u, signs, sines = _lattice_kernel(dim)
-    entries = -1j * signs * ((np.pi * u / dim.d) / sines)
-    np.fill_diagonal(entries, 0.0)
-    return OperatorMatrix(dim, entries, MatrixKind.GENERAL)
+    return OperatorMatrix(dim, -1j * _commutator_kernel(dim), MatrixKind.GENERAL)
 
 
 def commutator_spectrum(dim) -> Spectrum:
-    """Spectrum of the Hermitian form -1j*[Q, P].
+    """Spectrum of the Hermitian form -1j*[Q, P], a real symmetric matrix.
 
     Its eigenvalues are the imaginary parts of the commutator's
     spectrum; in the large-d bulk they pile up at +1.
     """
     dim = as_dimension(dim)
-    c = commutator_qp(dim)
-    return hermitian_eig(OperatorMatrix(dim, -1j * c.entries, MatrixKind.HERMITIAN))
+    return hermitian_eig(OperatorMatrix(dim, -_commutator_kernel(dim), MatrixKind.HERMITIAN))
 
 
 def floratos_approx(dim) -> OperatorMatrix:
@@ -140,11 +196,50 @@ def floratos_approx(dim) -> OperatorMatrix:
     return OperatorMatrix(dim, entries, MatrixKind.GENERAL)
 
 
+def _free_levels(dim: Dimension) -> np.ndarray:
+    """pi*k**2/d for k = 0..s."""
+    k = np.arange(dim.s + 1)
+    return np.pi * (k * k) / dim.d
+
+
 def free_hamiltonian(dim) -> OperatorMatrix:
-    """H = P**2 / 2; its spectrum is pi*n**2/d over the centered labels."""
+    """H = P**2 / 2, real symmetric; its spectrum is pi*n**2/d over the centered labels.
+
+    P**2 is circulant: P = F Q F^dag, so H[j, l] = col[(j - l) mod d]
+    with col the inverse DFT of the levels.  The column is mirrored,
+    col[d - u] = col[u], so that H is exactly symmetric and even under
+    parity.
+    """
     dim = as_dimension(dim)
-    p = momentum_operator(dim).entries
-    return OperatorMatrix(dim, 0.5 * (p @ p), MatrixKind.HERMITIAN)
+    d, s = dim.d, dim.s
+    col = np.fft.irfft(_free_levels(dim), n=d)
+    col[d - s :] = col[s:0:-1]
+    n = dim.indices()
+    return OperatorMatrix(dim, col[np.mod(np.subtract.outer(n, n), d)], MatrixKind.HERMITIAN)
+
+
+def free_spectrum(dim, residual_tol: float = EIG_RESIDUAL_TOL) -> Spectrum:
+    """Closed-form eigensystem of free_hamiltonian(dim), with no eigensolve.
+
+    Level pi*k**2/d carries 1/sqrt(d) for k = 0 and the pair
+    sqrt(2/d)*cos(2*pi*k*n/d), sqrt(2/d)*sin(2*pi*k*n/d) for k = 1..s,
+    with k*n reduced mod d before scaling.  The gauge, the tie order and
+    the residual check are those of hermitian_eig, against the matrix.
+    """
+    dim = as_dimension(dim)
+    d, s = dim.d, dim.s
+
+    def solve():
+        levels = _free_levels(dim)
+        n, k = dim.indices(), np.arange(1, s + 1)
+        roots = _root_table(dim)[np.mod(np.outer(n, k), d)]
+        vecs = np.empty((d, d))
+        vecs[:, 0] = 1.0 / math.sqrt(d)
+        vecs[:, 1 : s + 1] = math.sqrt(2.0 / d) * roots.real
+        vecs[:, s + 1 :] = math.sqrt(2.0 / d) * roots.imag
+        return free_hamiltonian(dim), np.concatenate((levels, levels[1:])), vecs
+
+    return _checked_spectrum(residual_tol, solve)
 
 
 def oscillator_hamiltonian(dim) -> OperatorMatrix:
@@ -155,7 +250,7 @@ def oscillator_hamiltonian(dim) -> OperatorMatrix:
     """
     dim = as_dimension(dim)
     h = free_hamiltonian(dim).entries.copy()
-    q = position_operator(dim).entries.diagonal().real
+    q = position_operator(dim).entries.diagonal()
     h[np.diag_indices(dim.d)] += 0.5 * q * q
     return OperatorMatrix(dim, h, MatrixKind.HERMITIAN)
 
@@ -170,6 +265,7 @@ def quasi_eigen_residual(dim, term_tol: float = 1e-18) -> QuasiEigenReport:
     g = finite_gaussian(dim, 1.0, term_tol).values
     h = oscillator_hamiltonian(dim).entries
     hg = h @ g
+    # H is real, so this residue is zero; the check keeps the contract if that changes
     worst_imag = float(np.max(np.abs(hg.imag)))
     if worst_imag > 1e-12 * max(1.0, float(np.max(np.abs(hg.real)))):
         raise NumericalFailureError(
@@ -203,12 +299,11 @@ def uncertainty_product(dim, kappa: float, term_tol: float = 1e-18) -> Uncertain
     gdualsq = float(np.dot(gdual, gdual))
     var_p = 2.0 * math.pi / d * float(np.dot(ns * ns * gdual, gdual)) / gdualsq
 
-    cross = commutator_qp(dim).entries
-    # i*[Q, P] is the real kernel (-1)**u * (pi*u/d) / sin(pi*u/d); sum
-    # over j > l only, then the expectation carries a factor 2
-    pair_sum = float(g @ (np.tril((1j * cross).real, -1) @ g))
+    kernel = _commutator_kernel(dim)
+    # sum i*[Q, P] over j > l only, then the expectation carries a factor 2
+    pair_sum = float(g @ (np.tril(kernel, -1) @ g))
     expect_mag = abs(2.0 * pair_sum / gsq)
-    quad_mag = abs(complex(g @ (cross @ g)) / gsq)
+    quad_mag = abs(float(g @ (kernel @ g)) / gsq)
     if abs(expect_mag - quad_mag) > HALF_COMM_CROSS_TOL:
         raise NumericalFailureError(
             "pair-sum and quadratic-form commutator expectations disagree: "

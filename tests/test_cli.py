@@ -187,6 +187,25 @@ class TestFormats:
         assert last.startswith("check_max_abs_diff,")
         assert float(last.split(",")[1]) <= 1e-13
 
+    @pytest.fixture
+    def no_eigh(self, monkeypatch):
+        def no_solve(*_):
+            raise AssertionError("eigh called")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_solve)
+
+    def test_free_spectrum_needs_no_eigensolve(self, no_eigh, capsys):
+        assert main(["spectrum", "--d", "201", "--ham", "free"]) == 0
+        top = capsys.readouterr().out.splitlines()[1]
+        assert top.startswith(f"0,{np.pi * (100 * 100) / 201!r},")
+
+    def test_free_delta_revival_certified_at_d201(self, no_eigh, capsys):
+        assert main(["revival", "--d", "201", "--ham", "free", "--state", "delta", "0"]) == 0
+        out = capsys.readouterr().out
+        payload = json.loads(out)
+        assert '"period": 402.0,' in out
+        assert payload["kind"] == "commensurate" and payload["certified"] is True
+
     def test_revival_report_keys(self, capsys):
         assert main(["revival", "--d", "9", "--ham", "free", "--state", "delta", "0"]) == 0
         payload = json.loads(capsys.readouterr().out)

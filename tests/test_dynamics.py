@@ -22,6 +22,7 @@ from finitegauss import (
     evolve,
     finite_gaussian,
     free_hamiltonian,
+    free_spectrum,
     hermitian_eig,
     oscillator_hamiltonian,
     populated_levels,
@@ -89,6 +90,21 @@ class TestEvolution:
         want = sorted(math.pi * n * n / d for n in range(-3, 4))
         assert np.max(np.abs(np.asarray(vals) - np.asarray(want))) <= 1e-12
 
+    def test_autocorrelation_reuses_given_spectrum(self, monkeypatch):
+        dim = Dimension(9)
+        h = oscillator_hamiltonian(dim)
+        psi = random_state(dim, 12)
+        times = [0.0, 0.3, 7.5]
+        want = autocorrelation(h, psi, times).values
+        spec = hermitian_eig(h)
+
+        def no_solve(*_):
+            raise AssertionError("eigh called")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_solve)
+        got = autocorrelation(h, psi, times, spectrum=spec).values
+        assert got.tobytes() == want.tobytes()
+
     def test_autocorrelation_peaks_at_period(self):
         dim = Dimension(9)
         h = free_hamiltonian(dim)
@@ -100,14 +116,20 @@ class TestEvolution:
 
 
 class TestPopulatedLevels:
-    def test_delta_populates_every_level(self):
+    def test_delta_populates_only_even_levels(self):
+        # delta_0 is even: it has exactly zero overlap with the s odd
+        # (sine) eigenvectors and populates the s + 1 even ones.
         dim = Dimension(9)
         h = free_hamiltonian(dim)
         amps = np.zeros(9, dtype=complex)
         amps[dim.offset(0)] = 1.0
-        _, weights, mask = populated_levels(hermitian_eig(h), StateVector(dim, amps))
-        assert np.all(mask)
-        assert float(np.sum(weights)) == pytest.approx(1.0, rel=1e-12)
+        for spec in (hermitian_eig(h), free_spectrum(dim)):
+            _, weights, mask = populated_levels(spec, StateVector(dim, amps))
+            assert int(np.sum(mask)) == dim.s + 1
+            assert np.count_nonzero(weights) == dim.s + 1
+            even = spec.eigenvectors[:, mask]
+            assert np.max(np.abs(even - even[::-1])) <= 1e-15
+            assert float(np.sum(weights)) == pytest.approx(1.0, rel=1e-12)
 
     def test_gaussian_single_level_at_large_d(self):
         dim = Dimension(31)

@@ -27,6 +27,7 @@ from finitegauss import (
     momentum_operator,
     position_operator,
 )
+from finitegauss.hilbert import _displacement_action, _frame_operator
 
 
 def brute_fourier(dim: Dimension) -> np.ndarray:
@@ -213,6 +214,29 @@ class TestCoherent:
     def test_tight_frame(self, d):
         assert frame_resolution_residual(Dimension(d)) <= 1e-12
 
+    @pytest.mark.parametrize("d", [3, 5, 9, 15])
+    def test_frame_sum_matches_double_loop(self, d):
+        # The batched sum, one product per alpha, against the d**2
+        # projectors summed one at a time; the order of additions differs.
+        dim = Dimension(d)
+        want = np.zeros((d, d), dtype=complex)
+        for alpha in range(-dim.s, dim.s + 1):
+            for beta in range(-dim.s, dim.s + 1):
+                v = coherent_state(dim, PhasePoint(alpha, beta)).amps
+                want += np.outer(v, v.conj())
+        want /= d
+        assert np.max(np.abs(_frame_operator(dim, 1e-18) - want)) <= 1e-14
+
+    def test_batched_action_matches_each_displacement(self):
+        dim = Dimension(9)
+        labels = dim.indices()
+        for alpha in (-4, 0, 3):
+            phases, cols = _displacement_action(dim, alpha, labels)
+            for k, beta in enumerate(labels):
+                one, one_cols = _displacement_action(dim, alpha, int(beta))
+                assert phases[:, k].tobytes() == one.tobytes()
+                assert np.array_equal(cols, one_cols)
+
     def test_overlap_modulus_depends_on_separation_only(self):
         dim = Dimension(7)
         c00 = coherent_state(dim, PhasePoint(0, 0)).amps
@@ -275,6 +299,11 @@ class TestStateAndOperatorTypes:
         with pytest.raises(KindMismatchError):
             OperatorMatrix(Dimension(3), np.eye(3) + np.triu(np.ones((3, 3)), 1), MatrixKind.HERMITIAN)
         assert bad is not None
+
+    def test_real_entries_stay_real(self):
+        assert position_operator(Dimension(5)).entries.dtype == np.float64
+        assert OperatorMatrix(Dimension(3), np.eye(3, dtype=int)).entries.dtype == np.float64
+        assert momentum_operator(Dimension(5)).entries.dtype == np.complex128
 
     def test_unitary_kind_checked(self):
         with pytest.raises(KindMismatchError):

@@ -22,7 +22,7 @@ def test_continuum_limit(capsys):
 def test_revival_demo(capsys):
     assert load_script("revival_demo").main(9) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0].startswith("free d=9, delta(0): 9 populated levels -> kind=commensurate period=18.0")
+    assert lines[0].startswith("free d=9, delta(0): 5 populated levels -> kind=commensurate period=18.0")
     assert lines[0].endswith(" certified") and "NOT" not in lines[0]
     # d=9 is too small for the oscillator's levels to be equidistant: the
     # coherent states' commensurate periods fail direct evolution.

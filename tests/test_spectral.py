@@ -17,6 +17,8 @@ from finitegauss import (
     finite_gaussian,
     floratos_approx,
     fourier_matrix,
+    free_hamiltonian,
+    free_spectrum,
     hermitian_eig,
     momentum_operator,
     oscillator_hamiltonian,
@@ -225,12 +227,27 @@ class TestOscillator:
 
     @pytest.mark.parametrize("d", [5, 9, 13, 31, 101])
     def test_bitwise_equal_to_dense_reference(self, d):
-        # Adding Q**2/2 on the diagonal of P**2/2 rounds exactly like the
-        # dense 0.5*(P@P + Q@Q), signed zeros included.
-        p = momentum_operator(Dimension(d)).entries
+        # Adding Q**2/2 on the diagonal of the free Hamiltonian rounds
+        # exactly like adding the dense 0.5*(Q@Q), signed zeros included.
         q = position_operator(Dimension(d)).entries
-        want = 0.5 * (p @ p + q @ q)
+        want = free_hamiltonian(Dimension(d)).entries + 0.5 * (q @ q)
         assert oscillator_hamiltonian(Dimension(d)).entries.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("d", [5, 9, 13, 31, 101])
+    def test_free_hamiltonian_matches_dense_square(self, d):
+        # The circulant build against 0.5*(P@P), whose own rounding
+        # dominates the difference: worst seen 3.3e-15 * max|H|.
+        p = momentum_operator(Dimension(d)).entries
+        want = 0.5 * (p @ p)
+        h = free_hamiltonian(Dimension(d)).entries
+        assert h.dtype == np.float64
+        assert np.max(np.abs(h - want)) <= 1e-14 * np.max(np.abs(h))
+
+    @pytest.mark.parametrize("d", [3, 9, 101, 1001])
+    def test_free_hamiltonian_symmetric_and_parity_even(self, d):
+        h = free_hamiltonian(Dimension(d)).entries
+        assert np.array_equal(h, h.T)
+        assert np.array_equal(h, h[::-1, ::-1])
 
     def test_hamiltonian_commutes_with_fourier(self):
         # FQF+ = P and FPF+ = -Q make H Fourier invariant.
@@ -312,3 +329,119 @@ class TestUncertainty:
     def test_product_approaches_half(self):
         rep = uncertainty_product(Dimension(41), 1.0)
         assert abs(rep.product - 0.5) <= 1e-12
+
+
+def parity_even_matrix(d: int, seed: int) -> np.ndarray:
+    """A random real symmetric matrix that equals its parity image exactly."""
+    b = np.random.default_rng(seed).normal(size=(d, d))
+    a = 0.5 * (b + b.T)
+    return 0.5 * (a + a[::-1, ::-1])
+
+
+def complex_reference(h: np.ndarray) -> np.ndarray:
+    """Eigenvalues of h by the generic path: one dense complex eigh."""
+    dim = Dimension(h.shape[0])
+    return hermitian_eig(OperatorMatrix(dim, h.astype(complex), MatrixKind.HERMITIAN)).eigenvalues
+
+
+def eigh_call_shapes(monkeypatch) -> list:
+    """Record the shape of every matrix np.linalg.eigh is asked to solve."""
+    shapes = []
+    real_eigh = np.linalg.eigh
+
+    def spy(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return real_eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    return shapes
+
+
+# Eigenvalues of a fast path must agree with the complex eigh to this
+# fraction of max|H| (worst seen up to d=1001: 3.5e-15), and its
+# eigenvectors must be orthonormal to 1e-13.
+EIG_AGREE_TOL = 1e-14
+ORTHONORMAL_TOL = 1e-13
+
+
+def assert_matches_reference(spec, h: np.ndarray) -> None:
+    d = h.shape[0]
+    want = complex_reference(h)
+    assert np.max(np.abs(spec.eigenvalues - want)) <= EIG_AGREE_TOL * np.max(np.abs(h))
+    v = spec.eigenvectors
+    assert v.dtype == np.float64
+    assert np.max(np.abs(v.T @ v - np.eye(d))) <= ORTHONORMAL_TOL
+
+
+class TestParitySplit:
+    @given(st.integers(min_value=1, max_value=30).map(lambda s: 2 * s + 1), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_random_parity_even_matrix(self, d, seed):
+        h = parity_even_matrix(d, seed)
+        spec = hermitian_eig(OperatorMatrix(Dimension(d), h, MatrixKind.HERMITIAN))
+        assert_matches_reference(spec, h)
+
+    @pytest.mark.parametrize("d", [9, 31, 101])
+    def test_oscillator(self, d):
+        h = oscillator_hamiltonian(Dimension(d))
+        assert_matches_reference(hermitian_eig(h), h.entries)
+
+    @pytest.mark.parametrize("d", [9, 31, 101])
+    def test_commutator(self, d):
+        kernel = (-1j * commutator_qp(Dimension(d)).entries).real
+        assert_matches_reference(commutator_spectrum(Dimension(d)), kernel)
+
+    def test_parity_even_matrix_is_solved_as_two_blocks(self, monkeypatch):
+        h = parity_even_matrix(21, 7)
+        shapes = eigh_call_shapes(monkeypatch)
+        hermitian_eig(OperatorMatrix(Dimension(21), h, MatrixKind.HERMITIAN))
+        assert shapes == [(11, 11), (10, 10)]
+
+    def test_matrix_without_parity_takes_generic_path(self, monkeypatch):
+        h = parity_even_matrix(21, 7)
+        h[0, 1] = h[1, 0] = h[0, 1] + 1.0
+        shapes = eigh_call_shapes(monkeypatch)
+        spec = hermitian_eig(OperatorMatrix(Dimension(21), h, MatrixKind.HERMITIAN))
+        assert shapes == [(21, 21)]
+        assert_matches_reference(spec, h)
+
+    def test_complex_matrix_takes_generic_path(self, monkeypatch):
+        h = parity_even_matrix(21, 7).astype(complex)
+        shapes = eigh_call_shapes(monkeypatch)
+        spec = hermitian_eig(OperatorMatrix(Dimension(21), h, MatrixKind.HERMITIAN))
+        assert shapes == [(21, 21)]
+        assert spec.eigenvectors.dtype == np.complex128
+
+
+class TestFreeSpectrum:
+    @given(st.integers(min_value=1, max_value=50).map(lambda s: 2 * s + 1))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_generic_eigh(self, d):
+        spec = free_spectrum(Dimension(d))
+        assert_matches_reference(spec, free_hamiltonian(Dimension(d)).entries)
+
+    @pytest.mark.parametrize("d", [3, 9, 31])
+    def test_closed_form_levels(self, d):
+        k = np.abs(Dimension(d).indices())
+        want = np.sort(np.pi * (k * k) / d)
+        assert np.array_equal(free_spectrum(Dimension(d)).eigenvalues, want)
+
+    def test_solves_nothing(self, monkeypatch):
+        def no_solve(*_):
+            raise AssertionError("eigh called")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_solve)
+        spec = free_spectrum(Dimension(101))
+        assert spec.residual <= 1e-10 * np.max(np.abs(free_hamiltonian(Dimension(101)).entries))
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_bad_residual_tol_before_any_work(self, tol, monkeypatch):
+        import finitegauss.spectral as spectral
+
+        def no_work(*_):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(spectral, "free_hamiltonian", no_work)
+        monkeypatch.setattr(spectral, "_root_table", no_work)
+        with pytest.raises(InvalidParameterError):
+            free_spectrum(Dimension(5), tol)
