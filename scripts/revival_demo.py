@@ -56,7 +56,7 @@ def demo(label, h, spec, psi, rel_tol=1e-9):
 def main(d: int = 31) -> int:
     dim = Dimension(d)
     free, osc = free_hamiltonian(dim), oscillator_hamiltonian(dim)
-    free_spec, osc_spec = free_spectrum(dim), hermitian_eig(osc)  # the free one in closed form
+    free_spec, osc_spec = free_spectrum(free), hermitian_eig(osc)  # the free one in closed form
     g = finite_gaussian(dim, 1.0)
     gauss = StateVector(dim, g.values.astype(complex)).normalized()
 

@@ -108,17 +108,17 @@ def cmd_uncertainty(args):
     return _render_table(header, rows, args.format), 0
 
 
-def _hamiltonian(which: str, dim: Dimension):
-    return free_hamiltonian(dim) if which == "free" else oscillator_hamiltonian(dim)
+# --ham -> (builder, solver); the free eigensystem is known in closed form
+_HAMILTONIANS = {
+    "osc": (oscillator_hamiltonian, hermitian_eig),
+    "free": (free_hamiltonian, free_spectrum),
+}
 
 
 def cmd_spectrum(args):
     """Eigenvalues descending with the gap down to the next level."""
-    dim = Dimension(args.d)
-    if args.ham == "free":
-        spec = free_spectrum(dim, args.eig_tol)
-    else:
-        spec = hermitian_eig(oscillator_hamiltonian(dim), args.eig_tol)
+    build, solve = _HAMILTONIANS[args.ham]
+    spec = solve(build(Dimension(args.d)), args.eig_tol)
     vals = spec.eigenvalues[::-1]
     header = ["k", "eigenvalue", "gap"]
     rows = []
@@ -241,10 +241,10 @@ def cmd_revival(args):
     if not (math.isfinite(args.cert_tol) and args.cert_tol > 0.0):
         raise InvalidParameterError(f"cert_tol must be finite and positive, got {args.cert_tol}")
     dim = Dimension(args.d)
-    h = _hamiltonian(args.ham, dim)
+    build, solve = _HAMILTONIANS[args.ham]
+    h = build(dim)
     psi = _revival_state(dim, args.state, args.kappa, args.term_tol)
-    # the free eigensystem is known in closed form; no eigensolve runs for it
-    spec = free_spectrum(dim, args.eig_tol) if args.ham == "free" else hermitian_eig(h, args.eig_tol)
+    spec = solve(h, args.eig_tol)
     levels, weights, _ = populated_levels(spec, psi, args.weight_floor)
     report = detect_revival(levels, weights, args.rel_tol, args.max_den, args.weight_floor)
 
@@ -353,7 +353,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = _add_command(sub, "spectrum", cmd_spectrum, "Hamiltonian eigenvalues, descending, with gaps",
                      "--d", "--eig-tol", *table)
-    p.add_argument("--ham", choices=("osc", "free"), default="osc", help="which Hamiltonian")
+    p.add_argument("--ham", choices=tuple(_HAMILTONIANS), default="osc", help="which Hamiltonian")
 
     _add_command(sub, "quasi", cmd_quasi, "quasi-eigenvalue of the wrapped Gaussian and its defect",
                  "--d", "--term-tol", *table)
@@ -371,7 +371,7 @@ def _build_parser() -> argparse.ArgumentParser:
     # revival always writes JSON; --kappa and --term-tol shape the initial state
     p = _add_command(sub, "revival", cmd_revival, "detect and certify a revival period",
                      "--d", "--kappa", "--term-tol", "--eig-tol", "--rel-tol", "--max-den", "--out")
-    p.add_argument("--ham", choices=("osc", "free"), default="free", help="which Hamiltonian")
+    p.add_argument("--ham", choices=tuple(_HAMILTONIANS), default="free", help="which Hamiltonian")
     p.add_argument(
         "--state",
         nargs="+",

@@ -9,6 +9,7 @@ level ratios (period 2*m*pi/eps_1) or equally spaced levels (period
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +23,7 @@ from .errors import (
     NoLevelsError,
 )
 from .hilbert import MatrixKind, OperatorMatrix, StateVector
-from .spectral import Spectrum, free_hamiltonian, hermitian_eig  # noqa: F401  (re-exports free_hamiltonian)
+from .spectral import Spectrum, hermitian_eig
 
 DEFAULT_WEIGHT_FLOOR = 1e-12
 
@@ -172,9 +173,9 @@ def detect_revival(
     rel_tol = float(rel_tol)
     if not (math.isfinite(rel_tol) and rel_tol > 0.0):
         raise InvalidParameterError(f"rel_tol must be finite and positive, got {rel_tol}")
+    if not (isinstance(max_den, numbers.Real) and 1 <= max_den < math.inf and max_den % 1 == 0):
+        raise InvalidParameterError(f"max_den must be an integer >= 1, got {max_den!r}")
     max_den = int(max_den)
-    if max_den < 1:
-        raise InvalidParameterError(f"max_den must be >= 1, got {max_den}")
     weight_floor = float(weight_floor)
     if not (math.isfinite(weight_floor) and weight_floor >= 0.0):
         raise InvalidParameterError(f"weight_floor must be finite and nonnegative, got {weight_floor}")
@@ -249,15 +250,17 @@ def certify_period(
 ) -> float:
     """Worst-case entrywise defect of the claimed period under direct evolution.
 
-    For each start time t0, evolves to t0 and t0 + period, fits the
-    global phase from the largest component at t0, and measures
+    For each of one or more start times t0, evolves to t0 and t0 + period,
+    fits the global phase from the largest component at t0, and measures
     max_n |psi(n, t0+period) - e^{1j*phi} psi(n, t0)|.  Returns the
     maximum over start times.  The zero state raises DegenerateVectorError.
     """
     period = float(period)
     start_times = [float(t0) for t0 in start_times]
-    if not all(map(math.isfinite, [period, *start_times])):
-        raise InvalidParameterError(f"period and start times must be finite, got {period}, {start_times}")
+    if not (start_times and all(map(math.isfinite, [period, *start_times]))):
+        raise InvalidParameterError(
+            f"period and one or more start times must be finite, got {period}, {start_times}"
+        )
     spec = _spectrum_for(h, psi, spectrum)
     worst = 0.0
     for t0 in start_times:

@@ -72,16 +72,18 @@ class QuasiEigenReport:
         self.residual.setflags(write=False)
 
 
-def _checked_spectrum(residual_tol: float, solve) -> Spectrum:
-    """Validate residual_tol, run solve() -> (m, vals, vecs), fix the gauge, check the residual.
+def _checked_spectrum(m: OperatorMatrix, residual_tol: float, solve) -> Spectrum:
+    """Check m and residual_tol, run solve(m) -> (vals, vecs), fix the gauge, check the residual.
 
     The residual is measured on the full matrix m, however solve found
     the eigenpairs.
     """
+    if m.kind is not MatrixKind.HERMITIAN:
+        raise KindMismatchError(f"eigensolver needs a hermitian operator, got {m.kind.value}")
     residual_tol = float(residual_tol)
     if not (math.isfinite(residual_tol) and residual_tol > 0.0):
         raise InvalidParameterError(f"residual_tol must be finite and positive, got {residual_tol}")
-    m, vals, vecs = solve()
+    vals, vecs = solve(m)
 
     pivots = np.argmax(np.abs(vecs), axis=0)
     order = np.lexsort((pivots, vals))
@@ -107,14 +109,18 @@ def _eigh(h: np.ndarray):
         raise NumericalFailureError(f"eigensolver did not converge: {exc}") from exc
 
 
-def _parity_split_eigh(h: np.ndarray):
-    """eigh of a real symmetric h that commutes with parity n -> -n.
+def _parity_split_eigh(m: OperatorMatrix):
+    """eigh of m, split by parity n -> -n when m is real and commutes with it exactly.
 
     In the basis delta_0, (delta_n + delta_-n)/sqrt(2) the even block
     is up + down with row and column 0 scaled by 1/sqrt(2); in the basis
     (delta_n - delta_-n)/sqrt(2) the odd block is up - down without
-    them.  Here up = h[n >= 0, m >= 0] and down = h[n >= 0, m <= 0].
+    them.  Here h = m.entries, up = h[n >= 0, l >= 0] and
+    down = h[n >= 0, l <= 0].  Any other matrix goes to one dense eigh.
     """
+    h = m.entries
+    if h.dtype.kind != "f" or not np.array_equal(h, h[::-1, ::-1]):
+        return _eigh(h)
     d = h.shape[0]
     s = d // 2
     up, down = h[s:, s:], h[s:, s::-1]
@@ -144,16 +150,7 @@ def hermitian_eig(m: OperatorMatrix, residual_tol: float = EIG_RESIDUAL_TOL) -> 
     worst eigenpair residual exceeds residual_tol times the largest
     matrix entry.
     """
-    if m.kind is not MatrixKind.HERMITIAN:
-        raise KindMismatchError(f"eigensolver needs a hermitian operator, got {m.kind.value}")
-    h = m.entries
-
-    def solve():
-        if h.dtype.kind == "f" and np.array_equal(h, h[::-1, ::-1]):
-            return m, *_parity_split_eigh(h)
-        return m, *_eigh(h)
-
-    return _checked_spectrum(residual_tol, solve)
+    return _checked_spectrum(m, residual_tol, _parity_split_eigh)
 
 
 def _commutator_kernel(dim: Dimension) -> np.ndarray:
@@ -218,28 +215,29 @@ def free_hamiltonian(dim) -> OperatorMatrix:
     return OperatorMatrix(dim, col[np.mod(np.subtract.outer(n, n), d)], MatrixKind.HERMITIAN)
 
 
-def free_spectrum(dim, residual_tol: float = EIG_RESIDUAL_TOL) -> Spectrum:
-    """Closed-form eigensystem of free_hamiltonian(dim), with no eigensolve.
+def _free_eigenpairs(m: OperatorMatrix):
+    d, s = m.dim.d, m.dim.s
+    levels = _free_levels(m.dim)
+    n, k = m.dim.indices(), np.arange(1, s + 1)
+    roots = _root_table(m.dim)[np.mod(np.outer(n, k), d)]
+    vecs = np.empty((d, d))
+    vecs[:, 0] = 1.0 / math.sqrt(d)
+    vecs[:, 1 : s + 1] = math.sqrt(2.0 / d) * roots.real
+    vecs[:, s + 1 :] = math.sqrt(2.0 / d) * roots.imag
+    return np.concatenate((levels, levels[1:])), vecs
+
+
+def free_spectrum(h: OperatorMatrix, residual_tol: float = EIG_RESIDUAL_TOL) -> Spectrum:
+    """Closed-form eigensystem of the free Hamiltonian h, with no eigensolve.
 
     Level pi*k**2/d carries 1/sqrt(d) for k = 0 and the pair
     sqrt(2/d)*cos(2*pi*k*n/d), sqrt(2/d)*sin(2*pi*k*n/d) for k = 1..s,
-    with k*n reduced mod d before scaling.  The gauge, the tie order and
-    the residual check are those of hermitian_eig, against the matrix.
+    with k*n reduced mod d before scaling.  The kind check, the gauge,
+    the tie order and the residual check against h are those of
+    hermitian_eig, so a matrix that is not the free Hamiltonian fails
+    the residual check with NumericalFailureError.
     """
-    dim = as_dimension(dim)
-    d, s = dim.d, dim.s
-
-    def solve():
-        levels = _free_levels(dim)
-        n, k = dim.indices(), np.arange(1, s + 1)
-        roots = _root_table(dim)[np.mod(np.outer(n, k), d)]
-        vecs = np.empty((d, d))
-        vecs[:, 0] = 1.0 / math.sqrt(d)
-        vecs[:, 1 : s + 1] = math.sqrt(2.0 / d) * roots.real
-        vecs[:, s + 1 :] = math.sqrt(2.0 / d) * roots.imag
-        return free_hamiltonian(dim), np.concatenate((levels, levels[1:])), vecs
-
-    return _checked_spectrum(residual_tol, solve)
+    return _checked_spectrum(h, residual_tol, _free_eigenpairs)
 
 
 def oscillator_hamiltonian(dim) -> OperatorMatrix:

@@ -1,9 +1,9 @@
 """Discrete Wigner function of wrapped Gaussians and its factorized forms.
 
-Three routes to the same d x d grid: the defining chord sum, evaluated
-as a real FFT over the chord offset k; the exact two-term product of
-wrapped Gaussians at doubled/halved widths; and the kappa=1
-theta-product form that matches the others up to one overall constant.
+Three independent routes to the same d x d grid: the defining chord sum,
+evaluated as a real FFT over the chord offset k; the exact two-term
+product of wrapped Gaussians at doubled/halved widths; and the kappa=1
+theta-product form, which matches them after scaling by (2*d**3)**-0.5.
 """
 from __future__ import annotations
 
@@ -37,8 +37,8 @@ class WignerSource(enum.Enum):
 class WignerGrid:
     """Real Wigner values over (n, m) in {-s..s}**2, rows indexed by n.
 
-    fitted_scale is set only for the theta form: the least-squares
-    constant c with values ~ c * definition grid.
+    fitted_scale is set only for the theta form: the exact constant
+    c = (2*d**3)**-0.5 that scales its values to the kappa = 1 grid.
     """
 
     dim: Dimension
@@ -115,8 +115,8 @@ def wigner_theta_form(dim, term_tol: float = 1e-18) -> WignerGrid:
         W'(n, m) = theta3(n/d, 1/(2d)) theta3(2m/d, 2/d)
                  + theta4(n/d, 1/(2d)) theta2(2m/d, 2/d)
 
-    fitted_scale holds the least-squares constant c such that c * W'
-    matches the defining grid at kappa = 1.
+    fitted_scale holds the exact constant c = (2*d**3)**-0.5, so that
+    c * W' is the kappa = 1 Wigner grid.  No other route is evaluated.
     """
     dim = as_dimension(dim)
     term_tol = _check_tol(term_tol)
@@ -127,10 +127,7 @@ def wigner_theta_form(dim, term_tol: float = 1e-18) -> WignerGrid:
     row3 = theta(ThetaKind.THETA3, 2.0 * ns / d, 2.0 / d, term_tol)
     row2 = theta(ThetaKind.THETA2, 2.0 * ns / d, 2.0 / d, term_tol)
     grid = np.outer(col3, row3) + np.outer(col4, row2)
-
-    reference = wigner_definition(dim, 1.0, term_tol).values
-    scale = float(np.vdot(grid, reference) / np.vdot(grid, grid))
-    return WignerGrid(dim, 1.0, grid, WignerSource.THETA_FORM, fitted_scale=scale)
+    return WignerGrid(dim, 1.0, grid, WignerSource.THETA_FORM, fitted_scale=(2.0 * d**3) ** -0.5)
 
 
 def wigner_marginals(w: WignerGrid) -> Marginals:

@@ -1,6 +1,7 @@
 """Command-line surface: goldens, determinism, formats, exit codes, flags."""
 import argparse
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import finitegauss
 from finitegauss import (
     Dimension,
     WignerGrid,
@@ -206,6 +208,24 @@ class TestFormats:
         assert '"period": 402.0,' in out
         assert payload["kind"] == "commensurate" and payload["certified"] is True
 
+    def test_free_revival_builds_one_hamiltonian(self, monkeypatch, capsys):
+        import finitegauss.cli as cli
+        import finitegauss.spectral as spectral
+
+        built = []
+
+        def spy(dim):
+            built.append(dim.d)
+            return real_build(dim)
+
+        real_build, solver = cli._HAMILTONIANS["free"]
+        monkeypatch.setattr(spectral, "free_hamiltonian", spy)
+        monkeypatch.setattr(cli, "free_hamiltonian", spy)
+        monkeypatch.setitem(cli._HAMILTONIANS, "free", (spy, solver))
+        assert main(["revival", "--d", "31", "--ham", "free", "--state", "delta", "0"]) == 0
+        assert json.loads(capsys.readouterr().out)["certified"] is True
+        assert built == [31]
+
     def test_revival_report_keys(self, capsys):
         assert main(["revival", "--d", "9", "--ham", "free", "--state", "delta", "0"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -376,10 +396,15 @@ class TestMakeGoldens:
 
 class TestConsoleEntryPoint:
     def test_installed_script(self, tmp_path):
+        # The child imports the same package as this process, also when only
+        # pytest's own pythonpath setting put it on sys.path.
+        package_root = str(Path(finitegauss.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "finitegauss.cli", "gauss", "--d", "3"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[0] == "n,g,g_plus,naive"

@@ -123,7 +123,7 @@ class TestPopulatedLevels:
         h = free_hamiltonian(dim)
         amps = np.zeros(9, dtype=complex)
         amps[dim.offset(0)] = 1.0
-        for spec in (hermitian_eig(h), free_spectrum(dim)):
+        for spec in (hermitian_eig(h), free_spectrum(h)):
             _, weights, mask = populated_levels(spec, StateVector(dim, amps))
             assert int(np.sum(mask)) == dim.s + 1
             assert np.count_nonzero(weights) == dim.s + 1
@@ -253,6 +253,23 @@ class TestDetectRevival:
         with pytest.raises(InvalidParameterError):
             detect_revival([1.0, 2.0], [0.5, 0.5], rel_tol=rel_tol)
 
+    @pytest.mark.parametrize(
+        "max_den", [math.nan, math.inf, -math.inf, np.float64(np.inf), 2.5, 0, -3, 0.0, "3", None]
+    )
+    def test_rejects_bad_max_den(self, max_den):
+        # nan and inf used to escape as ValueError/OverflowError, and 2.5 was truncated to 2.
+        with pytest.raises(InvalidParameterError, match="max_den"):
+            detect_revival([1.0, 2.0], [0.5, 0.5], max_den=max_den)
+
+    @pytest.mark.parametrize("max_den", [10.0, np.int64(10), np.float64(10.0), 10**30])
+    def test_accepts_integral_max_den(self, max_den):
+        want = detect_revival([1.0, 1.5], [0.5, 0.5], max_den=10)
+        assert detect_revival([1.0, 1.5], [0.5, 0.5], max_den=max_den) == want
+
+    def test_max_den_one_admits_only_integer_ratios(self):
+        assert detect_revival([1.0, 1.5], [0.5, 0.5], max_den=1).kind == "none"
+        assert detect_revival([1.0, 3.0], [0.5, 0.5], max_den=1.0).period == pytest.approx(math.pi)
+
     @pytest.mark.parametrize("weight_floor", [math.nan, math.inf, -1e-12])
     def test_rejects_bad_weight_floor(self, weight_floor):
         with pytest.raises(InvalidParameterError):
@@ -355,3 +372,16 @@ class TestCertifyPeriod:
         h = free_hamiltonian(dim)
         with pytest.raises(InvalidParameterError, match="period"):
             certify_period(h, random_state(dim, 5), period, start_times=start_times)
+
+    @pytest.mark.parametrize("start_times", [(), [], np.array([])])
+    def test_empty_start_times_are_refused_before_any_solve(self, start_times, monkeypatch):
+        # With no start time the worst defect was 0.0, which certified any period.
+        dim = Dimension(9)
+        h = free_hamiltonian(dim)
+
+        def no_solve(*_):
+            raise AssertionError("eigh called")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_solve)
+        with pytest.raises(InvalidParameterError, match="start times"):
+            certify_period(h, random_state(dim, 5), 1.2345, start_times=start_times)

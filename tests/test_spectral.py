@@ -11,6 +11,7 @@ from finitegauss import (
     InvalidParameterError,
     KindMismatchError,
     MatrixKind,
+    NumericalFailureError,
     OperatorMatrix,
     commutator_qp,
     commutator_spectrum,
@@ -417,22 +418,23 @@ class TestFreeSpectrum:
     @given(st.integers(min_value=1, max_value=50).map(lambda s: 2 * s + 1))
     @settings(max_examples=40, deadline=None)
     def test_matches_generic_eigh(self, d):
-        spec = free_spectrum(Dimension(d))
-        assert_matches_reference(spec, free_hamiltonian(Dimension(d)).entries)
+        h = free_hamiltonian(Dimension(d))
+        assert_matches_reference(free_spectrum(h), h.entries)
 
     @pytest.mark.parametrize("d", [3, 9, 31])
     def test_closed_form_levels(self, d):
         k = np.abs(Dimension(d).indices())
         want = np.sort(np.pi * (k * k) / d)
-        assert np.array_equal(free_spectrum(Dimension(d)).eigenvalues, want)
+        assert np.array_equal(free_spectrum(free_hamiltonian(Dimension(d))).eigenvalues, want)
 
     def test_solves_nothing(self, monkeypatch):
         def no_solve(*_):
             raise AssertionError("eigh called")
 
+        h = free_hamiltonian(Dimension(101))
         monkeypatch.setattr(np.linalg, "eigh", no_solve)
-        spec = free_spectrum(Dimension(101))
-        assert spec.residual <= 1e-10 * np.max(np.abs(free_hamiltonian(Dimension(101)).entries))
+        spec = free_spectrum(h)
+        assert spec.residual <= 1e-10 * np.max(np.abs(h.entries))
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
     def test_rejects_bad_residual_tol_before_any_work(self, tol, monkeypatch):
@@ -441,7 +443,19 @@ class TestFreeSpectrum:
         def no_work(*_):
             raise AssertionError("work started")
 
+        h = free_hamiltonian(Dimension(5))
         monkeypatch.setattr(spectral, "free_hamiltonian", no_work)
         monkeypatch.setattr(spectral, "_root_table", no_work)
         with pytest.raises(InvalidParameterError):
-            free_spectrum(Dimension(5), tol)
+            free_spectrum(h, tol)
+
+    def test_other_hamiltonian_fails_the_residual_check(self):
+        # The closed-form modes are not eigenvectors of the oscillator.
+        h = oscillator_hamiltonian(Dimension(9))
+        with pytest.raises(NumericalFailureError) as info:
+            free_spectrum(h)
+        assert info.value.residual > 1e-10 * np.max(np.abs(h.entries))
+
+    def test_non_hermitian_matrix_is_refused(self):
+        with pytest.raises(KindMismatchError):
+            free_spectrum(commutator_qp(Dimension(9)))

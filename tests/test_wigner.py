@@ -142,11 +142,26 @@ class TestThetaForm:
         fitted = grid.fitted_scale * grid.values
         assert np.max(np.abs(fitted - ref) / np.abs(ref)) <= 1e-11
 
-    @pytest.mark.parametrize("d", [3, 9, 15, 31])
+    @pytest.mark.parametrize("d", [3, 9, 15, 31, 101, 301])
     def test_fitted_scale_closed_form(self, d):
-        grid = wigner_theta_form(Dimension(d))
-        want = 1.0 / (math.sqrt(2.0) * d**1.5)
-        assert grid.fitted_scale == pytest.approx(want, rel=1e-12)
+        dim = Dimension(d)
+        grid = wigner_theta_form(dim)
+        assert grid.fitted_scale == (2 * d**3) ** -0.5
+        assert grid.fitted_scale == pytest.approx(1.0 / (math.sqrt(2.0) * d**1.5), rel=1e-12)
+        ref = wigner_definition(dim, 1.0).values
+        fit = float(np.vdot(grid.values, ref) / np.vdot(grid.values, grid.values))
+        assert grid.fitted_scale == pytest.approx(fit, rel=1e-12)
+
+    def test_evaluates_no_other_route(self, monkeypatch):
+        import finitegauss.wigner as wigner
+
+        def no_route(*_args, **_kwargs):
+            raise AssertionError("another Wigner route was evaluated")
+
+        monkeypatch.setattr(wigner, "wigner_definition", no_route)
+        monkeypatch.setattr(wigner, "wigner_closed_form", no_route)
+        grid = wigner_theta_form(Dimension(101))
+        assert grid.fitted_scale == (2 * 101**3) ** -0.5
 
     def test_scale_matches_single_point_ratio(self):
         dim = Dimension(15)
