@@ -76,8 +76,8 @@ def _write(text: str, output_path: str | None) -> None:
 def cmd_gauss(args):
     """Rows n, g(n), g_plus(n), naive(n) for the given lattice."""
     dim = Dimension(args.d)
-    g = finite_gaussian(dim, args.kappa, args.term_tol).values
-    gp = shifted_finite_gaussian(dim, args.kappa, args.term_tol).values
+    g = finite_gaussian(dim, args.kappa).values
+    gp = shifted_finite_gaussian(dim, args.kappa).values
     nv = naive_gaussian(dim, args.kappa)
     header = ["n", "g", "g_plus", "naive"]
     rows = [[int(n), g[i], gp[i], nv[i]] for i, n in enumerate(dim.indices())]
@@ -103,7 +103,7 @@ def cmd_uncertainty(args):
     header = ["d", "delta_q", "delta_p", "product", "half_comm", "gap"]
     rows = []
     for d in d_list:
-        r = uncertainty_product(Dimension(d), args.kappa, args.term_tol)
+        r = uncertainty_product(Dimension(d), args.kappa)
         rows.append([int(d), r.delta_q, r.delta_p, r.product, r.half_comm, r.gap])
     return _render_table(header, rows, args.format), 0
 
@@ -131,7 +131,7 @@ def cmd_spectrum(args):
 def cmd_quasi(args):
     """Quasi-eigenvalue and the defect at n = 1..s."""
     dim = Dimension(args.d)
-    rep = quasi_eigen_residual(dim, args.term_tol)
+    rep = quasi_eigen_residual(dim)
     header = ["quantity", "value"]
     rows = [["lambda", rep.lam]]
     for n in range(1, dim.s + 1):
@@ -143,11 +143,11 @@ def cmd_wigner(args):
     """The d x d Wigner grid from the chosen route; optional cross-check."""
     dim = Dimension(args.d)
     if args.source == "definition":
-        grid = wigner_definition(dim, args.kappa, args.term_tol)
+        grid = wigner_definition(dim, args.kappa)
     elif args.source == "closed":
-        grid = wigner_closed_form(dim, args.kappa, args.term_tol)
+        grid = wigner_closed_form(dim, args.kappa)
     else:
-        grid = wigner_theta_form(dim, args.term_tol)
+        grid = wigner_theta_form(dim)
     check_value = _wigner_check(args, grid) if args.check else None
     return _render_wigner(grid, check_value, args.format), 0
 
@@ -158,8 +158,8 @@ def _wigner_check(args, grid) -> float:
     A function of its own so that the second grid is freed before rendering.
     """
     dim = grid.dim
-    wd = grid if args.source == "definition" else wigner_definition(dim, args.kappa, args.term_tol)
-    wc = grid if args.source == "closed" else wigner_closed_form(dim, args.kappa, args.term_tol)
+    wd = grid if args.source == "definition" else wigner_definition(dim, args.kappa)
+    wc = grid if args.source == "closed" else wigner_closed_form(dim, args.kappa)
     return float(np.max(np.abs(wd.values - wc.values)))
 
 
@@ -206,12 +206,12 @@ def _render_wigner(grid, check_value, fmt: str) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _revival_state(dim: Dimension, state_spec: list[str], kappa: float, term_tol: float) -> StateVector:
+def _revival_state(dim: Dimension, state_spec: list[str], kappa: float) -> StateVector:
     kind = state_spec[0]
     if kind == "gauss":
         if len(state_spec) != 1:
             raise InvalidParameterError("state gauss takes no arguments")
-        g = finite_gaussian(dim, kappa, term_tol)
+        g = finite_gaussian(dim, kappa)
         return StateVector(dim, g.values.astype(complex)).normalized()
     if kind == "coherent":
         if len(state_spec) != 3:
@@ -220,7 +220,7 @@ def _revival_state(dim: Dimension, state_spec: list[str], kappa: float, term_tol
             alpha, beta = int(state_spec[1]), int(state_spec[2])
         except ValueError as exc:
             raise InvalidParameterError(f"coherent labels must be integers: {exc}") from exc
-        return coherent_state(dim, PhasePoint(alpha, beta), term_tol)
+        return coherent_state(dim, PhasePoint(alpha, beta))
     if kind == "delta":
         if len(state_spec) != 2:
             raise InvalidParameterError("state delta needs one integer: n")
@@ -243,7 +243,7 @@ def cmd_revival(args):
     dim = Dimension(args.d)
     build, solve = _HAMILTONIANS[args.ham]
     h = build(dim)
-    psi = _revival_state(dim, args.state, args.kappa, args.term_tol)
+    psi = _revival_state(dim, args.state, args.kappa)
     spec = solve(h, args.eig_tol)
     levels, weights, _ = populated_levels(spec, psi, args.weight_floor)
     report = detect_revival(levels, weights, args.rel_tol, args.max_den, args.weight_floor)
@@ -311,7 +311,6 @@ def cmd_make_goldens(args):
 _SHARED_FLAGS = {
     "--d": dict(type=int, required=True, help="odd lattice size >= 3"),
     "--kappa": dict(type=float, default=1.0, help="squeezing parameter (default 1)"),
-    "--term-tol": dict(type=float, default=1e-18, help="wrapped-sum truncation tolerance"),
     "--eig-tol": dict(type=float, default=1e-10, help="eigenpair residual tolerance factor"),
     "--rel-tol": dict(type=float, default=1e-9, help="revival rational-certification tolerance"),
     "--max-den": dict(type=int, default=10**6, help="largest admissible ratio denominator"),
@@ -338,13 +337,13 @@ def _build_parser() -> argparse.ArgumentParser:
     table = ("--format", "--out")
 
     _add_command(sub, "gauss", cmd_gauss, "wrapped, shifted, and naive Gaussian columns",
-                 "--d", "--kappa", "--term-tol", *table)
+                 "--d", "--kappa", *table)
 
     _add_command(sub, "commutator", cmd_commutator, "spectrum of the position-momentum commutator",
                  "--d", *table)
 
     p = _add_command(sub, "uncertainty", cmd_uncertainty, "spread products over a list of lattice sizes",
-                     "--kappa", "--term-tol", *table)
+                     "--kappa", *table)
     p.add_argument(
         "--d-list",
         default=",".join(str(d) for d in DEFAULT_D_LIST),
@@ -356,10 +355,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ham", choices=tuple(_HAMILTONIANS), default="osc", help="which Hamiltonian")
 
     _add_command(sub, "quasi", cmd_quasi, "quasi-eigenvalue of the wrapped Gaussian and its defect",
-                 "--d", "--term-tol", *table)
+                 "--d", *table)
 
     p = _add_command(sub, "wigner", cmd_wigner, "discrete Wigner grid",
-                     "--d", "--kappa", "--term-tol", *table)
+                     "--d", "--kappa", *table)
     p.add_argument(
         "--source",
         choices=("definition", "closed", "theta"),
@@ -368,9 +367,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--check", action="store_true", help="also emit max |definition - closed_form|")
 
-    # revival always writes JSON; --kappa and --term-tol shape the initial state
+    # revival always writes JSON; --kappa shapes the gauss initial state
     p = _add_command(sub, "revival", cmd_revival, "detect and certify a revival period",
-                     "--d", "--kappa", "--term-tol", "--eig-tol", "--rel-tol", "--max-den", "--out")
+                     "--d", "--kappa", "--eig-tol", "--rel-tol", "--max-den", "--out")
     p.add_argument("--ham", choices=tuple(_HAMILTONIANS), default="free", help="which Hamiltonian")
     p.add_argument(
         "--state",

@@ -75,9 +75,12 @@ def evolve(h: OperatorMatrix, psi: StateVector, t: float, spectrum: Spectrum | N
     A precomputed Spectrum of h may be passed to amortize repeated
     evolutions.
     """
+    t = float(t)
+    if not math.isfinite(t):
+        raise InvalidParameterError(f"evolution time must be finite, got {t}")
     spec = _spectrum_for(h, psi, spectrum)
     coeffs = spec.eigenvectors.conj().T @ psi.amps
-    out = spec.eigenvectors @ (np.exp(-1j * float(t) * spec.eigenvalues) * coeffs)
+    out = spec.eigenvectors @ (np.exp(-1j * t * spec.eigenvalues) * coeffs)
     return StateVector(psi.dim, out)
 
 
@@ -86,9 +89,11 @@ def autocorrelation(h: OperatorMatrix, psi: StateVector, times, spectrum: Spectr
 
     A precomputed Spectrum of h may be passed, as for evolve.
     """
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or not np.all(np.isfinite(times)):
+        raise InvalidParameterError("times must be a 1-d vector of finite values")
     spec = _spectrum_for(h, psi, spectrum)
     levels, weights, _ = populated_levels(spec, psi)
-    times = np.asarray(times, dtype=float)
     phases = np.exp(-1j * np.outer(times, levels))
     return TimeSeries(times, np.abs(phases @ weights))
 

@@ -217,7 +217,7 @@ def displacement(dim, point: PhasePoint) -> OperatorMatrix:
     return OperatorMatrix(dim, entries, MatrixKind.UNITARY)
 
 
-def coherent_state(dim, point: PhasePoint, term_tol: float = 1e-18) -> StateVector:
+def coherent_state(dim, point: PhasePoint) -> StateVector:
     """Displaced normalized wrapped Gaussian with kappa = 1.
 
     The modulus is the kappa=1 wrapped Gaussian recentered at alpha;
@@ -225,19 +225,19 @@ def coherent_state(dim, point: PhasePoint, term_tol: float = 1e-18) -> StateVect
     """
     dim = as_dimension(dim)
     point.check_range(dim)
-    g = finite_gaussian(dim, 1.0, term_tol)
+    g = finite_gaussian(dim, 1.0)
     base = g.values / math.sqrt(g.squared_norm())
     phases, cols = _displacement_action(dim, point.alpha, point.beta)
     return StateVector(dim, phases * base[cols])
 
 
-def _frame_operator(dim: Dimension, term_tol: float) -> np.ndarray:
+def _frame_operator(dim: Dimension) -> np.ndarray:
     """(1/d) times the sum of the d**2 coherent projectors, one product per alpha.
 
     The columns of v are the coherent states D(alpha, beta) g over every beta.
     """
     d = dim.d
-    g = finite_gaussian(dim, 1.0, term_tol)
+    g = finite_gaussian(dim, 1.0)
     base = g.values / math.sqrt(g.squared_norm())
     labels = dim.indices()
     acc = np.zeros((d, d), dtype=complex)
@@ -248,13 +248,13 @@ def _frame_operator(dim: Dimension, term_tol: float) -> np.ndarray:
     return acc / d
 
 
-def frame_resolution_residual(dim, term_tol: float = 1e-18) -> float:
+def frame_resolution_residual(dim) -> float:
     """Max-norm deviation of (1/d) sum over all d**2 coherent projectors from I.
 
     Zero (to rounding) because the coherent family forms a tight frame.
     """
     dim = as_dimension(dim)
-    return float(np.max(np.abs(_frame_operator(dim, term_tol) - np.eye(dim.d))))
+    return float(np.max(np.abs(_frame_operator(dim) - np.eye(dim.d))))
 
 
 def _hermite(k: int, x: float) -> float:
@@ -265,7 +265,7 @@ def _hermite(k: int, x: float) -> float:
     return hk
 
 
-def mehta_eigenvector(dim, k: int, term_tol: float = 1e-18) -> StateVector:
+def mehta_eigenvector(dim, k: int) -> StateVector:
     """Unnormalized k-th discrete Hermite-Gaussian, a Fourier eigenvector.
 
     Built by periodizing exp(-x**2/2) * H_k(x); satisfies
@@ -278,7 +278,7 @@ def mehta_eigenvector(dim, k: int, term_tol: float = 1e-18) -> StateVector:
         raise InvalidParameterError(f"order k must be an integer, got {k!r}")
     if k < 0 or k > 6:
         raise UnsupportedOrderError(f"order k = {k} outside the supported range 0..6")
-    values = periodize(lambda x: math.exp(-0.5 * x * x) * _hermite(k, x), dim, term_tol)
+    values = periodize(lambda x: math.exp(-0.5 * x * x) * _hermite(k, x), dim)
     if float(np.linalg.norm(values)) < 1e-10:
         raise DegenerateVectorError(
             f"order-{k} vector on a lattice of size {dim.d} is numerically null"

@@ -253,29 +253,20 @@ def oscillator_hamiltonian(dim) -> OperatorMatrix:
     return OperatorMatrix(dim, h, MatrixKind.HERMITIAN)
 
 
-def quasi_eigen_residual(dim, term_tol: float = 1e-18) -> QuasiEigenReport:
+def quasi_eigen_residual(dim) -> QuasiEigenReport:
     """How close the kappa=1 wrapped Gaussian is to an oscillator eigenstate.
 
     lam = (H g_1)(0) / g_1(0) and residual = H g_1 - lam g_1, which is
     zero at n = 0 by construction and shrinks rapidly with d elsewhere.
     """
     dim = as_dimension(dim)
-    g = finite_gaussian(dim, 1.0, term_tol).values
-    h = oscillator_hamiltonian(dim).entries
-    hg = h @ g
-    # H is real, so this residue is zero; the check keeps the contract if that changes
-    worst_imag = float(np.max(np.abs(hg.imag)))
-    if worst_imag > 1e-12 * max(1.0, float(np.max(np.abs(hg.real)))):
-        raise NumericalFailureError(
-            f"oscillator action on a real vector left imaginary residue {worst_imag:.3e}",
-            residual=worst_imag,
-        )
-    hg = hg.real
+    g = finite_gaussian(dim, 1.0).values
+    hg = oscillator_hamiltonian(dim).entries @ g
     lam = float(hg[dim.s] / g[dim.s])
     return QuasiEigenReport(dim, lam, hg - lam * g)
 
 
-def uncertainty_product(dim, kappa: float, term_tol: float = 1e-18) -> UncertaintyReport:
+def uncertainty_product(dim, kappa: float) -> UncertaintyReport:
     """Spreads of g_kappa in position and momentum and the Schwarz gap.
 
     delta_p is computed on g_{1/kappa}, the exact Fourier transform of
@@ -289,11 +280,11 @@ def uncertainty_product(dim, kappa: float, term_tol: float = 1e-18) -> Uncertain
     d = dim.d
     ns = dim.indices().astype(float)
 
-    g = finite_gaussian(dim, kappa, term_tol).values
+    g = finite_gaussian(dim, kappa).values
     gsq = float(np.dot(g, g))
     var_q = 2.0 * math.pi / d * float(np.dot(ns * ns * g, g)) / gsq
 
-    gdual = finite_gaussian(dim, 1.0 / kappa, term_tol).values
+    gdual = finite_gaussian(dim, 1.0 / kappa).values
     gdualsq = float(np.dot(gdual, gdual))
     var_p = 2.0 * math.pi / d * float(np.dot(ns * ns * gdual, gdual)) / gdualsq
 

@@ -15,16 +15,11 @@ import numpy as np
 
 from .errors import NumericalFailureError
 from .lattice import Dimension, as_dimension
-from .wrapped import (
-    ThetaKind,
-    _check_kappa,
-    _check_tol,
-    finite_gaussian,
-    shifted_finite_gaussian,
-    theta,
-)
+from .wrapped import ThetaKind, _check_kappa, finite_gaussian, shifted_finite_gaussian, theta
 
 REALNESS_TOL = 1e-13
+# cells per block of a filled grid: the one temporary block stays in cache
+_BLOCK_CELLS = 4096
 
 
 class WignerSource(enum.Enum):
@@ -60,7 +55,21 @@ class Marginals:
     mom: np.ndarray
 
 
-def wigner_definition(dim, kappa: float, term_tol: float = 1e-18) -> WignerGrid:
+def _two_products(a: np.ndarray, b: np.ndarray, c: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """outer(a, b) + outer(c, e), filled in blocks of rows so only one grid is held.
+
+    Each cell is a[i]*b[j] + c[i]*e[j], rounded as the two outer products are.
+    """
+    grid = np.empty((a.size, b.size))
+    rows = max(1, _BLOCK_CELLS // b.size)
+    for i in range(0, a.size, rows):
+        block = grid[i : i + rows]
+        np.multiply(a[i : i + rows, None], b, out=block)
+        block += c[i : i + rows, None] * e
+    return grid
+
+
+def wigner_definition(dim, kappa: float) -> WignerGrid:
     """Chord-sum Wigner grid of g_kappa.
 
         W(n, m) = (1/d) sum_k exp(4j*pi*m*k/d) g(n-k) g(n+k)
@@ -71,9 +80,8 @@ def wigner_definition(dim, kappa: float, term_tol: float = 1e-18) -> WignerGrid:
     """
     dim = as_dimension(dim)
     kappa = _check_kappa(kappa)
-    term_tol = _check_tol(term_tol)
     d = dim.d
-    g = finite_gaussian(dim, kappa, term_tol).values
+    g = finite_gaussian(dim, kappa).values
     n = dim.indices()[:, None]
     k = np.fft.ifftshift(dim.indices())[None, :]  # 0..s, -s..-1: the order the DFT reads
     chords = g[dim.offset(n - k)] * g[dim.offset(n + k)]
@@ -90,7 +98,7 @@ def wigner_definition(dim, kappa: float, term_tol: float = 1e-18) -> WignerGrid:
     return WignerGrid(dim, kappa, grid.real, WignerSource.DEFINITION)
 
 
-def wigner_closed_form(dim, kappa: float, term_tol: float = 1e-18) -> WignerGrid:
+def wigner_closed_form(dim, kappa: float) -> WignerGrid:
     """Exact factorized Wigner grid:
 
         W(n, m) = (2*kappa*d)**-0.5 * [ g_{2k}(n)  (g_{2/k}(m) + g+_{2/k}(m))
@@ -98,18 +106,16 @@ def wigner_closed_form(dim, kappa: float, term_tol: float = 1e-18) -> WignerGrid
     """
     dim = as_dimension(dim)
     kappa = _check_kappa(kappa)
-    term_tol = _check_tol(term_tol)
-    gn = finite_gaussian(dim, 2.0 * kappa, term_tol).values
-    gn_plus = shifted_finite_gaussian(dim, 2.0 * kappa, term_tol).values
-    gm = finite_gaussian(dim, 2.0 / kappa, term_tol).values
-    gm_plus = shifted_finite_gaussian(dim, 2.0 / kappa, term_tol).values
-    grid = (np.outer(gn, gm + gm_plus) + np.outer(gn_plus, gm - gm_plus)) / math.sqrt(
-        2.0 * kappa * dim.d
-    )
+    gn = finite_gaussian(dim, 2.0 * kappa).values
+    gn_plus = shifted_finite_gaussian(dim, 2.0 * kappa).values
+    gm = finite_gaussian(dim, 2.0 / kappa).values
+    gm_plus = shifted_finite_gaussian(dim, 2.0 / kappa).values
+    grid = _two_products(gn, gm + gm_plus, gn_plus, gm - gm_plus)
+    grid /= math.sqrt(2.0 * kappa * dim.d)
     return WignerGrid(dim, kappa, grid, WignerSource.CLOSED_FORM)
 
 
-def wigner_theta_form(dim, term_tol: float = 1e-18) -> WignerGrid:
+def wigner_theta_form(dim) -> WignerGrid:
     """Theta-product Wigner grid for kappa = 1, up to one overall constant:
 
         W'(n, m) = theta3(n/d, 1/(2d)) theta3(2m/d, 2/d)
@@ -119,14 +125,13 @@ def wigner_theta_form(dim, term_tol: float = 1e-18) -> WignerGrid:
     c * W' is the kappa = 1 Wigner grid.  No other route is evaluated.
     """
     dim = as_dimension(dim)
-    term_tol = _check_tol(term_tol)
     d = dim.d
     ns = dim.indices()
-    col3 = theta(ThetaKind.THETA3, ns / d, 1.0 / (2.0 * d), term_tol)
-    col4 = theta(ThetaKind.THETA4, ns / d, 1.0 / (2.0 * d), term_tol)
-    row3 = theta(ThetaKind.THETA3, 2.0 * ns / d, 2.0 / d, term_tol)
-    row2 = theta(ThetaKind.THETA2, 2.0 * ns / d, 2.0 / d, term_tol)
-    grid = np.outer(col3, row3) + np.outer(col4, row2)
+    col3 = theta(ThetaKind.THETA3, ns / d, 1.0 / (2.0 * d))
+    col4 = theta(ThetaKind.THETA4, ns / d, 1.0 / (2.0 * d))
+    row3 = theta(ThetaKind.THETA3, 2.0 * ns / d, 2.0 / d)
+    row2 = theta(ThetaKind.THETA2, 2.0 * ns / d, 2.0 / d)
+    grid = _two_products(col3, row3, col4, row2)
     return WignerGrid(dim, 1.0, grid, WignerSource.THETA_FORM, fitted_scale=(2.0 * d**3) ** -0.5)
 
 

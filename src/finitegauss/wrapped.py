@@ -10,9 +10,10 @@ together with its half-period-shifted companion
 
 Both are even in n and strictly positive.  All alpha-sums are truncated
 to a symmetric window chosen so that the first excluded term, at the
-worst lattice point, falls below term_tol times the partial sum at n=0,
+worst lattice point, falls below TERM_TOL times the partial sum at n=0,
 and are accumulated from the largest |alpha| inward so that results are
-bit-for-bit even in n.
+bit-for-bit even in n.  TERM_TOL = 1e-18 lies below half an ulp of the
+partial sum, so a wider window would add only rounding.
 """
 from __future__ import annotations
 
@@ -27,6 +28,7 @@ from .errors import InvalidParameterError, NumericalFailureError
 from .lattice import Dimension, as_dimension
 
 _WINDOW_CAP = 100_000
+TERM_TOL = 1e-18
 
 
 class ThetaKind(enum.Enum):
@@ -49,7 +51,6 @@ class FiniteGaussian:
     kappa: float
     shifted: bool
     values: np.ndarray
-    term_tol: float
 
     def __post_init__(self):
         self.values.setflags(write=False)
@@ -68,14 +69,7 @@ def _check_kappa(kappa: float) -> float:
     return kappa
 
 
-def _check_tol(term_tol: float) -> float:
-    term_tol = float(term_tol)
-    if not (0.0 < term_tol < 1.0):
-        raise InvalidParameterError(f"term_tol must lie in (0, 1), got {term_tol}")
-    return term_tol
-
-
-def _halfwidth(c: float, step: float, shift: float, half: float, term_tol: float, what: str) -> int:
+def _halfwidth(c: float, step: float, shift: float, half: float, what: str) -> int:
     """Smallest window halfwidth A meeting the truncation rule.
 
     The window sums exp(-c*((a + half)*step + x)**2) for |x| <= shift.
@@ -92,7 +86,7 @@ def _halfwidth(c: float, step: float, shift: float, half: float, term_tol: float
         excluded = math.exp(-c * edge * edge)
         # an underflowed term can never contribute, whatever the partial sum;
         # an edge at or inside the worst point is not excluded yet
-        if (excluded == 0.0 or excluded < term_tol * partial) and edge > 0:
+        if (excluded == 0.0 or excluded < TERM_TOL * partial) and edge > 0:
             return a
         a += 1
         if a > _WINDOW_CAP:
@@ -101,12 +95,12 @@ def _halfwidth(c: float, step: float, shift: float, half: float, term_tol: float
         partial += 2.0 * math.exp(-c * center ** 2)
 
 
-def _wrapped_values(dim: Dimension, kappa: float, term_tol: float, shifted: bool) -> np.ndarray:
+def _wrapped_values(dim: Dimension, kappa: float, shifted: bool) -> np.ndarray:
     d = dim.d
     ns = dim.indices().astype(float)
     c = kappa * math.pi / d
     half = 0.5 if shifted else 0.0
-    halfwidth = _halfwidth(c, d, dim.s, half, term_tol, "wrapped sum")
+    halfwidth = _halfwidth(c, d, dim.s, half, "wrapped sum")
     acc = np.zeros(d)
     # shifted pairs (a, -a-1) give offsets +-(a+1/2)d down to a = 0; the
     # unshifted center term a = 0 is added once, last
@@ -119,7 +113,7 @@ def _wrapped_values(dim: Dimension, kappa: float, term_tol: float, shifted: bool
     return acc
 
 
-def finite_gaussian(dim, kappa: float, term_tol: float = 1e-18) -> FiniteGaussian:
+def finite_gaussian(dim, kappa: float) -> FiniteGaussian:
     """Wrapped Gaussian g_kappa on the lattice of size dim.
 
     kappa > 0 is the squeezing parameter: large kappa narrows the state
@@ -127,24 +121,22 @@ def finite_gaussian(dim, kappa: float, term_tol: float = 1e-18) -> FiniteGaussia
     """
     dim = as_dimension(dim)
     kappa = _check_kappa(kappa)
-    term_tol = _check_tol(term_tol)
-    values = _wrapped_values(dim, kappa, term_tol, shifted=False)
-    return FiniteGaussian(dim, kappa, False, values, term_tol)
+    values = _wrapped_values(dim, kappa, shifted=False)
+    return FiniteGaussian(dim, kappa, False, values)
 
 
-def shifted_finite_gaussian(dim, kappa: float, term_tol: float = 1e-18) -> FiniteGaussian:
+def shifted_finite_gaussian(dim, kappa: float) -> FiniteGaussian:
     """Half-period-shifted wrapped Gaussian g_kappa_plus.
 
     Peaks at the lattice edges |n| = s instead of at n = 0.
     """
     dim = as_dimension(dim)
     kappa = _check_kappa(kappa)
-    term_tol = _check_tol(term_tol)
-    values = _wrapped_values(dim, kappa, term_tol, shifted=True)
-    return FiniteGaussian(dim, kappa, True, values, term_tol)
+    values = _wrapped_values(dim, kappa, shifted=True)
+    return FiniteGaussian(dim, kappa, True, values)
 
 
-def theta(kind: ThetaKind, z, t: float, term_tol: float = 1e-18):
+def theta(kind: ThetaKind, z, t: float):
     """Jacobi theta series theta_k(z, i*t) for purely imaginary modulus.
 
     Only the even real cosine form is computed:
@@ -163,11 +155,10 @@ def theta(kind: ThetaKind, z, t: float, term_tol: float = 1e-18):
         raise InvalidParameterError(f"z must be finite, got {z}")
     if not math.isfinite(t) or t <= 0.0:
         raise InvalidParameterError(f"t must be finite and positive, got {t}")
-    term_tol = _check_tol(term_tol)
 
     c = math.pi * t
     half = 0.5 if kind is ThetaKind.THETA2 else 0.0
-    halfwidth = _halfwidth(c, 1.0, 0.0, half, term_tol, "theta series")
+    halfwidth = _halfwidth(c, 1.0, 0.0, half, "theta series")
     acc = np.zeros(z.shape)
     for a in range(halfwidth, -1 if half else 0, -1):
         h = a + half
@@ -189,18 +180,17 @@ def naive_gaussian(dim, kappa: float) -> np.ndarray:
     return np.exp(-kappa * math.pi / dim.d * ns * ns)
 
 
-def periodize(sample: Callable[[float], float], dim, term_tol: float = 1e-18) -> np.ndarray:
+def periodize(sample: Callable[[float], float], dim) -> np.ndarray:
     """Wrap a decaying function onto the lattice.
 
     Returns Phi(n) = sum_alpha sample(sqrt(2*pi/d) * (alpha*d + n)) for
     n = -s..s.  The window grows until the first excluded sample, taken
-    at the worst lattice point, is below term_tol times
+    at the worst lattice point, is below TERM_TOL times
     max(1, |partial Phi(0)|).  Convergence of the alpha-sum is the
     caller's responsibility; a window cap guards against samples that
     do not decay.
     """
     dim = as_dimension(dim)
-    term_tol = _check_tol(term_tol)
     d, s = dim.d, dim.s
     step = math.sqrt(2.0 * math.pi / d)
 
@@ -209,7 +199,7 @@ def periodize(sample: Callable[[float], float], dim, term_tol: float = 1e-18) ->
     halfwidth = 0
     while True:
         edge = step * ((halfwidth + 1) * d - s)
-        if max(abs(float(sample(edge))), abs(float(sample(-edge)))) < term_tol * max(1.0, abs(phi0)):
+        if max(abs(float(sample(edge))), abs(float(sample(-edge)))) < TERM_TOL * max(1.0, abs(phi0)):
             break
         halfwidth += 1
         if halfwidth > _WINDOW_CAP:
@@ -225,7 +215,7 @@ def periodize(sample: Callable[[float], float], dim, term_tol: float = 1e-18) ->
     return acc
 
 
-def alternating_wrapped_sum(dim, kappa: float, n, term_tol: float = 1e-18):
+def alternating_wrapped_sum(dim, kappa: float, n):
     """Sign-alternating wrapped Gaussian sum at a literal integer argument.
 
         sum_alpha (-1)**alpha * exp(-kappa*pi*(alpha*d + n)**2 / d)
@@ -237,7 +227,6 @@ def alternating_wrapped_sum(dim, kappa: float, n, term_tol: float = 1e-18):
     """
     dim = as_dimension(dim)
     kappa = _check_kappa(kappa)
-    term_tol = _check_tol(term_tol)
     d = dim.d
     narr = np.asarray(n)
     if not np.issubdtype(narr.dtype, np.integer):
@@ -245,7 +234,7 @@ def alternating_wrapped_sum(dim, kappa: float, n, term_tol: float = 1e-18):
     c = kappa * math.pi / d
 
     nmax = int(np.max(np.abs(narr))) if narr.size else 0
-    halfwidth = _halfwidth(c, d, nmax, 0.0, term_tol, "alternating sum")
+    halfwidth = _halfwidth(c, d, nmax, 0.0, "alternating sum")
 
     nf = narr.astype(float)
     acc = np.zeros(nf.shape)

@@ -153,7 +153,6 @@ class TestExitCodes:
         "argv",
         [
             ["spectrum", "--d", "5", "--eig-tol", "-1"],
-            ["gauss", "--d", "5", "--term-tol", "0"],
             ["uncertainty", "--d-list", "3,5", "--kappa", "inf"],
             ["wigner", "--d", "5", "--kappa", "nan"],
         ],
@@ -303,7 +302,9 @@ def even_grids_with_defects(draw):
     for r, kind in zip(range(s + 1, d), kinds):
         col = draw(st.integers(0, d - 1))
         if kind == "cell":
-            grid[r, col] = np.nextafter(grid[r, col], draw(st.sampled_from([-np.inf, np.inf])))
+            # the largest finite value steps to inf, which still differs from its partner
+            with np.errstate(over="ignore"):
+                grid[r, col] = np.nextafter(grid[r, col], draw(st.sampled_from([-np.inf, np.inf])))
         elif kind == "zero_sign":
             grid[r, col], grid[d - 1 - r, col] = 0.0, -0.0
     return WignerGrid(Dimension(d), 1.0, grid, WignerSource.DEFINITION)
@@ -345,14 +346,14 @@ class TestWignerRendering:
 
 # The flags each subcommand reads; any other flag is a usage error.
 COMMAND_FLAGS = {
-    "gauss": {"--d", "--kappa", "--term-tol", "--format", "--out"},
+    "gauss": {"--d", "--kappa", "--format", "--out"},
     "commutator": {"--d", "--format", "--out"},
-    "uncertainty": {"--d-list", "--kappa", "--term-tol", "--format", "--out"},
+    "uncertainty": {"--d-list", "--kappa", "--format", "--out"},
     "spectrum": {"--d", "--ham", "--eig-tol", "--format", "--out"},
-    "quasi": {"--d", "--term-tol", "--format", "--out"},
-    "wigner": {"--d", "--kappa", "--term-tol", "--source", "--check", "--format", "--out"},
+    "quasi": {"--d", "--format", "--out"},
+    "wigner": {"--d", "--kappa", "--source", "--check", "--format", "--out"},
     "revival": {
-        "--d", "--ham", "--state", "--kappa", "--term-tol", "--eig-tol", "--rel-tol",
+        "--d", "--ham", "--state", "--kappa", "--eig-tol", "--rel-tol",
         "--max-den", "--cert-tol", "--weight-floor", "--out",
     },
     "make-goldens": {"--out-dir"},
@@ -368,7 +369,7 @@ class TestFlags:
             for name, p in sub.choices.items()
         }
         assert got == COMMAND_FLAGS
-        assert sum(len(flags) for flags in got.values()) == 41
+        assert sum(len(flags) for flags in got.values()) == 36
 
     @pytest.mark.parametrize(
         "argv",
@@ -377,6 +378,12 @@ class TestFlags:
             ["revival", "--d", "9", "--state", "delta", "0", "--format", "csv"],
             ["quasi", "--d", "5", "--kappa", "2"],
             ["spectrum", "--d", "5", "--term-tol", "1e-12"],
+            # the truncation rule is the constant TERM_TOL; no subcommand takes it
+            ["gauss", "--d", "5", "--term-tol", "0"],
+            ["uncertainty", "--d-list", "3,5", "--term-tol", "1e-18"],
+            ["quasi", "--d", "5", "--term-tol", "1e-18"],
+            ["wigner", "--d", "5", "--term-tol", "1e-18"],
+            ["revival", "--d", "9", "--state", "gauss", "--term-tol", "1e-18"],
         ],
     )
     def test_unread_flag_is_usage_error(self, argv, capsys):

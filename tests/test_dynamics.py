@@ -105,6 +105,37 @@ class TestEvolution:
         got = autocorrelation(h, psi, times, spectrum=spec).values
         assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time_is_refused_before_any_solve(self, t, monkeypatch):
+        # A nan time used to surface later as "amplitudes must be finite".
+        dim = Dimension(9)
+        h = oscillator_hamiltonian(dim)
+
+        def no_solve(*_):
+            raise AssertionError("eigh called")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_solve)
+        with pytest.raises(InvalidParameterError, match="time"):
+            evolve(h, random_state(dim, 4), t)
+
+    @pytest.mark.parametrize(
+        "times",
+        [[0.0, math.nan, math.inf], [-math.inf], [[0.0, 1.0], [2.0, 3.0]], 1.5],
+        ids=["nan-inf", "minus-inf", "2-d", "scalar"],
+    )
+    def test_autocorrelation_refuses_bad_times_before_any_solve(self, times, monkeypatch):
+        # Non-finite times returned nan values; 2-d times were flattened,
+        # so values[i] no longer paired with times[i].
+        dim = Dimension(9)
+        h = oscillator_hamiltonian(dim)
+
+        def no_solve(*_):
+            raise AssertionError("eigh called")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_solve)
+        with pytest.raises(InvalidParameterError, match="times"):
+            autocorrelation(h, random_state(dim, 6), times)
+
     def test_autocorrelation_peaks_at_period(self):
         dim = Dimension(9)
         h = free_hamiltonian(dim)

@@ -1,5 +1,6 @@
 """Phase-space grid: defining sum, closed form, theta form, marginals."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from finitegauss import (
     wigner_marginals,
     wigner_theta_form,
 )
+from finitegauss import wigner
 
 ALL_DIMS = list(range(3, 65, 2))
 ALL_KAPPAS = [0.25, 1.0 / 3.0, 0.5, 1.0, 4.0 / 3.0, 2.0, 3.0, 4.0]
@@ -169,6 +171,32 @@ class TestThetaForm:
         ref = wigner_definition(dim, 1.0)
         ratio = ref.value(0, 0) / grid.value(0, 0)
         assert grid.fitted_scale == pytest.approx(ratio, rel=1e-13)
+
+
+class TestOneGrid:
+    @pytest.mark.parametrize("route", [lambda dim: wigner_closed_form(dim, 4.0 / 3.0), wigner_theta_form],
+                             ids=["closed", "theta"])
+    def test_peak_holds_one_grid(self, route):
+        # Filled in blocks of rows: the two outer products never coexist as grids.
+        dim = Dimension(301)
+        route(dim)
+        tracemalloc.start()
+        try:
+            route(dim)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * dim.d * dim.d * 8
+
+    @pytest.mark.parametrize("block_cells", [1, 100, wigner._BLOCK_CELLS])
+    @pytest.mark.parametrize("d", [3, 31, 301])
+    def test_blocks_match_outer_products(self, d, block_cells, monkeypatch):
+        # block_cells 1 gives one row per block, 100 a ragged last block at d=31
+        monkeypatch.setattr(wigner, "_BLOCK_CELLS", block_cells)
+        rng = np.random.default_rng(d)
+        a, b, c, e = rng.normal(size=(4, d))
+        got = wigner._two_products(a, b, c, e)
+        assert got.tobytes() == (np.outer(a, b) + np.outer(c, e)).tobytes()
 
 
 class TestMarginals:

@@ -1,4 +1,6 @@
 """Wrapped-sum core: brute-force oracles, symmetry, theta identities."""
+import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import finitegauss
 from finitegauss import (
     Dimension,
     InvalidDimensionError,
@@ -22,6 +25,7 @@ from finitegauss import (
 # Window wide enough that the discarded tail is far below double precision
 # for every kappa*d used here.
 ORACLE_WINDOW = 100
+FIXED_WINDOW = 40
 
 
 def brute_wrapped(d: int, kappa: float, n: int, shifted: bool = False) -> float:
@@ -90,13 +94,29 @@ class TestFiniteGaussian:
         assert gp.value(5) == max(gp.values)
 
     def test_truncation_soundness(self):
-        # Tightening term_tol by many decades moves nothing above the
-        # advertised tolerance.
-        dim = Dimension(15)
+        # The TERM_TOL window against the same pairs summed outside-in
+        # over a fixed, far wider window: the dropped tail is invisible.
+        d = 15
+        ns = np.arange(-(d // 2), d // 2 + 1, dtype=float)
         for kappa in (0.25, 1.0, 4.0):
-            loose = finite_gaussian(dim, kappa, term_tol=1e-18)
-            tight = finite_gaussian(dim, kappa, term_tol=1e-30)
-            assert np.max(np.abs(loose.values - tight.values)) <= 1e-18
+            c = kappa * math.pi / d
+            for shifted, build in ((False, finite_gaussian), (True, shifted_finite_gaussian)):
+                half = 0.5 if shifted else 0.0
+                ref = np.zeros(d)
+                for a in range(FIXED_WINDOW, -1 if shifted else 0, -1):
+                    x = (a + half) * d + ns
+                    y = -(a + half) * d + ns
+                    ref += np.exp(-c * x * x) + np.exp(-c * y * y)
+                if not shifted:
+                    ref += np.exp(-c * ns * ns)
+                assert np.max(np.abs(build(Dimension(d), kappa).values - ref)) <= 1e-18
+
+    def test_no_public_callable_takes_term_tol(self):
+        # One truncation rule, the constant TERM_TOL, for every sum.
+        for name in finitegauss.__all__:
+            obj = getattr(finitegauss, name)
+            if inspect.isfunction(obj) or dataclasses.is_dataclass(obj):
+                assert "term_tol" not in inspect.signature(obj).parameters, name
 
     def test_squared_norm_positive(self):
         g = finite_gaussian(Dimension(9), 1.0)
