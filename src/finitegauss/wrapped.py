@@ -8,8 +8,14 @@ together with its half-period-shifted companion
 
     g_kappa_plus(n) = sum_alpha exp(-kappa*pi*((alpha + 1/2)*d + n)**2 / d).
 
-Both are even in n and strictly positive.  All alpha-sums are truncated
-to a symmetric window chosen so that the first excluded term, at the
+Both are even in n and strictly positive.  Poisson summation gives the
+dual theta forms g_kappa(n) = theta3(n/d, 1/(kappa*d)) / sqrt(kappa*d) and
+g_kappa_plus(n) = theta4(n/d, 1/(kappa*d)) / sqrt(kappa*d); the alternating
+sum is the theta2 form.  Every sum takes the direct alpha-sum when
+kappa*d >= 1 and the theta series when kappa*d < 1, so its window is at
+most a few terms for every kappa and the window cap cannot be reached from
+finite_gaussian.  A kappa for which kappa*pi/d or 1/(kappa*d) is not finite
+is refused.  Windows are truncated where the first excluded term, at the
 worst lattice point, falls below TERM_TOL times the partial sum at n=0,
 and are accumulated from the largest |alpha| inward so that results are
 bit-for-bit even in n.  TERM_TOL = 1e-18 lies below half an ulp of the
@@ -95,20 +101,36 @@ def _halfwidth(c: float, step: float, shift: float, half: float, what: str) -> i
         partial += 2.0 * math.exp(-c * center ** 2)
 
 
-def _wrapped_values(dim: Dimension, kappa: float, shifted: bool) -> np.ndarray:
+def _wrapped_sum(kind: ThetaKind, dim: Dimension, kappa: float, n=None) -> np.ndarray:
+    """The wrapped sum whose Poisson dual is theta `kind`, at n (default: the lattice).
+
+    THETA3 is g_kappa, THETA4 is g_kappa_plus and THETA2 the alternating
+    sum.  Below kappa*d = 1 the theta side is evaluated; otherwise the
+    direct alpha-sum.  Either way the window is O(1) terms.
+    """
     d = dim.d
-    ns = dim.indices().astype(float)
     c = kappa * math.pi / d
-    half = 0.5 if shifted else 0.0
-    halfwidth = _halfwidth(c, d, dim.s, half, "wrapped sum")
-    acc = np.zeros(d)
+    t = 1.0 / (kappa * d)
+    if not (math.isfinite(c) and math.isfinite(t)):
+        raise InvalidParameterError(
+            f"kappa = {kappa} is out of range at d = {d}: kappa*pi/d or 1/(kappa*d) is not finite"
+        )
+    ns = (dim.indices() if n is None else np.asarray(n)).astype(float)
+    if kappa * d < 1.0:
+        return theta(kind, ns / d, t) / math.sqrt(kappa * d)
+    half = 0.5 if kind is ThetaKind.THETA4 else 0.0
+    # the worst point: n = -s on the lattice, the largest |n| of an argument
+    shift = dim.s if n is None else float(np.max(np.abs(ns), initial=0.0))
+    halfwidth = _halfwidth(c, d, shift, half, "wrapped sum")
+    acc = np.zeros(ns.shape)
     # shifted pairs (a, -a-1) give offsets +-(a+1/2)d down to a = 0; the
     # unshifted center term a = 0 is added once, last
-    for a in range(halfwidth, -1 if shifted else 0, -1):
+    for a in range(halfwidth, -1 if half else 0, -1):
         x = (a + half) * d + ns
         y = -(a + half) * d + ns
-        acc += np.exp(-c * x * x) + np.exp(-c * y * y)
-    if not shifted:
+        pair = np.exp(-c * x * x) + np.exp(-c * y * y)
+        acc += -pair if kind is ThetaKind.THETA2 and a % 2 else pair
+    if not half:
         acc += np.exp(-c * ns * ns)
     return acc
 
@@ -121,7 +143,7 @@ def finite_gaussian(dim, kappa: float) -> FiniteGaussian:
     """
     dim = as_dimension(dim)
     kappa = _check_kappa(kappa)
-    values = _wrapped_values(dim, kappa, shifted=False)
+    values = _wrapped_sum(ThetaKind.THETA3, dim, kappa)
     return FiniteGaussian(dim, kappa, False, values)
 
 
@@ -132,7 +154,7 @@ def shifted_finite_gaussian(dim, kappa: float) -> FiniteGaussian:
     """
     dim = as_dimension(dim)
     kappa = _check_kappa(kappa)
-    values = _wrapped_values(dim, kappa, shifted=True)
+    values = _wrapped_sum(ThetaKind.THETA4, dim, kappa)
     return FiniteGaussian(dim, kappa, True, values)
 
 
@@ -222,28 +244,14 @@ def alternating_wrapped_sum(dim, kappa: float, n):
 
     Anti-periodic under n -> n + d, so n is NOT reduced into the
     lattice; pass the integer you mean.  Terms are paired (a, -a) to
-    keep the alternating cancellation stable.  Accepts scalar or array
-    n; returns matching shape.
+    keep the alternating cancellation stable; below kappa*d = 1 the sum
+    is theta2(n/d, 1/(kappa*d)) / sqrt(kappa*d), anti-periodic in n as
+    well.  Accepts scalar or array n; returns matching shape.
     """
     dim = as_dimension(dim)
     kappa = _check_kappa(kappa)
-    d = dim.d
     narr = np.asarray(n)
     if not np.issubdtype(narr.dtype, np.integer):
         raise InvalidParameterError("argument n must be integer-valued")
-    c = kappa * math.pi / d
-
-    nmax = int(np.max(np.abs(narr))) if narr.size else 0
-    halfwidth = _halfwidth(c, d, nmax, 0.0, "alternating sum")
-
-    nf = narr.astype(float)
-    acc = np.zeros(nf.shape)
-    for a in range(halfwidth, 0, -1):
-        x = a * d + nf
-        y = -a * d + nf
-        pair = np.exp(-c * x * x) + np.exp(-c * y * y)
-        acc += pair if a % 2 == 0 else -pair
-    acc += np.exp(-c * nf * nf)
-    if narr.shape == ():
-        return float(acc)
-    return acc
+    acc = _wrapped_sum(ThetaKind.THETA2, dim, kappa, narr)
+    return float(acc) if narr.shape == () else acc

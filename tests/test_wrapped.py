@@ -2,6 +2,7 @@
 import dataclasses
 import inspect
 import math
+import re
 
 import numpy as np
 import pytest
@@ -41,6 +42,33 @@ def brute_alternating(d: int, kappa: float, n: int) -> float:
     for a in range(-ORACLE_WINDOW, ORACLE_WINDOW + 1):
         total += (-1) ** a * math.exp(-kappa * math.pi * (a * d + n) ** 2 / d)
     return total
+
+
+def direct_sum(kind: ThetaKind, d: int, kappa: float, ns: np.ndarray) -> np.ndarray:
+    """The direct alpha-sum whose theta dual is `kind`, over a fixed window, outside-in."""
+    c = kappa * math.pi / d
+    half = 0.5 if kind is ThetaKind.THETA4 else 0.0
+    acc = np.zeros(ns.shape)
+    for a in range(FIXED_WINDOW, -1 if half else 0, -1):
+        x = (a + half) * d + ns
+        y = -(a + half) * d + ns
+        pair = np.exp(-c * x * x) + np.exp(-c * y * y)
+        acc += -pair if kind is ThetaKind.THETA2 and a % 2 else pair
+    if not half:
+        acc += np.exp(-c * ns * ns)
+    return acc
+
+
+def modular_sum(kind: ThetaKind, d: int, kappa: float, ns: np.ndarray) -> np.ndarray:
+    """The same sum by Poisson summation: theta_kind(n/d, 1/(kappa*d)) / sqrt(kappa*d)."""
+    return theta(kind, ns / d, 1.0 / (kappa * d)) / math.sqrt(kappa * d)
+
+
+WRAPPED_SUMS = {
+    ThetaKind.THETA3: lambda dim, kappa: finite_gaussian(dim, kappa).values,
+    ThetaKind.THETA4: lambda dim, kappa: shifted_finite_gaussian(dim, kappa).values,
+    ThetaKind.THETA2: lambda dim, kappa: alternating_wrapped_sum(dim, kappa, dim.indices()),
+}
 
 
 odd_dims = st.integers(min_value=1, max_value=25).map(lambda s: 2 * s + 1)
@@ -99,17 +127,9 @@ class TestFiniteGaussian:
         d = 15
         ns = np.arange(-(d // 2), d // 2 + 1, dtype=float)
         for kappa in (0.25, 1.0, 4.0):
-            c = kappa * math.pi / d
-            for shifted, build in ((False, finite_gaussian), (True, shifted_finite_gaussian)):
-                half = 0.5 if shifted else 0.0
-                ref = np.zeros(d)
-                for a in range(FIXED_WINDOW, -1 if shifted else 0, -1):
-                    x = (a + half) * d + ns
-                    y = -(a + half) * d + ns
-                    ref += np.exp(-c * x * x) + np.exp(-c * y * y)
-                if not shifted:
-                    ref += np.exp(-c * ns * ns)
-                assert np.max(np.abs(build(Dimension(d), kappa).values - ref)) <= 1e-18
+            for kind in (ThetaKind.THETA3, ThetaKind.THETA4):
+                got = WRAPPED_SUMS[kind](Dimension(d), kappa)
+                assert np.max(np.abs(got - direct_sum(kind, d, kappa, ns))) <= 1e-18
 
     def test_no_public_callable_takes_term_tol(self):
         # One truncation rule, the constant TERM_TOL, for every sum.
@@ -246,6 +266,116 @@ class TestSplittingIdentities:
         arr = alternating_wrapped_sum(dim, 1.0, ns)
         for i, n in enumerate(ns):
             assert arr[i] == alternating_wrapped_sum(dim, 1.0, int(n))
+
+
+# kappa*d log-uniform over both sides of the route switch at kappa*d = 1
+overlap_kd = st.floats(min_value=-1.0, max_value=1.0).map(lambda e: 10.0**e)
+both_routes_kd = st.floats(min_value=-3.0, max_value=3.0).map(lambda e: 10.0**e)
+wide_dims = st.integers(min_value=1, max_value=500).map(lambda s: 2 * s + 1)
+
+
+class TestCrossRoute:
+    @given(wide_dims, overlap_kd)
+    @settings(max_examples=60, deadline=None)
+    def test_routes_agree_on_overlap(self, d, kd):
+        # On kappa*d in [0.1, 10] both routes converge fast.  g and g+ agree
+        # to 1e-15 of their max.
+        kappa = kd / d
+        ns = Dimension(d).indices().astype(float)
+        for kind in (ThetaKind.THETA3, ThetaKind.THETA4):
+            direct, modular = direct_sum(kind, d, kappa, ns), modular_sum(kind, d, kappa, ns)
+            assert np.max(np.abs(direct - modular)) <= 1e-15 * np.max(modular)
+
+    @given(wide_dims, overlap_kd)
+    @settings(max_examples=60, deadline=None)
+    def test_alternating_routes_agree_on_overlap(self, d, kd):
+        # Measured against g_kappa, the sum of the absolute terms, not against
+        # its own max: the direct route cancels terms as large as max g, and
+        # at kappa*d = 0.1 its rounding is 1e-13 of the alternating sum's own
+        # max.  At |n| up to 3d the theta phases 2*pi*h*n/d carry about
+        # 2e-15 of rounding, hence 4e-15.
+        kappa = kd / d
+        ns = np.arange(-3 * d, 3 * d + 1, dtype=float)
+        direct = direct_sum(ThetaKind.THETA2, d, kappa, ns)
+        modular = modular_sum(ThetaKind.THETA2, d, kappa, ns)
+        scale = np.max(direct_sum(ThetaKind.THETA3, d, kappa, ns))
+        assert np.max(np.abs(direct - modular)) <= 4e-15 * scale
+
+    @given(wide_dims, both_routes_kd)
+    @settings(max_examples=60, deadline=None)
+    def test_library_takes_the_theta_route_below_kappa_d_one(self, d, kd):
+        kappa = kd / d
+        dim = Dimension(d)
+        ns = dim.indices().astype(float)
+        for kind, build in WRAPPED_SUMS.items():
+            values = build(dim, kappa)
+            if kappa * d < 1.0:
+                assert np.array_equal(values, modular_sum(kind, d, kappa, ns))
+            else:
+                scale = np.max(direct_sum(ThetaKind.THETA3, d, kappa, ns))
+                assert np.max(np.abs(values - direct_sum(kind, d, kappa, ns))) <= 1e-18 * scale
+
+    @given(wide_dims, both_routes_kd)
+    @settings(max_examples=60, deadline=None)
+    def test_both_routes_bit_even(self, d, kd):
+        dim = Dimension(d)
+        for build in WRAPPED_SUMS.values():
+            values = build(dim, kd / d)
+            assert np.array_equal(values, values[::-1])
+
+    @pytest.mark.parametrize("d", [1, 3, 31, 1001])
+    def test_every_decade_of_kappa(self, d):
+        # Dimension refuses d = 1 before kappa is looked at.  For d >= 3 every
+        # decade returns finite, non-negative values, positive wherever the
+        # largest single term is a positive double (at large kappa it
+        # underflows, and so does the sum).
+        if d == 1:
+            with pytest.raises(InvalidDimensionError):
+                finite_gaussian(d, 1.0)
+            return
+        dim = Dimension(d)
+        ns = dim.indices().astype(float)
+        for e in range(-300, 301):
+            kappa = 10.0**e
+            c = kappa * math.pi / d
+            for values, dist in (
+                (finite_gaussian(dim, kappa).values, np.abs(ns)),
+                (shifted_finite_gaussian(dim, kappa).values, d / 2 - np.abs(ns)),
+            ):
+                assert np.all(np.isfinite(values)) and np.all(values >= 0), kappa
+                lead = np.exp(-c * dist * dist)
+                assert np.all(values[lead > 0] > 0), kappa
+
+    @pytest.mark.parametrize(
+        "d, kappa",
+        [(3, 1.7e308), (1001, 1.7e308), (3, 1e-310), (31, 1e-310), (3, 5e-324), (1001, 5e-324)],
+    )
+    def test_out_of_range_kappa_raises_before_allocating(self, d, kappa, monkeypatch):
+        # kappa*pi/d or 1/(kappa*d) is not finite; the lattice indices are
+        # never built.
+        assert not (math.isfinite(kappa * math.pi / d) and math.isfinite(1.0 / (kappa * d)))
+        monkeypatch.setattr(Dimension, "indices", lambda self: pytest.fail("allocated"))
+        for call in (
+            lambda: finite_gaussian(d, kappa),
+            lambda: shifted_finite_gaussian(d, kappa),
+            lambda: alternating_wrapped_sum(d, kappa, 0),
+        ):
+            with pytest.raises(InvalidParameterError, match=re.escape(f"kappa = {kappa!r} is out of range at d = {d}:")):
+                call()
+
+    def test_tiny_kappa_matches_long_double_sum(self):
+        # kappa = 1e-13 at d = 301 needs ~8e5 direct terms a side; the
+        # reference sums them in long double.  Agreement to 1e-15 relative.
+        d, kappa = 301, 1e-13
+        g = finite_gaussian(d, kappa)
+        pi = np.longdouble("3.141592653589793238462643383279502884")
+        c = np.longdouble(kappa) * pi / d
+        amax = int(math.sqrt(60.0 / (math.pi * kappa * d))) + 1
+        alphas = np.arange(-amax, amax + 1, dtype=np.longdouble)
+        for n in (0, d // 2):
+            x = alphas * d + n
+            ref = float(np.sum(np.exp(-c * x * x)))
+            assert g.value(n) == pytest.approx(ref, rel=1e-15, abs=0.0)
 
 
 class TestNaiveAndPeriodize:
