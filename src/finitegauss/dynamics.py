@@ -24,6 +24,7 @@ from .errors import (
 )
 from .hilbert import MatrixKind, OperatorMatrix, StateVector
 from .spectral import Spectrum, hermitian_eig
+from .wrapped import TERM_TOL
 
 DEFAULT_WEIGHT_FLOOR = 1e-12
 
@@ -69,6 +70,30 @@ def _spectrum_for(h: OperatorMatrix, psi: StateVector, spectrum: Spectrum | None
     return spectrum if spectrum is not None else hermitian_eig(h)
 
 
+def _apply(v: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """v @ x for a complex vector x; a real v takes two real products instead of a complex copy."""
+    return v @ x.real + 1j * (v @ x.imag) if v.dtype == np.float64 else v @ x
+
+
+def _coefficients(spec: Spectrum, psi: StateVector) -> np.ndarray:
+    """V^dagger psi: the amplitudes of psi on the eigenvectors."""
+    if spec.dim != psi.dim:
+        raise DimensionMismatchError("state and spectrum live on different lattices")
+    return _apply(spec.eigenvectors.conj().T, psi.amps)
+
+
+def _evolved(spec: Spectrum, coeffs: np.ndarray, t: float) -> np.ndarray:
+    """V (exp(-1j*t*lambda) * coeffs): the amplitudes at time t."""
+    return _apply(spec.eigenvectors, np.exp(-1j * t * spec.eigenvalues) * coeffs)
+
+
+def _check_weight_floor(weight_floor: float) -> float:
+    weight_floor = float(weight_floor)
+    if not (math.isfinite(weight_floor) and weight_floor >= 0.0):
+        raise InvalidParameterError(f"weight_floor must be finite and nonnegative, got {weight_floor}")
+    return weight_floor
+
+
 def evolve(h: OperatorMatrix, psi: StateVector, t: float, spectrum: Spectrum | None = None) -> StateVector:
     """exp(-1j*t*H) psi via the eigendecomposition of H.
 
@@ -79,28 +104,30 @@ def evolve(h: OperatorMatrix, psi: StateVector, t: float, spectrum: Spectrum | N
     if not math.isfinite(t):
         raise InvalidParameterError(f"evolution time must be finite, got {t}")
     spec = _spectrum_for(h, psi, spectrum)
-    coeffs = spec.eigenvectors.conj().T @ psi.amps
-    out = spec.eigenvectors @ (np.exp(-1j * t * spec.eigenvalues) * coeffs)
-    return StateVector(psi.dim, out)
+    return StateVector(psi.dim, _evolved(spec, _coefficients(spec, psi), t))
 
 
 def autocorrelation(h: OperatorMatrix, psi: StateVector, times, spectrum: Spectrum | None = None) -> TimeSeries:
     """|<psi| exp(-1j*t*H) |psi>| sampled at the given times.
 
-    A precomputed Spectrum of h may be passed, as for evolve.
+    A precomputed Spectrum of h may be passed, as for evolve.  The lightest
+    levels, of total weight at most TERM_TOL * |psi|**2, are left out.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or not np.all(np.isfinite(times)):
         raise InvalidParameterError("times must be a 1-d vector of finite values")
     spec = _spectrum_for(h, psi, spectrum)
-    levels, weights, _ = populated_levels(spec, psi)
-    phases = np.exp(-1j * np.outer(times, levels))
-    return TimeSeries(times, np.abs(phases @ weights))
+    weights = np.abs(_coefficients(spec, psi)) ** 2
+    order = np.argsort(weights, kind="stable")
+    kept = np.sort(order[np.cumsum(weights[order]) > TERM_TOL * np.sum(weights)])
+    phases = np.exp(-1j * np.outer(times, spec.eigenvalues[kept]))
+    return TimeSeries(times, np.abs(phases @ weights[kept]))
 
 
 def populated_levels(spectrum: Spectrum, psi: StateVector, weight_floor: float = DEFAULT_WEIGHT_FLOOR):
     """Eigenvalues and squared overlaps of psi with each eigenvector."""
-    weights = np.abs(spectrum.eigenvectors.conj().T @ psi.amps) ** 2
+    weight_floor = _check_weight_floor(weight_floor)
+    weights = np.abs(_coefficients(spectrum, psi)) ** 2
     return spectrum.eigenvalues.copy(), weights, weights > weight_floor
 
 
@@ -181,9 +208,7 @@ def detect_revival(
     if not (isinstance(max_den, numbers.Real) and 1 <= max_den < math.inf and max_den % 1 == 0):
         raise InvalidParameterError(f"max_den must be an integer >= 1, got {max_den!r}")
     max_den = int(max_den)
-    weight_floor = float(weight_floor)
-    if not (math.isfinite(weight_floor) and weight_floor >= 0.0):
-        raise InvalidParameterError(f"weight_floor must be finite and nonnegative, got {weight_floor}")
+    weight_floor = _check_weight_floor(weight_floor)
 
     selected = np.flatnonzero(wts > weight_floor)
     if selected.size == 0:
@@ -267,10 +292,11 @@ def certify_period(
             f"period and one or more start times must be finite, got {period}, {start_times}"
         )
     spec = _spectrum_for(h, psi, spectrum)
+    coeffs = _coefficients(spec, psi)
     worst = 0.0
     for t0 in start_times:
-        before = evolve(h, psi, t0, spec).amps
-        after = evolve(h, psi, t0 + period, spec).amps
+        before = _evolved(spec, coeffs, t0)
+        after = _evolved(spec, coeffs, t0 + period)
         anchor = int(np.argmax(np.abs(before)))
         if before[anchor] == 0.0:
             raise DegenerateVectorError("the zero state has no phase to fit a period against")

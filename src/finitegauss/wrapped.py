@@ -198,8 +198,11 @@ def naive_gaussian(dim, kappa: float) -> np.ndarray:
     """
     dim = as_dimension(dim)
     kappa = _check_kappa(kappa)
+    c = kappa * math.pi / dim.d
+    if not math.isfinite(c):
+        raise InvalidParameterError(f"kappa = {kappa} is out of range at d = {dim.d}: kappa*pi/d is not finite")
     ns = dim.indices().astype(float)
-    return np.exp(-kappa * math.pi / dim.d * ns * ns)
+    return np.exp(-c * ns * ns)
 
 
 def periodize(sample: Callable[[float], float], dim) -> np.ndarray:

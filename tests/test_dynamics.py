@@ -11,9 +11,13 @@ from finitegauss import (
     CapacityExceededError,
     DegenerateVectorError,
     Dimension,
+    DimensionMismatchError,
     InvalidParameterError,
+    MatrixKind,
     NoLevelsError,
+    OperatorMatrix,
     PhasePoint,
+    Spectrum,
     StateVector,
     autocorrelation,
     certify_period,
@@ -27,12 +31,40 @@ from finitegauss import (
     oscillator_hamiltonian,
     populated_levels,
 )
+from finitegauss import dynamics
+from finitegauss.wrapped import TERM_TOL
 
 
 def random_state(dim: Dimension, seed: int) -> StateVector:
     rng = np.random.default_rng(seed)
     amps = rng.normal(size=dim.d) + 1j * rng.normal(size=dim.d)
     return StateVector(dim, amps).normalized()
+
+
+def dense_coefficients(spec: Spectrum, psi: StateVector) -> np.ndarray:
+    """V^dagger psi through a complex copy of V: the reference for the real products."""
+    return spec.eigenvectors.astype(complex).conj().T @ psi.amps
+
+
+def dense_evolve(spec: Spectrum, psi: StateVector, t: float) -> np.ndarray:
+    v = spec.eigenvectors.astype(complex)
+    return v @ (np.exp(-1j * t * spec.eigenvalues) * dense_coefficients(spec, psi))
+
+
+def dense_autocorrelation(spec: Spectrum, psi: StateVector, times) -> np.ndarray:
+    """|<psi| exp(-1j*t*H) |psi>| summed over every level, none left out."""
+    weights = np.abs(dense_coefficients(spec, psi)) ** 2
+    return np.abs(np.exp(-1j * np.outer(times, spec.eigenvalues)) @ weights)
+
+
+def dense_certify(spec: Spectrum, psi: StateVector, period: float, start_times) -> float:
+    worst = 0.0
+    for t0 in start_times:
+        before, after = dense_evolve(spec, psi, t0), dense_evolve(spec, psi, t0 + period)
+        anchor = int(np.argmax(np.abs(before)))
+        phase = after[anchor] / before[anchor]
+        worst = max(worst, float(np.max(np.abs(after - phase / abs(phase) * before))))
+    return worst
 
 
 def convergents(x: float, count: int):
@@ -303,8 +335,12 @@ class TestDetectRevival:
 
     @pytest.mark.parametrize("weight_floor", [math.nan, math.inf, -1e-12])
     def test_rejects_bad_weight_floor(self, weight_floor):
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidParameterError, match="weight_floor"):
             detect_revival([1.0, 2.0], [0.5, 0.5], weight_floor=weight_floor)
+        # populated_levels used to return an all-False mask for a nan floor.
+        dim = Dimension(9)
+        with pytest.raises(InvalidParameterError, match="weight_floor"):
+            populated_levels(free_spectrum(free_hamiltonian(dim)), random_state(dim, 1), weight_floor)
 
     def test_zero_weight_floor_keeps_every_positive_weight(self):
         rep = detect_revival([1.0, 2.0, 3.0], [0.5, 0.5, 0.0], weight_floor=0.0)
@@ -416,3 +452,137 @@ class TestCertifyPeriod:
         monkeypatch.setattr(np.linalg, "eigh", no_solve)
         with pytest.raises(InvalidParameterError, match="start times"):
             certify_period(h, random_state(dim, 5), 1.2345, start_times=start_times)
+
+
+@st.composite
+def evolution_cases(draw):
+    """(hamiltonian, spectrum, normalized state) at d in [3, 1001]: the free or
+    oscillator generator, a random state or a coherent state with
+    |alpha|, |beta| <= s/4."""
+    s = draw(st.integers(min_value=1, max_value=500))
+    dim = Dimension(2 * s + 1)
+    if draw(st.booleans()):
+        h = free_hamiltonian(dim)
+        spec = free_spectrum(h)
+    else:
+        h = oscillator_hamiltonian(dim)
+        spec = hermitian_eig(h)
+    if draw(st.booleans()):
+        psi = random_state(dim, draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    else:
+        coord = st.integers(min_value=-(s // 4), max_value=s // 4)
+        psi = coherent_state(dim, PhasePoint(draw(coord), draw(coord)))
+    return h, spec, psi
+
+
+class TestRealProjection:
+    """The real-product projection and the truncated autocorrelation against
+    the dense complex all-level route they replace."""
+
+    @given(evolution_cases(), st.floats(min_value=0.0, max_value=50.0))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_the_dense_complex_route(self, case, t):
+        # Both routes differ only in rounding: the real products split each
+        # complex product into two, and autocorrelation leaves out at most
+        # TERM_TOL of the weight.  1e-14 (of |psi|**2 = 1) is about 45 ulps.
+        h, spec, psi = case
+        assert spec.eigenvectors.dtype == np.float64
+        times = np.linspace(0.0, t, 40)
+        got = autocorrelation(h, psi, times, spectrum=spec).values
+        assert np.max(np.abs(got - dense_autocorrelation(spec, psi, times))) <= 1e-14
+        assert np.max(np.abs(evolve(h, psi, t, spec).amps - dense_evolve(spec, psi, t))) <= 1e-14
+        _, weights, mask = populated_levels(spec, psi)
+        assert np.max(np.abs(weights - np.abs(dense_coefficients(spec, psi)) ** 2)) <= 1e-14
+        assert np.array_equal(mask, weights > 1e-12)
+        got = certify_period(h, psi, t, start_times=(0.0, 0.7, 3.1), spectrum=spec)
+        assert got == pytest.approx(dense_certify(spec, psi, t, (0.0, 0.7, 3.1)), abs=1e-14)
+
+    @given(
+        st.integers(min_value=1, max_value=60),
+        st.floats(min_value=0.05, max_value=5.0),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_autocorrelation_drops_at_most_term_tol_of_the_weight(self, s, rate, seed):
+        # Distinct integer levels identify each summed level; the weights
+        # fall off as exp(-2*rate*k) in a random level order, so tens of
+        # levels lie below TERM_TOL each.  The dropped weight is compared
+        # with TERM_TOL * sum(w) to 1e-12 relative, the rounding of two sums
+        # in different orders.  The next lighter level would break the bound,
+        # so the rule is cumulative and drops as much as it may.
+        dim = Dimension(2 * s + 1)
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.normal(size=(dim.d, dim.d)))
+        levels = np.arange(dim.d, dtype=float)
+        h = (q * levels) @ q.T
+        spec = Spectrum(dim, levels, q, 0.0)
+        amps = q @ (np.exp(-rate * rng.permutation(dim.d)) * np.exp(2j * math.pi * rng.random(dim.d)))
+        psi = StateVector(dim, amps)
+        summed = []
+        outer = np.outer
+
+        def spy(a, b):
+            summed.append(np.array(b))
+            return outer(a, b)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np, "outer", spy)
+            autocorrelation(OperatorMatrix(dim, 0.5 * (h + h.T), MatrixKind.HERMITIAN), psi, [0.0, 1.0], spec)
+        (kept_levels,) = summed
+        assert np.all(np.diff(kept_levels) > 0)
+        kept = kept_levels.astype(int)
+        _, weights, _ = populated_levels(spec, psi)
+        bound = TERM_TOL * float(np.sum(weights))
+        dropped = float(np.sum(np.delete(weights, kept)))
+        assert dropped <= bound * (1.0 + 1e-12)
+        assert kept.size == 0 or dropped + float(np.min(weights[kept])) > bound * (1.0 - 1e-12)
+
+    def test_complex_eigenvectors_take_the_complex_product(self):
+        # A complex spectrum is projected with one complex product, exactly
+        # as the dense route does, so the results agree byte for byte.
+        dim = Dimension(9)
+        rng = np.random.default_rng(7)
+        a = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
+        h = OperatorMatrix(dim, a + a.conj().T, MatrixKind.HERMITIAN)
+        spec = hermitian_eig(h)
+        assert spec.eigenvectors.dtype == np.complex128
+        psi = random_state(dim, 8)
+        assert evolve(h, psi, 1.3, spec).amps.tobytes() == dense_evolve(spec, psi, 1.3).tobytes()
+        _, weights, _ = populated_levels(spec, psi)
+        assert weights.tobytes() == (np.abs(dense_coefficients(spec, psi)) ** 2).tobytes()
+        assert certify_period(h, psi, 2.0, spectrum=spec) == dense_certify(spec, psi, 2.0, (0.0, 0.7))
+        times = np.linspace(0.0, 5.0, 11)
+        got = autocorrelation(h, psi, times, spectrum=spec).values
+        assert np.max(np.abs(got - dense_autocorrelation(spec, psi, times))) <= 1e-14
+
+    def test_certify_period_projects_once(self, monkeypatch):
+        # The coefficients V^dagger psi are computed once and reused for
+        # every start time, instead of twice per start time.
+        calls = []
+        project = dynamics._coefficients
+
+        def counted(spec, psi):
+            calls.append(psi)
+            return project(spec, psi)
+
+        monkeypatch.setattr(dynamics, "_coefficients", counted)
+        dim = Dimension(9)
+        h = free_hamiltonian(dim)
+        certify_period(h, random_state(dim, 5), 18.0, start_times=(0.0, 0.7, 2.0), spectrum=free_spectrum(h))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("other", [7, 11])
+    def test_spectrum_of_another_lattice_is_refused(self, other):
+        # It used to surface as numpy's "matmul: ... mismatch" ValueError.
+        dim = Dimension(9)
+        h = oscillator_hamiltonian(dim)
+        psi = random_state(dim, 3)
+        spec = hermitian_eig(oscillator_hamiltonian(Dimension(other)))
+        for call in (
+            lambda: populated_levels(spec, psi),
+            lambda: evolve(h, psi, 1.0, spec),
+            lambda: certify_period(h, psi, 1.0, spectrum=spec),
+            lambda: autocorrelation(h, psi, [0.0, 1.0], spectrum=spec),
+        ):
+            with pytest.raises(DimensionMismatchError):
+                call()

@@ -390,6 +390,14 @@ class TestNaiveAndPeriodize:
         nv = naive_gaussian(Dimension(7), 1.0)
         assert np.all(nv <= g.values)
 
+    @pytest.mark.parametrize("d", [3, 1001])
+    def test_naive_refuses_out_of_range_kappa_and_keeps_tiny_kappa(self, d):
+        # kappa*pi/d overflowed to inf, and -inf * 0 gave nan at n = 0.
+        with pytest.raises(InvalidParameterError, match=re.escape(f"kappa = {1.7e308!r} is out of range at d = {d}:")):
+            naive_gaussian(d, 1.7e308)
+        # At the small end kappa*pi/d underflows to 0 or a subnormal, which is finite.
+        assert np.array_equal(naive_gaussian(d, 5e-324), np.ones(d))
+
     def test_periodize_recovers_wrapped_gaussian(self):
         # The continuous Gaussian in physical units wraps to the lattice one.
         d, kappa = 9, 1.0
