@@ -1,8 +1,8 @@
 """Revival structure of free and oscillator evolution on one lattice.
 
 Runs detection end to end for a few initial states, prints the report
-line plus the certification residual and whether it meets the CLI's
-default tolerance of 1e-8, and samples the autocorrelation over
+line plus the certification residual and whether it meets CERT_TOL,
+the limit the CLI certifies against, and samples the autocorrelation over
 one detected period so the recurrence is visible as numbers.
 
 Usage: python scripts/revival_demo.py [d]
@@ -26,9 +26,7 @@ from finitegauss import (
     oscillator_hamiltonian,
     populated_levels,
 )
-
-
-CERT_TOL = 1e-8  # the CLI's default --cert-tol
+from finitegauss.dynamics import CERT_TOL
 
 
 def delta_state(dim: Dimension, n: int) -> StateVector:

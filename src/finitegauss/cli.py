@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .dynamics import certify_period, detect_revival, populated_levels
+from .dynamics import CERT_TOL, certify_period, detect_revival, populated_levels
 from .errors import FiniteGaussError, InvalidDimensionError, InvalidParameterError
 from .hilbert import PhasePoint, StateVector, coherent_state
 from .lattice import Dimension
@@ -118,7 +117,7 @@ _HAMILTONIANS = {
 def cmd_spectrum(args):
     """Eigenvalues descending with the gap down to the next level."""
     build, solve = _HAMILTONIANS[args.ham]
-    spec = solve(build(Dimension(args.d)), args.eig_tol)
+    spec = solve(build(Dimension(args.d)))
     vals = spec.eigenvalues[::-1]
     header = ["k", "eigenvalue", "gap"]
     rows = []
@@ -238,21 +237,19 @@ def _revival_state(dim: Dimension, state_spec: list[str], kappa: float) -> State
 
 def cmd_revival(args):
     """Detect and certify a revival period; JSON report, exit 3 if uncertified."""
-    if not (math.isfinite(args.cert_tol) and args.cert_tol > 0.0):
-        raise InvalidParameterError(f"cert_tol must be finite and positive, got {args.cert_tol}")
     dim = Dimension(args.d)
     build, solve = _HAMILTONIANS[args.ham]
     h = build(dim)
     psi = _revival_state(dim, args.state, args.kappa)
-    spec = solve(h, args.eig_tol)
-    levels, weights, _ = populated_levels(spec, psi, args.weight_floor)
-    report = detect_revival(levels, weights, args.rel_tol, args.max_den, args.weight_floor)
+    spec = solve(h)
+    levels, weights, _ = populated_levels(spec, psi)
+    report = detect_revival(levels, weights, args.rel_tol)
 
     certified = False
     max_residual = None
     if report.period is not None:
         max_residual = float(certify_period(h, psi, report.period, spectrum=spec))
-        certified = max_residual <= args.cert_tol
+        certified = max_residual <= CERT_TOL
     payload = {
         "kind": report.kind,
         "period": None if report.period is None else float(report.period),
@@ -311,9 +308,6 @@ def cmd_make_goldens(args):
 _SHARED_FLAGS = {
     "--d": dict(type=int, required=True, help="odd lattice size >= 3"),
     "--kappa": dict(type=float, default=1.0, help="squeezing parameter (default 1)"),
-    "--eig-tol": dict(type=float, default=1e-10, help="eigenpair residual tolerance factor"),
-    "--rel-tol": dict(type=float, default=1e-9, help="revival rational-certification tolerance"),
-    "--max-den": dict(type=int, default=10**6, help="largest admissible ratio denominator"),
     "--format": dict(choices=("csv", "json"), default="csv", help="output format"),
     "--out": dict(default=None, help="output path (default stdout)"),
 }
@@ -351,7 +345,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p = _add_command(sub, "spectrum", cmd_spectrum, "Hamiltonian eigenvalues, descending, with gaps",
-                     "--d", "--eig-tol", *table)
+                     "--d", *table)
     p.add_argument("--ham", choices=tuple(_HAMILTONIANS), default="osc", help="which Hamiltonian")
 
     _add_command(sub, "quasi", cmd_quasi, "quasi-eigenvalue of the wrapped Gaussian and its defect",
@@ -369,7 +363,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     # revival always writes JSON; --kappa shapes the gauss initial state
     p = _add_command(sub, "revival", cmd_revival, "detect and certify a revival period",
-                     "--d", "--kappa", "--eig-tol", "--rel-tol", "--max-den", "--out")
+                     "--d", "--kappa", "--out")
     p.add_argument("--ham", choices=tuple(_HAMILTONIANS), default="free", help="which Hamiltonian")
     p.add_argument(
         "--state",
@@ -378,8 +372,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="SPEC",
         help="gauss | coherent ALPHA BETA | delta N",
     )
-    p.add_argument("--cert-tol", type=float, default=1e-8, help="direct-evolution certification tolerance")
-    p.add_argument("--weight-floor", type=float, default=1e-12, help="population threshold on |<v|psi>|^2")
+    p.add_argument("--rel-tol", type=float, default=1e-9, help="revival rational-certification tolerance")
 
     p = _add_command(sub, "make-goldens", cmd_make_goldens, "regenerate all golden outputs")
     p.add_argument("--out-dir", default="tests/goldens", help="directory for golden files")

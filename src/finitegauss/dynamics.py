@@ -9,7 +9,6 @@ level ratios (period 2*m*pi/eps_1) or equally spaced levels (period
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +25,10 @@ from .hilbert import MatrixKind, OperatorMatrix, StateVector
 from .spectral import Spectrum, hermitian_eig
 from .wrapped import TERM_TOL
 
-DEFAULT_WEIGHT_FLOOR = 1e-12
+WEIGHT_FLOOR = 1e-12  # a level is populated when |<v|psi>|**2 exceeds this
+MAX_DEN = 10**6  # the largest denominator a level ratio's convergent may have
+START_TIMES = (0.0, 0.7)  # certify_period checks the period from each of these
+CERT_TOL = 1e-8  # a certify_period residual at most this certifies the period
 
 
 @dataclass(frozen=True)
@@ -87,13 +89,6 @@ def _evolved(spec: Spectrum, coeffs: np.ndarray, t: float) -> np.ndarray:
     return _apply(spec.eigenvectors, np.exp(-1j * t * spec.eigenvalues) * coeffs)
 
 
-def _check_weight_floor(weight_floor: float) -> float:
-    weight_floor = float(weight_floor)
-    if not (math.isfinite(weight_floor) and weight_floor >= 0.0):
-        raise InvalidParameterError(f"weight_floor must be finite and nonnegative, got {weight_floor}")
-    return weight_floor
-
-
 def evolve(h: OperatorMatrix, psi: StateVector, t: float, spectrum: Spectrum | None = None) -> StateVector:
     """exp(-1j*t*H) psi via the eigendecomposition of H.
 
@@ -124,21 +119,21 @@ def autocorrelation(h: OperatorMatrix, psi: StateVector, times, spectrum: Spectr
     return TimeSeries(times, np.abs(phases @ weights[kept]))
 
 
-def populated_levels(spectrum: Spectrum, psi: StateVector, weight_floor: float = DEFAULT_WEIGHT_FLOOR):
-    """Eigenvalues and squared overlaps of psi with each eigenvector."""
-    weight_floor = _check_weight_floor(weight_floor)
+def populated_levels(spectrum: Spectrum, psi: StateVector):
+    """Eigenvalues, squared overlaps of psi with each eigenvector, and the
+    mask of the populated levels: those of weight above WEIGHT_FLOOR."""
     weights = np.abs(_coefficients(spectrum, psi)) ** 2
-    return spectrum.eigenvalues.copy(), weights, weights > weight_floor
+    return spectrum.eigenvalues.copy(), weights, weights > WEIGHT_FLOOR
 
 
-def _first_convergent(x: float, rel_tol: float, max_den: int):
-    """First continued-fraction convergent p/q of x with q <= max_den and
+def _first_convergent(x: float, rel_tol: float):
+    """First continued-fraction convergent p/q of x with q <= MAX_DEN and
     |x - p/q| <= rel_tol*|x|, or None."""
     p_prev, q_prev = 1, 0
     p, q = math.floor(x), 1
     rest = x - math.floor(x)
     for _ in range(128):
-        if q > max_den:
+        if q > MAX_DEN:
             return None
         if abs(x - p / q) <= rel_tol * abs(x):
             return p, q
@@ -173,23 +168,17 @@ def _zero_level_fits(base: float, gap: float, rel_tol: float) -> bool:
     return abs(ratio - round(ratio)) <= rel_tol * max(1.0, abs(ratio))
 
 
-def detect_revival(
-    levels,
-    weights,
-    rel_tol: float = 1e-9,
-    max_den: int = 10**6,
-    weight_floor: float = DEFAULT_WEIGHT_FLOOR,
-) -> RevivalReport:
+def detect_revival(levels, weights, rel_tol: float = 1e-9) -> RevivalReport:
     """Certify a revival period from populated levels, or report none.
 
-    Selection: levels with weight above weight_floor enter; degenerate
+    Selection: levels with weight above WEIGHT_FLOOR enter; degenerate
     selected levels merge within rel_tol times the level scale; a
     populated zero level is set aside as a constant-phase component and
     flagged.  A single surviving level is a stationary state.  Three or
     more equally spaced levels (gaps agreeing to rel_tol) give the
     equidistant period 2*pi/gap; otherwise every ratio to the smallest
     level must admit a continued-fraction convergent with denominator
-    <= max_den and relative error <= rel_tol, giving period
+    <= MAX_DEN and relative error <= rel_tol, giving period
     2*m*pi/eps_1 with m the LCM of the denominators.  A certified pair
     is reported with the tighter pair period 2*pi/gap unless a populated
     zero level forbids the up-to-phase reading.
@@ -205,12 +194,8 @@ def detect_revival(
     rel_tol = float(rel_tol)
     if not (math.isfinite(rel_tol) and rel_tol > 0.0):
         raise InvalidParameterError(f"rel_tol must be finite and positive, got {rel_tol}")
-    if not (isinstance(max_den, numbers.Real) and 1 <= max_den < math.inf and max_den % 1 == 0):
-        raise InvalidParameterError(f"max_den must be an integer >= 1, got {max_den!r}")
-    max_den = int(max_den)
-    weight_floor = _check_weight_floor(weight_floor)
 
-    selected = np.flatnonzero(wts > weight_floor)
+    selected = np.flatnonzero(wts > WEIGHT_FLOOR)
     if selected.size == 0:
         raise NoLevelsError("no level carries weight above the floor")
     subset = tuple(int(i) for i in selected)
@@ -251,7 +236,7 @@ def detect_revival(
     denominators = [1]
     for e in nonzero:
         x = float(e) / base
-        hit = _first_convergent(x, rel_tol, max_den)
+        hit = _first_convergent(x, rel_tol)
         if hit is None:
             return RevivalReport("none", None, None, subset, rel_tol, zero_level)
         denominators.append(hit[1])
@@ -272,29 +257,23 @@ def detect_revival(
 
 
 def certify_period(
-    h: OperatorMatrix,
-    psi: StateVector,
-    period: float,
-    start_times=(0.0, 0.7),
-    spectrum: Spectrum | None = None,
+    h: OperatorMatrix, psi: StateVector, period: float, spectrum: Spectrum | None = None
 ) -> float:
     """Worst-case entrywise defect of the claimed period under direct evolution.
 
-    For each of one or more start times t0, evolves to t0 and t0 + period,
+    For each start time t0 in START_TIMES, evolves to t0 and t0 + period,
     fits the global phase from the largest component at t0, and measures
     max_n |psi(n, t0+period) - e^{1j*phi} psi(n, t0)|.  Returns the
-    maximum over start times.  The zero state raises DegenerateVectorError.
+    maximum over start times; a period is certified when that is at most
+    CERT_TOL.  The zero state raises DegenerateVectorError.
     """
     period = float(period)
-    start_times = [float(t0) for t0 in start_times]
-    if not (start_times and all(map(math.isfinite, [period, *start_times]))):
-        raise InvalidParameterError(
-            f"period and one or more start times must be finite, got {period}, {start_times}"
-        )
+    if not math.isfinite(period):
+        raise InvalidParameterError(f"period must be finite, got {period}")
     spec = _spectrum_for(h, psi, spectrum)
     coeffs = _coefficients(spec, psi)
     worst = 0.0
-    for t0 in start_times:
+    for t0 in START_TIMES:
         before = _evolved(spec, coeffs, t0)
         after = _evolved(spec, coeffs, t0 + period)
         anchor = int(np.argmax(np.abs(before)))

@@ -227,17 +227,18 @@ def _free_eigenpairs(m: OperatorMatrix):
     return np.concatenate((levels, levels[1:])), vecs
 
 
-def free_spectrum(h: OperatorMatrix, residual_tol: float = EIG_RESIDUAL_TOL) -> Spectrum:
+def free_spectrum(h: OperatorMatrix) -> Spectrum:
     """Closed-form eigensystem of the free Hamiltonian h, with no eigensolve.
 
     Level pi*k**2/d carries 1/sqrt(d) for k = 0 and the pair
     sqrt(2/d)*cos(2*pi*k*n/d), sqrt(2/d)*sin(2*pi*k*n/d) for k = 1..s,
     with k*n reduced mod d before scaling.  The kind check, the gauge,
     the tie order and the residual check against h are those of
-    hermitian_eig, so a matrix that is not the free Hamiltonian fails
-    the residual check with NumericalFailureError.
+    hermitian_eig at its default EIG_RESIDUAL_TOL, so a matrix that is
+    not the free Hamiltonian fails the residual check with
+    NumericalFailureError.
     """
-    return _checked_spectrum(h, residual_tol, _free_eigenpairs)
+    return _checked_spectrum(h, EIG_RESIDUAL_TOL, _free_eigenpairs)
 
 
 def oscillator_hamiltonian(dim) -> OperatorMatrix:

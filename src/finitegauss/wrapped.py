@@ -101,6 +101,19 @@ def _halfwidth(c: float, step: float, shift: float, half: float, what: str) -> i
         partial += 2.0 * math.exp(-c * center ** 2)
 
 
+def _gauss_terms(c: float, x: np.ndarray, reach: float) -> np.ndarray:
+    """exp(-c*x*x) for |x| <= reach, evaluated without overflow.
+
+    When c*reach*reach overflows, x is first clipped to +-sqrt(746/c):
+    exp(-746) is 0.0 in double precision, so a clipped term is 0.0 either
+    way, and every term inside the clip keeps its bits.
+    """
+    if not math.isfinite(c * reach * reach):
+        bound = math.sqrt(746.0 / c)
+        x = np.clip(x, -bound, bound)
+    return np.exp(-c * x * x)
+
+
 def _wrapped_sum(kind: ThetaKind, dim: Dimension, kappa: float, n=None) -> np.ndarray:
     """The wrapped sum whose Poisson dual is theta `kind`, at n (default: the lattice).
 
@@ -126,12 +139,11 @@ def _wrapped_sum(kind: ThetaKind, dim: Dimension, kappa: float, n=None) -> np.nd
     # shifted pairs (a, -a-1) give offsets +-(a+1/2)d down to a = 0; the
     # unshifted center term a = 0 is added once, last
     for a in range(halfwidth, -1 if half else 0, -1):
-        x = (a + half) * d + ns
-        y = -(a + half) * d + ns
-        pair = np.exp(-c * x * x) + np.exp(-c * y * y)
+        offset = (a + half) * d
+        pair = _gauss_terms(c, offset + ns, offset + shift) + _gauss_terms(c, -offset + ns, offset + shift)
         acc += -pair if kind is ThetaKind.THETA2 and a % 2 else pair
     if not half:
-        acc += np.exp(-c * ns * ns)
+        acc += _gauss_terms(c, ns, shift)
     return acc
 
 
@@ -201,8 +213,7 @@ def naive_gaussian(dim, kappa: float) -> np.ndarray:
     c = kappa * math.pi / dim.d
     if not math.isfinite(c):
         raise InvalidParameterError(f"kappa = {kappa} is out of range at d = {dim.d}: kappa*pi/d is not finite")
-    ns = dim.indices().astype(float)
-    return np.exp(-c * ns * ns)
+    return _gauss_terms(c, dim.indices().astype(float), dim.s)
 
 
 def periodize(sample: Callable[[float], float], dim) -> np.ndarray:

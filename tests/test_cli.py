@@ -133,17 +133,7 @@ class TestExitCodes:
         assert main(["quasi", "--d", "5"]) == 0
         capsys.readouterr()
 
-    @pytest.mark.parametrize(
-        "flags",
-        [
-            ["--cert-tol", "nan"],
-            ["--cert-tol", "-1"],
-            ["--weight-floor", "nan"],
-            ["--rel-tol", "nan"],
-            ["--eig-tol", "nan"],
-            ["--max-den", "0"],
-        ],
-    )
+    @pytest.mark.parametrize("flags", [["--rel-tol", "nan"]])
     def test_bad_revival_tolerance_rejected(self, flags, capsys):
         argv = ["revival", "--d", "9", "--ham", "free", "--state", "delta", "0"]
         assert main(argv + flags) == 2
@@ -152,7 +142,6 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["spectrum", "--d", "5", "--eig-tol", "-1"],
             ["uncertainty", "--d-list", "3,5", "--kappa", "inf"],
             ["wigner", "--d", "5", "--kappa", "nan"],
         ],
@@ -349,13 +338,10 @@ COMMAND_FLAGS = {
     "gauss": {"--d", "--kappa", "--format", "--out"},
     "commutator": {"--d", "--format", "--out"},
     "uncertainty": {"--d-list", "--kappa", "--format", "--out"},
-    "spectrum": {"--d", "--ham", "--eig-tol", "--format", "--out"},
+    "spectrum": {"--d", "--ham", "--format", "--out"},
     "quasi": {"--d", "--format", "--out"},
     "wigner": {"--d", "--kappa", "--source", "--check", "--format", "--out"},
-    "revival": {
-        "--d", "--ham", "--state", "--kappa", "--eig-tol", "--rel-tol",
-        "--max-den", "--cert-tol", "--weight-floor", "--out",
-    },
+    "revival": {"--d", "--ham", "--state", "--kappa", "--rel-tol", "--out"},
     "make-goldens": {"--out-dir"},
 }
 
@@ -369,7 +355,7 @@ class TestFlags:
             for name, p in sub.choices.items()
         }
         assert got == COMMAND_FLAGS
-        assert sum(len(flags) for flags in got.values()) == 36
+        assert sum(len(flags) for flags in got.values()) == 31
 
     @pytest.mark.parametrize(
         "argv",
@@ -384,6 +370,13 @@ class TestFlags:
             ["quasi", "--d", "5", "--term-tol", "1e-18"],
             ["wigner", "--d", "5", "--term-tol", "1e-18"],
             ["revival", "--d", "9", "--state", "gauss", "--term-tol", "1e-18"],
+            # the eigen residual, population, denominator and certification
+            # limits are constants: EIG_RESIDUAL_TOL, WEIGHT_FLOOR, MAX_DEN, CERT_TOL
+            ["spectrum", "--d", "5", "--eig-tol", "1e-10"],
+            ["revival", "--d", "9", "--state", "delta", "0", "--eig-tol", "1e-10"],
+            ["revival", "--d", "9", "--state", "delta", "0", "--max-den", "1000000"],
+            ["revival", "--d", "9", "--state", "delta", "0", "--cert-tol", "1e-8"],
+            ["revival", "--d", "9", "--state", "delta", "0", "--weight-floor", "1e-12"],
         ],
     )
     def test_unread_flag_is_usage_error(self, argv, capsys):

@@ -57,9 +57,9 @@ def dense_autocorrelation(spec: Spectrum, psi: StateVector, times) -> np.ndarray
     return np.abs(np.exp(-1j * np.outer(times, spec.eigenvalues)) @ weights)
 
 
-def dense_certify(spec: Spectrum, psi: StateVector, period: float, start_times) -> float:
+def dense_certify(spec: Spectrum, psi: StateVector, period: float) -> float:
     worst = 0.0
-    for t0 in start_times:
+    for t0 in dynamics.START_TIMES:
         before, after = dense_evolve(spec, psi, t0), dense_evolve(spec, psi, t0 + period)
         anchor = int(np.argmax(np.abs(before)))
         phase = after[anchor] / before[anchor]
@@ -268,11 +268,24 @@ class TestDetectRevival:
         assert rep.period == pytest.approx(2 * math.pi, rel=1e-12)
 
     def test_irrational_ratio_reported_none(self):
+        # The first convergent of the golden ratio within 1e-13 has a
+        # denominator above MAX_DEN.
         phi = (1 + math.sqrt(5)) / 2
-        rep = detect_revival([1.0, phi], [0.5, 0.5], max_den=10)
+        rep = detect_revival([1.0, phi], [0.5, 0.5], rel_tol=1e-13)
         assert rep.kind == "none"
         assert rep.period is None
         assert rep.m is None
+
+    @pytest.mark.parametrize("d", [9, 1001, 10001])
+    def test_exact_free_levels_are_commensurate_at_large_d(self, d):
+        # The free levels pi*n**2/d with equal weights: every level is a
+        # whole multiple n**2 of the smallest nonzero one, so m = 1 and the
+        # period is 2d, however large the ratio s**2 grows.
+        n = Dimension(d).indices()
+        rep = detect_revival(np.pi * (n * n) / d, np.full(d, 1.0 / d))
+        assert rep.kind == "commensurate"
+        assert rep.m == 1
+        assert rep.period == pytest.approx(2 * d, rel=1e-12)
 
     def test_irrational_ratio_certified_at_loose_tolerance(self):
         # A generous tolerance admits a rational stand-in; the report
@@ -316,36 +329,6 @@ class TestDetectRevival:
         with pytest.raises(InvalidParameterError):
             detect_revival([1.0, 2.0], [0.5, 0.5], rel_tol=rel_tol)
 
-    @pytest.mark.parametrize(
-        "max_den", [math.nan, math.inf, -math.inf, np.float64(np.inf), 2.5, 0, -3, 0.0, "3", None]
-    )
-    def test_rejects_bad_max_den(self, max_den):
-        # nan and inf used to escape as ValueError/OverflowError, and 2.5 was truncated to 2.
-        with pytest.raises(InvalidParameterError, match="max_den"):
-            detect_revival([1.0, 2.0], [0.5, 0.5], max_den=max_den)
-
-    @pytest.mark.parametrize("max_den", [10.0, np.int64(10), np.float64(10.0), 10**30])
-    def test_accepts_integral_max_den(self, max_den):
-        want = detect_revival([1.0, 1.5], [0.5, 0.5], max_den=10)
-        assert detect_revival([1.0, 1.5], [0.5, 0.5], max_den=max_den) == want
-
-    def test_max_den_one_admits_only_integer_ratios(self):
-        assert detect_revival([1.0, 1.5], [0.5, 0.5], max_den=1).kind == "none"
-        assert detect_revival([1.0, 3.0], [0.5, 0.5], max_den=1.0).period == pytest.approx(math.pi)
-
-    @pytest.mark.parametrize("weight_floor", [math.nan, math.inf, -1e-12])
-    def test_rejects_bad_weight_floor(self, weight_floor):
-        with pytest.raises(InvalidParameterError, match="weight_floor"):
-            detect_revival([1.0, 2.0], [0.5, 0.5], weight_floor=weight_floor)
-        # populated_levels used to return an all-False mask for a nan floor.
-        dim = Dimension(9)
-        with pytest.raises(InvalidParameterError, match="weight_floor"):
-            populated_levels(free_spectrum(free_hamiltonian(dim)), random_state(dim, 1), weight_floor)
-
-    def test_zero_weight_floor_keeps_every_positive_weight(self):
-        rep = detect_revival([1.0, 2.0, 3.0], [0.5, 0.5, 0.0], weight_floor=0.0)
-        assert rep.level_subset == (0, 1)
-
     @given(
         st.integers(min_value=1, max_value=9),
         st.integers(min_value=1, max_value=40),
@@ -370,14 +353,14 @@ class TestFirstConvergent:
         # The accepted denominator must be the first in the convergent
         # sequence meeting the tolerance.
         x = math.sqrt(2)
-        rel_tol, max_den = 1e-9, 10**6
+        rel_tol = 1e-9
         # Three unequally spaced levels force the rational-ratio route;
         # the 1 and 2 contribute denominator 1, so m is the denominator
         # accepted for sqrt(2).
-        rep = detect_revival([1.0, x, 2.0], [0.4, 0.3, 0.3], rel_tol=rel_tol, max_den=max_den)
+        rep = detect_revival([1.0, x, 2.0], [0.4, 0.3, 0.3], rel_tol=rel_tol)
         assert rep.kind == "commensurate"
         seq = convergents(x, 40)
-        first = next(f for f in seq if abs(x - f) <= rel_tol * x and f.denominator <= max_den)
+        first = next(f for f in seq if abs(x - f) <= rel_tol * x and f.denominator <= dynamics.MAX_DEN)
         assert rep.m == first.denominator
         for f in seq:
             if f == first:
@@ -409,7 +392,7 @@ class TestCertifyPeriod:
         rep = detect_revival(levels, weights, rel_tol=1e-6)
         assert rep.kind == "equidistant"
         assert rep.period == pytest.approx(2 * math.pi, rel=1e-7)
-        assert certify_period(h, psi, rep.period, spectrum=spec) <= 1e-8
+        assert certify_period(h, psi, rep.period, spectrum=spec) <= dynamics.CERT_TOL
 
     def test_gaussian_is_stationary_at_large_d(self):
         dim = Dimension(31)
@@ -430,28 +413,12 @@ class TestCertifyPeriod:
         with pytest.raises(DegenerateVectorError):
             certify_period(free_hamiltonian(dim), psi, 17.0)
 
-    @pytest.mark.parametrize(
-        "period, start_times",
-        [(math.nan, (0.0, 0.7)), (math.inf, (0.0, 0.7)), (18.0, (0.0, math.nan)), (18.0, (-math.inf,))],
-    )
-    def test_non_finite_times_are_refused(self, period, start_times):
+    @pytest.mark.parametrize("period", [math.nan, math.inf])
+    def test_non_finite_period_is_refused(self, period):
         dim = Dimension(9)
         h = free_hamiltonian(dim)
         with pytest.raises(InvalidParameterError, match="period"):
-            certify_period(h, random_state(dim, 5), period, start_times=start_times)
-
-    @pytest.mark.parametrize("start_times", [(), [], np.array([])])
-    def test_empty_start_times_are_refused_before_any_solve(self, start_times, monkeypatch):
-        # With no start time the worst defect was 0.0, which certified any period.
-        dim = Dimension(9)
-        h = free_hamiltonian(dim)
-
-        def no_solve(*_):
-            raise AssertionError("eigh called")
-
-        monkeypatch.setattr(np.linalg, "eigh", no_solve)
-        with pytest.raises(InvalidParameterError, match="start times"):
-            certify_period(h, random_state(dim, 5), 1.2345, start_times=start_times)
+            certify_period(h, random_state(dim, 5), period)
 
 
 @st.composite
@@ -493,9 +460,9 @@ class TestRealProjection:
         assert np.max(np.abs(evolve(h, psi, t, spec).amps - dense_evolve(spec, psi, t))) <= 1e-14
         _, weights, mask = populated_levels(spec, psi)
         assert np.max(np.abs(weights - np.abs(dense_coefficients(spec, psi)) ** 2)) <= 1e-14
-        assert np.array_equal(mask, weights > 1e-12)
-        got = certify_period(h, psi, t, start_times=(0.0, 0.7, 3.1), spectrum=spec)
-        assert got == pytest.approx(dense_certify(spec, psi, t, (0.0, 0.7, 3.1)), abs=1e-14)
+        assert np.array_equal(mask, weights > dynamics.WEIGHT_FLOOR)
+        got = certify_period(h, psi, t, spectrum=spec)
+        assert got == pytest.approx(dense_certify(spec, psi, t), abs=1e-14)
 
     @given(
         st.integers(min_value=1, max_value=60),
@@ -550,14 +517,14 @@ class TestRealProjection:
         assert evolve(h, psi, 1.3, spec).amps.tobytes() == dense_evolve(spec, psi, 1.3).tobytes()
         _, weights, _ = populated_levels(spec, psi)
         assert weights.tobytes() == (np.abs(dense_coefficients(spec, psi)) ** 2).tobytes()
-        assert certify_period(h, psi, 2.0, spectrum=spec) == dense_certify(spec, psi, 2.0, (0.0, 0.7))
+        assert certify_period(h, psi, 2.0, spectrum=spec) == dense_certify(spec, psi, 2.0)
         times = np.linspace(0.0, 5.0, 11)
         got = autocorrelation(h, psi, times, spectrum=spec).values
         assert np.max(np.abs(got - dense_autocorrelation(spec, psi, times))) <= 1e-14
 
     def test_certify_period_projects_once(self, monkeypatch):
         # The coefficients V^dagger psi are computed once and reused for
-        # every start time, instead of twice per start time.
+        # every start time in START_TIMES, instead of twice per start time.
         calls = []
         project = dynamics._coefficients
 
@@ -568,7 +535,7 @@ class TestRealProjection:
         monkeypatch.setattr(dynamics, "_coefficients", counted)
         dim = Dimension(9)
         h = free_hamiltonian(dim)
-        certify_period(h, random_state(dim, 5), 18.0, start_times=(0.0, 0.7, 2.0), spectrum=free_spectrum(h))
+        certify_period(h, random_state(dim, 5), 18.0, spectrum=free_spectrum(h))
         assert len(calls) == 1
 
     @pytest.mark.parametrize("other", [7, 11])

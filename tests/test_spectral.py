@@ -436,19 +436,6 @@ class TestFreeSpectrum:
         spec = free_spectrum(h)
         assert spec.residual <= 1e-10 * np.max(np.abs(h.entries))
 
-    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
-    def test_rejects_bad_residual_tol_before_any_work(self, tol, monkeypatch):
-        import finitegauss.spectral as spectral
-
-        def no_work(*_):
-            raise AssertionError("work started")
-
-        h = free_hamiltonian(Dimension(5))
-        monkeypatch.setattr(spectral, "free_hamiltonian", no_work)
-        monkeypatch.setattr(spectral, "_root_table", no_work)
-        with pytest.raises(InvalidParameterError):
-            free_spectrum(h, tol)
-
     def test_other_hamiltonian_fails_the_residual_check(self):
         # The closed-form modes are not eigenvectors of the oscillator.
         h = oscillator_hamiltonian(Dimension(9))

@@ -3,6 +3,7 @@ import dataclasses
 import inspect
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -326,25 +327,30 @@ class TestCrossRoute:
     @pytest.mark.parametrize("d", [1, 3, 31, 1001])
     def test_every_decade_of_kappa(self, d):
         # Dimension refuses d = 1 before kappa is looked at.  For d >= 3 every
-        # decade returns finite, non-negative values, positive wherever the
-        # largest single term is a positive double (at large kappa it
-        # underflows, and so does the sum).
+        # decade up to 1e307, and float max / pi, the largest kappa whose
+        # kappa*pi is finite, returns finite, non-negative values, positive
+        # wherever the largest single term is a positive double (at large
+        # kappa it underflows, and so does the sum).  Warnings are errors, so
+        # no term may overflow.
         if d == 1:
             with pytest.raises(InvalidDimensionError):
                 finite_gaussian(d, 1.0)
             return
         dim = Dimension(d)
         ns = dim.indices().astype(float)
-        for e in range(-300, 301):
-            kappa = 10.0**e
+        for kappa in [10.0**e for e in range(-300, 308)] + [sys.float_info.max / math.pi]:
             c = kappa * math.pi / d
             for values, dist in (
                 (finite_gaussian(dim, kappa).values, np.abs(ns)),
                 (shifted_finite_gaussian(dim, kappa).values, d / 2 - np.abs(ns)),
+                (naive_gaussian(dim, kappa), np.abs(ns)),
             ):
                 assert np.all(np.isfinite(values)) and np.all(values >= 0), kappa
-                lead = np.exp(-c * dist * dist)
+                # beyond sqrt(746/c) the term is 0.0, and c*dist*dist may overflow
+                near = np.minimum(dist, math.sqrt(746.0 / c))
+                lead = np.exp(-c * near * near)
                 assert np.all(values[lead > 0] > 0), kappa
+            assert np.all(np.isfinite(alternating_wrapped_sum(dim, kappa, dim.indices()))), kappa
 
     @pytest.mark.parametrize(
         "d, kappa",
