@@ -133,7 +133,9 @@ class TestExitCodes:
         assert main(["quasi", "--d", "5"]) == 0
         capsys.readouterr()
 
-    @pytest.mark.parametrize("flags", [["--rel-tol", "nan"]])
+    @pytest.mark.parametrize(
+        "flags", [pytest.param(["--rel-tol", "nan"], id="flags3")]
+    )
     def test_bad_revival_tolerance_rejected(self, flags, capsys):
         argv = ["revival", "--d", "9", "--ham", "free", "--state", "delta", "0"]
         assert main(argv + flags) == 2
@@ -142,8 +144,10 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["uncertainty", "--d-list", "3,5", "--kappa", "inf"],
-            ["wigner", "--d", "5", "--kappa", "nan"],
+            pytest.param(
+                ["uncertainty", "--d-list", "3,5", "--kappa", "inf"], id="argv1"
+            ),
+            pytest.param(["wigner", "--d", "5", "--kappa", "nan"], id="argv2"),
         ],
     )
     def test_bad_library_parameter_rejected(self, argv, capsys):
