@@ -36,17 +36,13 @@ class RevivalReport:
     """Outcome of revival detection on a populated level set.
 
     kind is "commensurate", "equidistant", or "none"; period and m are
-    None when absent.  level_subset holds the indices (into the input
-    vectors) of the levels that entered the analysis.  zero_level
-    records that a populated level at zero energy was set aside and
-    handled as a constant-phase component.
+    None when absent.  zero_level records that a populated level at
+    zero energy was set aside and handled as a constant-phase component.
     """
 
     kind: str
     period: float | None
     m: int | None
-    level_subset: tuple[int, ...]
-    tol_used: float
     zero_level: bool = False
     note: str | None = None
 
@@ -198,7 +194,6 @@ def detect_revival(levels, weights, rel_tol: float = 1e-9) -> RevivalReport:
     selected = np.flatnonzero(wts > WEIGHT_FLOOR)
     if selected.size == 0:
         raise NoLevelsError("no level carries weight above the floor")
-    subset = tuple(int(i) for i in selected)
 
     eps = levels[selected]
     scale = float(np.max(np.abs(eps)))
@@ -210,12 +205,12 @@ def detect_revival(levels, weights, rel_tol: float = 1e-9) -> RevivalReport:
 
     if nonzero.size == 0:
         return RevivalReport(
-            "equidistant", 1.0, None, subset, rel_tol, True,
+            "equidistant", 1.0, None, True,
             "only a zero level is populated; the state is constant and any time is a period",
         )
     if nonzero.size == 1 and not zero_level:
         return RevivalReport(
-            "equidistant", 2.0 * math.pi / abs(float(nonzero[0])), None, subset, rel_tol, False,
+            "equidistant", 2.0 * math.pi / abs(float(nonzero[0])), None, False,
             "single populated level; the state is stationary and any time is a period up to phase",
         )
 
@@ -229,16 +224,14 @@ def detect_revival(levels, weights, rel_tol: float = 1e-9) -> RevivalReport:
             and float(np.max(np.abs(gaps - mean_gap))) <= rel_tol * abs(mean_gap)
             and (not zero_level or _zero_level_fits(base, mean_gap, rel_tol))
         ):
-            return RevivalReport(
-                "equidistant", 2.0 * math.pi / mean_gap, None, subset, rel_tol, zero_level
-            )
+            return RevivalReport("equidistant", 2.0 * math.pi / mean_gap, None, zero_level)
 
     denominators = [1]
     for e in nonzero:
         x = float(e) / base
         hit = _first_convergent(x, rel_tol)
         if hit is None:
-            return RevivalReport("none", None, None, subset, rel_tol, zero_level)
+            return RevivalReport("none", None, None, zero_level)
         denominators.append(hit[1])
     m = math.lcm(*denominators)
     if m > 2**63:
@@ -247,13 +240,9 @@ def detect_revival(levels, weights, rel_tol: float = 1e-9) -> RevivalReport:
     if nonzero.size == 2:
         gap = float(abs(nonzero[1] - nonzero[0]))
         if not zero_level or _zero_level_fits(base, gap, rel_tol):
-            return RevivalReport(
-                "equidistant", 2.0 * math.pi / gap, None, subset, rel_tol, zero_level
-            )
+            return RevivalReport("equidistant", 2.0 * math.pi / gap, None, zero_level)
 
-    return RevivalReport(
-        "commensurate", 2.0 * math.pi * m / abs(base), int(m), subset, rel_tol, zero_level
-    )
+    return RevivalReport("commensurate", 2.0 * math.pi * m / abs(base), int(m), zero_level)
 
 
 def certify_period(

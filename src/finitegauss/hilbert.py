@@ -135,16 +135,23 @@ class PhasePoint:
             )
 
 
-def _root_table(dim: Dimension) -> np.ndarray:
-    """exp(2j*pi*r/d) for r = 0..d-1; exponents are reduced mod d first."""
-    return np.exp(2j * np.pi * np.arange(dim.d) / dim.d)
+def _roots(dim: Dimension, a, b) -> np.ndarray:
+    """exp(2j*pi*a*b/d) over the outer product of labels a and b; a*b is reduced mod d first."""
+    d = dim.d
+    return np.exp(2j * np.pi * np.arange(d) / d)[np.mod(np.multiply.outer(a, b), d)]
+
+
+def _toeplitz(col: np.ndarray) -> np.ndarray:
+    """The d x d matrix whose (j, l) entry is col[j - l + d - 1], for a symbol over u = 1-d..d-1."""
+    d = (col.size + 1) // 2
+    return np.lib.stride_tricks.sliding_window_view(col[::-1], d)[::-1].copy()
 
 
 def fourier_matrix(dim) -> OperatorMatrix:
     """The unitary finite Fourier transform on the centered lattice, as a dense matrix."""
     dim = as_dimension(dim)
     n = dim.indices()
-    entries = _root_table(dim)[np.mod(np.outer(n, n), dim.d)] / math.sqrt(dim.d)
+    entries = _roots(dim, n, n) / math.sqrt(dim.d)
     return OperatorMatrix(dim, entries, MatrixKind.UNITARY)
 
 
@@ -163,13 +170,15 @@ def position_operator(dim) -> OperatorMatrix:
     return OperatorMatrix(dim, np.diag(q), MatrixKind.HERMITIAN)
 
 
-def _lattice_kernel(dim: Dimension):
-    """Label differences u = j - l, the signs (-1)**u and sin(pi*u/d) with a unit diagonal."""
-    n = dim.indices()
-    u = n[:, None] - n[None, :]
+def _lattice_symbol(dim: Dimension):
+    """Label differences u = 1-d..d-1, the signs (-1)**u and sin(pi*u/d) with 1 at u = 0.
+
+    An operator whose (j, l) entry depends only on u = j - l is _toeplitz of its symbol over u.
+    """
+    u = np.arange(1 - dim.d, dim.d)
     signs = np.where(u % 2 == 0, 1.0, -1.0)
     sines = np.sin(np.pi * u / dim.d)
-    np.fill_diagonal(sines, 1.0)
+    sines[dim.d - 1] = 1.0
     return u, signs, sines
 
 
@@ -180,10 +189,10 @@ def momentum_operator(dim) -> OperatorMatrix:
     * (-1)**(j-l) / sin(pi*(j-l)/d) off the diagonal, zero on it.
     """
     dim = as_dimension(dim)
-    _, signs, sines = _lattice_kernel(dim)
-    entries = -0.5j * math.sqrt(2.0 * math.pi / dim.d) * signs / sines
-    np.fill_diagonal(entries, 0.0)
-    return OperatorMatrix(dim, entries, MatrixKind.HERMITIAN)
+    u, signs, sines = _lattice_symbol(dim)
+    symbol = -0.5j * math.sqrt(2.0 * math.pi / dim.d) * signs / sines
+    symbol[u == 0] = 0.0
+    return OperatorMatrix(dim, _toeplitz(symbol), MatrixKind.HERMITIAN)
 
 
 def _displacement_action(dim: Dimension, alpha: int, beta):
@@ -194,8 +203,7 @@ def _displacement_action(dim: Dimension, alpha: int, beta):
     """
     d = dim.d
     b = np.asarray(beta)
-    roots = _root_table(dim)[np.mod(np.multiply.outer(dim.indices(), b), d)]
-    phases = np.exp(-1j * np.pi * alpha * b / d) * roots
+    phases = np.exp(-1j * np.pi * alpha * b / d) * _roots(dim, dim.indices(), b)
     cols = np.mod(np.arange(d) - alpha, d)
     return phases, cols
 

@@ -13,12 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError, KindMismatchError, NumericalFailureError
-from .hilbert import MatrixKind, OperatorMatrix, _lattice_kernel, _root_table, position_operator
+from .hilbert import MatrixKind, OperatorMatrix, _lattice_symbol, _roots, _toeplitz
 from .lattice import Dimension, as_dimension
 from .wrapped import finite_gaussian
 
 EIG_RESIDUAL_TOL = 1e-10
 HALF_COMM_CROSS_TOL = 1e-12
+UNCERTAINTY_GAP_TOL = 1e-12  # how far product may fall below half_comm before it fails
 
 
 @dataclass(frozen=True)
@@ -155,10 +156,10 @@ def hermitian_eig(m: OperatorMatrix, residual_tol: float = EIG_RESIDUAL_TOL) -> 
 
 def _commutator_kernel(dim: Dimension) -> np.ndarray:
     """The real matrix 1j*[Q, P]: (-1)**(j-l) * (pi*(j-l)/d) / sin(pi*(j-l)/d), zero diagonal."""
-    u, signs, sines = _lattice_kernel(dim)
-    kernel = signs * ((np.pi * u / dim.d) / sines)
-    np.fill_diagonal(kernel, 0.0)
-    return kernel
+    u, signs, sines = _lattice_symbol(dim)
+    symbol = signs * ((np.pi * u / dim.d) / sines)
+    symbol[u == 0] = 0.0
+    return _toeplitz(symbol)
 
 
 def commutator_qp(dim) -> OperatorMatrix:
@@ -188,9 +189,8 @@ def floratos_approx(dim) -> OperatorMatrix:
     (1-d)*1j, so it reproduces the commutator's bulk but not its tails.
     """
     dim = as_dimension(dim)
-    _, signs, _ = _lattice_kernel(dim)
-    entries = 1j * signs * (np.eye(dim.d) - 1.0)
-    return OperatorMatrix(dim, entries, MatrixKind.GENERAL)
+    u, signs, _ = _lattice_symbol(dim)
+    return OperatorMatrix(dim, _toeplitz(1j * signs * ((u == 0) - 1.0)), MatrixKind.GENERAL)
 
 
 def _free_levels(dim: Dimension) -> np.ndarray:
@@ -205,21 +205,19 @@ def free_hamiltonian(dim) -> OperatorMatrix:
     P**2 is circulant: P = F Q F^dag, so H[j, l] = col[(j - l) mod d]
     with col the inverse DFT of the levels.  The column is mirrored,
     col[d - u] = col[u], so that H is exactly symmetric and even under
-    parity.
+    parity, and extended periodically to the symbol over u = 1-d..d-1.
     """
     dim = as_dimension(dim)
     d, s = dim.d, dim.s
     col = np.fft.irfft(_free_levels(dim), n=d)
     col[d - s :] = col[s:0:-1]
-    n = dim.indices()
-    return OperatorMatrix(dim, col[np.mod(np.subtract.outer(n, n), d)], MatrixKind.HERMITIAN)
+    return OperatorMatrix(dim, _toeplitz(np.concatenate((col[1:], col))), MatrixKind.HERMITIAN)
 
 
 def _free_eigenpairs(m: OperatorMatrix):
     d, s = m.dim.d, m.dim.s
     levels = _free_levels(m.dim)
-    n, k = m.dim.indices(), np.arange(1, s + 1)
-    roots = _root_table(m.dim)[np.mod(np.outer(n, k), d)]
+    roots = _roots(m.dim, m.dim.indices(), np.arange(1, s + 1))
     vecs = np.empty((d, d))
     vecs[:, 0] = 1.0 / math.sqrt(d)
     vecs[:, 1 : s + 1] = math.sqrt(2.0 / d) * roots.real
@@ -244,12 +242,12 @@ def free_spectrum(h: OperatorMatrix) -> Spectrum:
 def oscillator_hamiltonian(dim) -> OperatorMatrix:
     """H = (P**2 + Q**2) / 2 on the centered lattice.
 
-    Q is diagonal, so H is the free Hamiltonian with Q**2 / 2 added on
-    its diagonal.
+    Q is diagonal, so H is the free Hamiltonian with q**2 / 2 added on
+    its diagonal, q = sqrt(2*pi/d) * n over the centered labels.
     """
     dim = as_dimension(dim)
     h = free_hamiltonian(dim).entries.copy()
-    q = position_operator(dim).entries.diagonal()
+    q = math.sqrt(2.0 * math.pi / dim.d) * dim.indices().astype(float)
     h[np.diag_indices(dim.d)] += 0.5 * q * q
     return OperatorMatrix(dim, h, MatrixKind.HERMITIAN)
 
@@ -305,6 +303,6 @@ def uncertainty_product(dim, kappa: float) -> UncertaintyReport:
     product = delta_q * delta_p
     half_comm = 0.5 * expect_mag
     gap = product - half_comm
-    if gap < -1e-12:
+    if gap < -UNCERTAINTY_GAP_TOL:
         raise NumericalFailureError(f"uncertainty product violates its lower bound by {-gap:.3e}")
     return UncertaintyReport(dim, kappa, delta_q, delta_p, product, half_comm, gap)

@@ -76,7 +76,8 @@ def wigner_definition(dim, kappa: float) -> WignerGrid:
 
     The chords are real and even in k, so the k-sum is a real DFT read
     at frequency 2m mod d folded into 0..s.  Its imaginary residue is
-    checked against 1e-13 times the largest value and discarded.
+    checked against 1e-13 times the largest value and discarded; the
+    real part is copied out so the complex grid is freed.
     """
     dim = as_dimension(dim)
     kappa = _check_kappa(kappa)
@@ -95,7 +96,7 @@ def wigner_definition(dim, kappa: float) -> WignerGrid:
             f"Wigner grid of an even state has imaginary residue {residue:.3e}",
             residual=residue,
         )
-    return WignerGrid(dim, kappa, grid.real, WignerSource.DEFINITION)
+    return WignerGrid(dim, kappa, grid.real.copy(), WignerSource.DEFINITION)
 
 
 def wigner_closed_form(dim, kappa: float) -> WignerGrid:

@@ -1,4 +1,5 @@
 """Evolution, autocorrelation, revival detection and certification."""
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -210,6 +211,11 @@ class TestDetectRevival:
         rep = detect_revival([eps, 2 * eps, 3 * eps], [0.3, 0.4, 0.3])
         assert rep.kind == "equidistant"
         assert rep.period == pytest.approx(2 * math.pi / eps, rel=1e-12)
+
+    def test_report_carries_the_outcome_only(self):
+        # the selected levels are populated_levels' mask and the tolerance is the caller's rel_tol
+        rep = detect_revival([1.0, 3.0], [0.5, 0.5])
+        assert [f.name for f in dataclasses.fields(rep)] == ["kind", "period", "m", "zero_level", "note"]
 
     def test_pair_gives_half_period(self):
         rep = detect_revival([1.0, 3.0], [0.5, 0.5])

@@ -27,6 +27,7 @@ from finitegauss import (
     quasi_eigen_residual,
     uncertainty_product,
 )
+from finitegauss import spectral
 
 # 15 published eigenvalues of -i[Q,P] at d = 15, ascending.
 COMMUTATOR_D15 = [
@@ -326,6 +327,15 @@ class TestUncertainty:
         rep = uncertainty_product(Dimension(d), kappa)
         assert rep.product >= rep.half_comm - 1e-12
         assert rep.gap >= -1e-12
+
+    def test_gap_limit_is_the_named_constant(self, monkeypatch):
+        # d = 5 has gap ~ 8.9e-4; a limit of -2*gap demands gap >= 2*gap and fails it
+        gap = uncertainty_product(Dimension(5), 1.0).gap
+        monkeypatch.setattr(spectral, "UNCERTAINTY_GAP_TOL", -0.5 * gap)
+        assert uncertainty_product(Dimension(5), 1.0).gap == gap
+        monkeypatch.setattr(spectral, "UNCERTAINTY_GAP_TOL", -2.0 * gap)
+        with pytest.raises(NumericalFailureError, match="lower bound"):
+            uncertainty_product(Dimension(5), 1.0)
 
     def test_product_approaches_half(self):
         rep = uncertainty_product(Dimension(41), 1.0)

@@ -21,6 +21,8 @@ from finitegauss import wigner
 
 ALL_DIMS = list(range(3, 65, 2))
 ALL_KAPPAS = [0.25, 1.0 / 3.0, 0.5, 1.0, 4.0 / 3.0, 2.0, 3.0, 4.0]
+# kappa*d just below, at and just above 1, where the wrapped sums change route
+BOUNDARY_KD = [1.0 - 1e-12, 1.0, 1.0 + 1e-12]
 
 
 def brute_wigner(d: int, kappa: float) -> np.ndarray:
@@ -111,6 +113,28 @@ class TestClosedFormEquivalence:
         wc = wigner_closed_form(dim, kappa).values
         assert np.max(np.abs(wd - wc)) <= 1e-12 * np.max(np.abs(wd))
 
+    @staticmethod
+    def assert_routes_agree(d, kappa):
+        dim = Dimension(d)
+        wd = wigner_definition(dim, kappa).values
+        wc = wigner_closed_form(dim, kappa).values
+        assert np.max(np.abs(wd - wc)) <= 1e-12 * np.max(np.abs(wd))
+
+    @given(st.integers(min_value=1, max_value=150).map(lambda s: 2 * s + 1),
+           st.floats(min_value=-8.0, max_value=8.0))
+    @settings(max_examples=60, deadline=None)
+    def test_equivalence_over_every_decade(self, d, log_kappa):
+        self.assert_routes_agree(d, 10.0**log_kappa)
+
+    @given(st.integers(min_value=1, max_value=150).map(lambda s: 2 * s + 1), st.sampled_from(BOUNDARY_KD))
+    @settings(max_examples=30, deadline=None)
+    def test_equivalence_where_kappa_d_crosses_one(self, d, kd):
+        self.assert_routes_agree(d, kd / d)
+
+    @pytest.mark.parametrize("kappa", [1e-8, 1e-3, 1.0, 1e8] + [kd / 1001 for kd in BOUNDARY_KD])
+    def test_equivalence_at_d_1001(self, kappa):
+        self.assert_routes_agree(1001, kappa)
+
     def test_closed_form_terms(self):
         # Direct assembly from the four wrapped factors.
         d, kappa = 9, 2.0
@@ -187,6 +211,25 @@ class TestOneGrid:
         finally:
             tracemalloc.stop()
         assert peak <= 1.25 * dim.d * dim.d * 8
+
+    @pytest.mark.parametrize("route", [lambda dim: wigner_definition(dim, 0.7),
+                                       lambda dim: wigner_closed_form(dim, 0.7), wigner_theta_form],
+                             ids=["definition", "closed", "theta"])
+    def test_grid_owns_a_contiguous_buffer(self, route):
+        values = route(Dimension(31)).values
+        assert values.dtype == np.float64
+        assert values.flags.c_contiguous and values.flags.owndata
+
+    def test_definition_keeps_no_complex_grid_alive(self):
+        dim = Dimension(301)
+        tracemalloc.start()
+        try:
+            grid = wigner_definition(dim, 1.0)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert grid.values.nbytes == dim.d * dim.d * 8
+        assert kept <= 1.1 * grid.values.nbytes
 
     @pytest.mark.parametrize("block_cells", [1, 100, wigner._BLOCK_CELLS])
     @pytest.mark.parametrize("d", [3, 31, 301])
