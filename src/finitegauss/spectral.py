@@ -31,7 +31,9 @@ class Spectrum:
     exact eigenvalue ties are ordered by that component's index.  The
     eigenvectors are float64 when the operator's entries are real and
     complex otherwise.  residual is max_k of the 2-norm of
-    M v_k - lambda_k v_k.
+    M v_k - lambda_k v_k; when M is real and parity-even and the
+    eigenvectors are exactly even or odd, it is taken on the rows n >= 0
+    of M folded onto l >= 0, which is the same norm in exact arithmetic.
     """
 
     dim: Dimension
@@ -76,8 +78,10 @@ class QuasiEigenReport:
 def _checked_spectrum(m: OperatorMatrix, residual_tol: float, solve) -> Spectrum:
     """Check m and residual_tol, run solve(m) -> (vals, vecs), fix the gauge, check the residual.
 
-    The residual is measured on the full matrix m, however solve found
-    the eigenpairs.
+    The residual is measured on solve's output against m.entries, before
+    the gauge, which only reorders the eigenpairs and rescales each by a
+    unit phase (+-1 for real vectors).  It is folded onto the half
+    lattice when _is_parity_split holds and a dense product otherwise.
     """
     if m.kind is not MatrixKind.HERMITIAN:
         raise KindMismatchError(f"eigensolver needs a hermitian operator, got {m.kind.value}")
@@ -85,6 +89,7 @@ def _checked_spectrum(m: OperatorMatrix, residual_tol: float, solve) -> Spectrum
     if not (math.isfinite(residual_tol) and residual_tol > 0.0):
         raise InvalidParameterError(f"residual_tol must be finite and positive, got {residual_tol}")
     vals, vecs = solve(m)
+    residual = _residual(m.entries, vals, vecs)
 
     pivots = np.argmax(np.abs(vecs), axis=0)
     order = np.lexsort((pivots, vals))
@@ -94,13 +99,55 @@ def _checked_spectrum(m: OperatorMatrix, residual_tol: float, solve) -> Spectrum
     vecs = vecs * (piv.conj() / np.abs(piv))
 
     scale = float(np.max(np.abs(m.entries)))
-    residual = float(np.max(np.linalg.norm(m.entries @ vecs - vecs * vals, axis=0)))
     if residual > residual_tol * scale:
         raise NumericalFailureError(
             f"eigenpair residual {residual:.3e} exceeds {residual_tol:.1e} * {scale:.3e}",
             residual=residual,
         )
     return Spectrum(m.dim, vals, vecs, residual)
+
+
+def _is_parity_even(h: np.ndarray) -> bool:
+    """Whether h is real and equals its parity image h[::-1, ::-1] exactly."""
+    return h.dtype.kind == "f" and np.array_equal(h, h[::-1, ::-1])
+
+
+def _is_parity_split(h: np.ndarray, vecs: np.ndarray) -> bool:
+    """Whether h is parity even and vecs holds s+1 even then s odd real columns, all exactly."""
+    if vecs.dtype.kind != "f" or not _is_parity_even(h):
+        return False
+    s = h.shape[0] // 2
+    flipped = vecs[::-1]
+    return np.array_equal(flipped[:, : s + 1], vecs[:, : s + 1]) and np.array_equal(
+        flipped[:, s + 1 :], -vecs[:, s + 1 :]
+    )
+
+
+def _folded_residual(h: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> float:
+    """max_k of the 2-norm of h v_k - lambda_k v_k from the rows n >= 0, for _is_parity_split input.
+
+    With up = h[n >= 0, l >= 0] and down = h[n >= 0, l <= 0], the rows
+    n >= 0 of h v are even @ v(l >= 0) for an even v, where even is up
+    with down[:, 1:] added to its columns l > 0, and
+    (up - down)[:, 1:] @ v(l > 0) for an odd v.  The defect is even or
+    odd with v, so each row n > 0 counts twice in its squared norm.
+    """
+    s = h.shape[0] // 2
+    up, down = h[s:, s:], h[s:, s::-1]
+    even = up.copy()
+    even[:, 1:] += down[:, 1:]
+    half = vecs[s:]
+    odd = up[:, 1:] - down[:, 1:]
+    defect = np.concatenate((even @ half[:, : s + 1], odd @ half[1:, s + 1 :]), axis=1) - half * vals
+    sq = defect * defect
+    return float(np.sqrt(np.max(sq[0] + 2.0 * np.sum(sq[1:], axis=0))))
+
+
+def _residual(h: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> float:
+    """max_k of the 2-norm of h v_k - lambda_k v_k; folded onto n >= 0 when h and vecs are parity split."""
+    if _is_parity_split(h, vecs):
+        return _folded_residual(h, vals, vecs)
+    return float(np.max(np.linalg.norm(h @ vecs - vecs * vals, axis=0)))
 
 
 def _eigh(h: np.ndarray):
@@ -120,7 +167,7 @@ def _parity_split_eigh(m: OperatorMatrix):
     down = h[n >= 0, l <= 0].  Any other matrix goes to one dense eigh.
     """
     h = m.entries
-    if h.dtype.kind != "f" or not np.array_equal(h, h[::-1, ::-1]):
+    if not _is_parity_even(h):
         return _eigh(h)
     d = h.shape[0]
     s = d // 2
@@ -199,6 +246,14 @@ def _free_levels(dim: Dimension) -> np.ndarray:
     return np.pi * (k * k) / dim.d
 
 
+def _free_entries(dim: Dimension) -> np.ndarray:
+    """The entries of P**2 / 2 as a fresh, writable array; see free_hamiltonian."""
+    d, s = dim.d, dim.s
+    col = np.fft.irfft(_free_levels(dim), n=d)
+    col[d - s :] = col[s:0:-1]
+    return _toeplitz(np.concatenate((col[1:], col)))
+
+
 def free_hamiltonian(dim) -> OperatorMatrix:
     """H = P**2 / 2, real symmetric; its spectrum is pi*n**2/d over the centered labels.
 
@@ -208,10 +263,7 @@ def free_hamiltonian(dim) -> OperatorMatrix:
     parity, and extended periodically to the symbol over u = 1-d..d-1.
     """
     dim = as_dimension(dim)
-    d, s = dim.d, dim.s
-    col = np.fft.irfft(_free_levels(dim), n=d)
-    col[d - s :] = col[s:0:-1]
-    return OperatorMatrix(dim, _toeplitz(np.concatenate((col[1:], col))), MatrixKind.HERMITIAN)
+    return OperatorMatrix(dim, _free_entries(dim), MatrixKind.HERMITIAN)
 
 
 def _free_eigenpairs(m: OperatorMatrix):
@@ -246,7 +298,7 @@ def oscillator_hamiltonian(dim) -> OperatorMatrix:
     its diagonal, q = sqrt(2*pi/d) * n over the centered labels.
     """
     dim = as_dimension(dim)
-    h = free_hamiltonian(dim).entries.copy()
+    h = _free_entries(dim)
     q = math.sqrt(2.0 * math.pi / dim.d) * dim.indices().astype(float)
     h[np.diag_indices(dim.d)] += 0.5 * q * q
     return OperatorMatrix(dim, h, MatrixKind.HERMITIAN)

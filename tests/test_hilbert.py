@@ -27,7 +27,7 @@ from finitegauss import (
     momentum_operator,
     position_operator,
 )
-from finitegauss.hilbert import _displacement_action, _frame_operator
+from finitegauss.hilbert import HERMITIAN_TOL, _displacement_action, _frame_operator
 
 
 def brute_fourier(dim: Dimension) -> np.ndarray:
@@ -299,6 +299,22 @@ class TestStateAndOperatorTypes:
         with pytest.raises(KindMismatchError):
             OperatorMatrix(Dimension(3), np.eye(3) + np.triu(np.ones((3, 3)), 1), MatrixKind.HERMITIAN)
         assert bad is not None
+
+    def test_hermitian_check_compares_with_the_adjoint(self):
+        # complex symmetric is not hermitian: the complex check keeps its conjugate
+        with pytest.raises(KindMismatchError):
+            OperatorMatrix(Dimension(3), np.full((3, 3), 1j), MatrixKind.HERMITIAN)
+        herm = np.ones((3, 3)) + 1j * (np.triu(np.ones((3, 3)), 1) - np.tril(np.ones((3, 3)), -1))
+        assert OperatorMatrix(Dimension(3), herm, MatrixKind.HERMITIAN).entries.dtype == np.complex128
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_hermitian_tolerance_is_relative_to_the_largest_entry(self, dtype):
+        a = 4.0 * np.ones((3, 3), dtype=dtype)
+        a[0, 1] += 4.0 * 0.5 * HERMITIAN_TOL
+        OperatorMatrix(Dimension(3), a.copy(), MatrixKind.HERMITIAN)
+        a[0, 1] += 4.0 * HERMITIAN_TOL
+        with pytest.raises(KindMismatchError):
+            OperatorMatrix(Dimension(3), a, MatrixKind.HERMITIAN)
 
     def test_real_entries_stay_real(self):
         assert position_operator(Dimension(5)).entries.dtype == np.float64

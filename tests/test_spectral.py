@@ -235,6 +235,18 @@ class TestOscillator:
         want = free_hamiltonian(Dimension(d)).entries + 0.5 * (q @ q)
         assert oscillator_hamiltonian(Dimension(d)).entries.tobytes() == want.tobytes()
 
+    def test_built_with_one_tag_check(self, monkeypatch):
+        checks = []
+        real_check = OperatorMatrix.__post_init__
+
+        def spy(self):
+            checks.append(self.kind)
+            real_check(self)
+
+        monkeypatch.setattr(OperatorMatrix, "__post_init__", spy)
+        oscillator_hamiltonian(Dimension(9))
+        assert checks == [MatrixKind.HERMITIAN]
+
     @pytest.mark.parametrize("d", [5, 9, 13, 31, 101])
     def test_free_hamiltonian_matches_dense_square(self, d):
         # The circulant build against 0.5*(P@P), whose own rounding
@@ -422,6 +434,101 @@ class TestParitySplit:
         spec = hermitian_eig(OperatorMatrix(Dimension(21), h, MatrixKind.HERMITIAN))
         assert shapes == [(21, 21)]
         assert spec.eigenvectors.dtype == np.complex128
+
+
+def dense_residual(h: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> float:
+    return float(np.max(np.linalg.norm(h @ vecs - vecs * vals, axis=0)))
+
+
+def folded_calls(monkeypatch) -> list:
+    """Record every call _residual makes to the folded half-lattice product."""
+    calls = []
+    real_folded = spectral._folded_residual
+
+    def spy(*args):
+        calls.append(args)
+        return real_folded(*args)
+
+    monkeypatch.setattr(spectral, "_folded_residual", spy)
+    return calls
+
+
+# The folded residual must agree with the dense one to this fraction of
+# max|H| (worst seen over 300 random draws and the structured cases: 5.0e-16).
+FOLD_AGREE_TOL = 1e-14
+
+
+def assert_folded_matches_dense(h: np.ndarray) -> None:
+    vals, vecs = spectral._parity_split_eigh(OperatorMatrix(Dimension(h.shape[0]), h, MatrixKind.HERMITIAN))
+    assert spectral._is_parity_split(h, vecs)
+    gap = abs(spectral._residual(h, vals, vecs) - dense_residual(h, vals, vecs))
+    assert gap <= FOLD_AGREE_TOL * np.max(np.abs(h))
+
+
+class TestFoldedResidual:
+    @given(st.integers(min_value=1, max_value=30).map(lambda s: 2 * s + 1), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_random_parity_even_matrix(self, d, seed):
+        assert_folded_matches_dense(parity_even_matrix(d, seed))
+
+    @pytest.mark.parametrize("d", [9, 31, 101, 301, 1001])
+    def test_oscillator(self, d):
+        assert_folded_matches_dense(oscillator_hamiltonian(Dimension(d)).entries)
+
+    @pytest.mark.parametrize("d", [9, 31, 101, 301, 1001])
+    def test_commutator(self, d):
+        assert_folded_matches_dense(-spectral._commutator_kernel(Dimension(d)))
+
+    def test_hermitian_eig_reports_the_folded_residual(self, monkeypatch):
+        h = oscillator_hamiltonian(Dimension(31))
+        vals, vecs = spectral._parity_split_eigh(h)
+        want = spectral._folded_residual(h.entries, vals, vecs)
+        calls = folded_calls(monkeypatch)
+        assert hermitian_eig(h).residual == want
+        assert len(calls) == 1
+
+    def test_perturbed_negative_row_takes_dense_path_and_fails(self, monkeypatch):
+        # the folded product never reads rows n < 0, so such input must not reach it
+        h = oscillator_hamiltonian(Dimension(31))
+        vals, vecs = spectral._parity_split_eigh(h)
+        vecs[15 - 4, 7] += 1e-6
+        calls = folded_calls(monkeypatch)
+        assert spectral._residual(h.entries, vals, vecs) == dense_residual(h.entries, vals, vecs)
+        assert calls == []
+        with pytest.raises(NumericalFailureError) as info:
+            spectral._checked_spectrum(h, spectral.EIG_RESIDUAL_TOL, lambda m: (vals, vecs))
+        assert info.value.residual > 1e-10 * np.max(np.abs(h.entries))
+        assert calls == []
+
+    @pytest.mark.parametrize("k", [0, 7, 15, 16, 30])
+    def test_shifted_eigenvalue_fails_on_folded_path(self, k, monkeypatch):
+        h = oscillator_hamiltonian(Dimension(31))
+        vals, vecs = spectral._parity_split_eigh(h)
+        vals[k] += 1e-6
+        calls = folded_calls(monkeypatch)
+        assert spectral._residual(h.entries, vals, vecs) >= 0.99e-6
+        assert len(calls) == 1
+        with pytest.raises(NumericalFailureError):
+            spectral._checked_spectrum(h, spectral.EIG_RESIDUAL_TOL, lambda m: (vals, vecs))
+        assert len(calls) == 2
+
+    def test_complex_matrix_takes_dense_path(self, monkeypatch):
+        h = OperatorMatrix(Dimension(21), parity_even_matrix(21, 7).astype(complex), MatrixKind.HERMITIAN)
+        vals, vecs = spectral._parity_split_eigh(h)
+        calls = folded_calls(monkeypatch)
+        assert spectral._residual(h.entries, vals, vecs) == dense_residual(h.entries, vals, vecs)
+        hermitian_eig(h)
+        assert calls == []
+
+    @pytest.mark.parametrize("d", [9, 31, 101, 1001])
+    def test_free_spectrum_takes_dense_path(self, d, monkeypatch):
+        # the closed-form cosines and sines are not exactly even or odd in n
+        h = free_hamiltonian(Dimension(d))
+        vals, vecs = spectral._free_eigenpairs(h)
+        assert not spectral._is_parity_split(h.entries, vecs)
+        calls = folded_calls(monkeypatch)
+        free_spectrum(h)
+        assert calls == []
 
 
 class TestFreeSpectrum:
