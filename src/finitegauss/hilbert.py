@@ -92,8 +92,7 @@ class OperatorMatrix:
         if kind is MatrixKind.HERMITIAN:
             scale = np.max(np.abs(entries))
             if scale > 0.0:
-                adjoint = entries.T if entries.dtype.kind == "f" else entries.conj().T
-                dev = np.max(np.abs(entries - adjoint))
+                dev = np.max(np.abs(entries - entries.conj().T))
                 if dev > HERMITIAN_TOL * scale:
                     raise KindMismatchError(
                         f"matrix tagged hermitian deviates from its adjoint by {dev:.3e}"

@@ -113,13 +113,20 @@ def _is_parity_even(h: np.ndarray) -> bool:
 
 
 def _is_parity_split(h: np.ndarray, vecs: np.ndarray) -> bool:
-    """Whether h is parity even and vecs holds s+1 even then s odd real columns, all exactly."""
-    if vecs.dtype.kind != "f" or not _is_parity_even(h):
+    """Whether vecs holds s+1 even then s odd real columns and h is parity even, all exactly.
+
+    The last even column is compared first and h last, so vectors that
+    are not exactly even, such as free_spectrum's cosines, cost O(d).
+    """
+    if vecs.dtype.kind != "f":
         return False
     s = h.shape[0] // 2
     flipped = vecs[::-1]
-    return np.array_equal(flipped[:, : s + 1], vecs[:, : s + 1]) and np.array_equal(
-        flipped[:, s + 1 :], -vecs[:, s + 1 :]
+    return (
+        np.array_equal(flipped[:, s], vecs[:, s])
+        and np.array_equal(flipped[:, : s + 1], vecs[:, : s + 1])
+        and np.array_equal(flipped[:, s + 1 :], -vecs[:, s + 1 :])
+        and _is_parity_even(h)
     )
 
 

@@ -301,7 +301,7 @@ class TestStateAndOperatorTypes:
         assert bad is not None
 
     def test_hermitian_check_compares_with_the_adjoint(self):
-        # complex symmetric is not hermitian: the complex check keeps its conjugate
+        # complex symmetric is not hermitian: the check compares with the conjugate transpose
         with pytest.raises(KindMismatchError):
             OperatorMatrix(Dimension(3), np.full((3, 3), 1j), MatrixKind.HERMITIAN)
         herm = np.ones((3, 3)) + 1j * (np.triu(np.ones((3, 3)), 1) - np.tril(np.ones((3, 3)), -1))

@@ -530,6 +530,23 @@ class TestFoldedResidual:
         free_spectrum(h)
         assert calls == []
 
+    def test_free_spectrum_skips_the_matrix_parity_test(self, monkeypatch):
+        # the vectors are tested first, so h is never compared with its parity image
+        seen = []
+        monkeypatch.setattr(spectral, "_is_parity_even", lambda h: seen.append(h) or True)
+        free_spectrum(free_hamiltonian(Dimension(101)))
+        assert seen == []
+
+    def test_split_vectors_of_a_matrix_that_is_not_even_take_dense_path(self, monkeypatch):
+        h = oscillator_hamiltonian(Dimension(31))
+        vals, vecs = spectral._parity_split_eigh(h)
+        bent = h.entries.copy()
+        bent[2, 5] += 1e-6
+        bent[5, 2] += 1e-6
+        calls = folded_calls(monkeypatch)
+        assert spectral._residual(bent, vals, vecs) == dense_residual(bent, vals, vecs)
+        assert calls == []
+
 
 class TestFreeSpectrum:
     @given(st.integers(min_value=1, max_value=50).map(lambda s: 2 * s + 1))
