@@ -59,13 +59,17 @@ class TimeSeries:
         self.values.setflags(write=False)
 
 
-def _spectrum_for(h: OperatorMatrix, psi: StateVector, spectrum: Spectrum | None) -> Spectrum:
-    """Check that h can evolve psi and return its spectrum, solving only if none is given."""
+def _spectrum_for(h: OperatorMatrix, psi: StateVector, spectrum: Spectrum | None, times) -> Spectrum:
+    """Check that h evolves psi to times with no phase t*lambda overflowing; solve if no spectrum is given."""
     if h.kind is not MatrixKind.HERMITIAN:
         raise KindMismatchError(f"evolution needs a hermitian generator, got {h.kind.value}")
     if psi.dim != h.dim:
         raise DimensionMismatchError("state and generator live on different lattices")
-    return spectrum if spectrum is not None else hermitian_eig(h)
+    spec = spectrum if spectrum is not None else hermitian_eig(h)
+    t, level = float(np.max(np.abs(times), initial=0.0)), float(np.max(np.abs(spec.eigenvalues)))
+    if not math.isfinite(t * level):
+        raise InvalidParameterError(f"time {t!r} times level {level!r} overflows the phase t*lambda")
+    return spec
 
 
 def _apply(v: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -94,7 +98,7 @@ def evolve(h: OperatorMatrix, psi: StateVector, t: float, spectrum: Spectrum | N
     t = float(t)
     if not math.isfinite(t):
         raise InvalidParameterError(f"evolution time must be finite, got {t}")
-    spec = _spectrum_for(h, psi, spectrum)
+    spec = _spectrum_for(h, psi, spectrum, [t])
     return StateVector(psi.dim, _evolved(spec, _coefficients(spec, psi), t))
 
 
@@ -107,7 +111,7 @@ def autocorrelation(h: OperatorMatrix, psi: StateVector, times, spectrum: Spectr
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or not np.all(np.isfinite(times)):
         raise InvalidParameterError("times must be a 1-d vector of finite values")
-    spec = _spectrum_for(h, psi, spectrum)
+    spec = _spectrum_for(h, psi, spectrum, times)
     weights = np.abs(_coefficients(spec, psi)) ** 2
     order = np.argsort(weights, kind="stable")
     kept = np.sort(order[np.cumsum(weights[order]) > TERM_TOL * np.sum(weights)])
@@ -229,6 +233,8 @@ def detect_revival(levels, weights, rel_tol: float = 1e-9) -> RevivalReport:
     denominators = [1]
     for e in nonzero:
         x = float(e) / base
+        if not math.isfinite(x):
+            raise CapacityExceededError(f"level ratio {float(e)!r} / {base!r} overflows float64")
         hit = _first_convergent(x, rel_tol)
         if hit is None:
             return RevivalReport("none", None, None, zero_level)
@@ -254,14 +260,15 @@ def certify_period(
     fits the global phase from the largest component at t0, and measures
     max_n |psi(n, t0+period) - e^{1j*phi} psi(n, t0)|.  Returns the
     maximum over start times; a period is certified when that is at most
-    CERT_TOL.  The zero state raises DegenerateVectorError.
+    CERT_TOL, which a NaN defect never is.  The zero state raises
+    DegenerateVectorError.
     """
     period = float(period)
     if not math.isfinite(period):
         raise InvalidParameterError(f"period must be finite, got {period}")
-    spec = _spectrum_for(h, psi, spectrum)
+    spec = _spectrum_for(h, psi, spectrum, [t0 + period for t0 in START_TIMES])
     coeffs = _coefficients(spec, psi)
-    worst = 0.0
+    defects = []
     for t0 in START_TIMES:
         before = _evolved(spec, coeffs, t0)
         after = _evolved(spec, coeffs, t0 + period)
@@ -270,5 +277,5 @@ def certify_period(
             raise DegenerateVectorError("the zero state has no phase to fit a period against")
         phase = after[anchor] / before[anchor]
         phase = phase / abs(phase)
-        worst = max(worst, float(np.max(np.abs(after - phase * before))))
-    return worst
+        defects.append(np.max(np.abs(after - phase * before)))
+    return float(np.max(defects))

@@ -56,12 +56,15 @@ class StateVector:
         object.__setattr__(self, "amps", amps)
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
+        with np.errstate(over="ignore"):  # a sum of squares past the float64 range reads as inf
+            return float(np.linalg.norm(self.amps))
 
     def normalized(self) -> "StateVector":
         n = self.norm()
         if n < 1e-150:
             raise DegenerateVectorError(f"cannot normalize a vector of norm {n}")
+        if math.isinf(n):  # scale by an exact power of two so the sum of squares fits
+            return StateVector(self.dim, self.amps * 2.0**-600).normalized()
         return StateVector(self.dim, self.amps / n)
 
 

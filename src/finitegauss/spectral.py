@@ -31,9 +31,9 @@ class Spectrum:
     exact eigenvalue ties are ordered by that component's index.  The
     eigenvectors are float64 when the operator's entries are real and
     complex otherwise.  residual is max_k of the 2-norm of
-    M v_k - lambda_k v_k; when M is real and parity-even and the
-    eigenvectors are exactly even or odd, it is taken on the rows n >= 0
-    of M folded onto l >= 0, which is the same norm in exact arithmetic.
+    M v_k - lambda_k v_k; when M is real and exactly parity even, each
+    eigenvector is exactly even or odd and it is taken on the rows
+    n >= 0 of M folded onto l >= 0, the same norm in exact arithmetic.
     """
 
     dim: Dimension
@@ -76,20 +76,26 @@ class QuasiEigenReport:
 
 
 def _checked_spectrum(m: OperatorMatrix, residual_tol: float, solve) -> Spectrum:
-    """Check m and residual_tol, run solve(m) -> (vals, vecs), fix the gauge, check the residual.
+    """Check m and residual_tol, run solve(m, even) -> (vals, vecs), fix the gauge, check the residual.
 
-    The residual is measured on solve's output against m.entries, before
-    the gauge, which only reorders the eigenpairs and rescales each by a
-    unit phase (+-1 for real vectors).  It is folded onto the half
-    lattice when _is_parity_split holds and a dense product otherwise.
+    even says m is real and exactly parity even; solve then returns s+1
+    exactly even columns and s exactly odd ones, and the residual is folded
+    onto the half lattice, else it is a dense product.  It is measured on
+    solve's output, before the gauge, which only reorders the eigenpairs
+    and rescales each by a unit phase (+-1 for real vectors).
     """
     if m.kind is not MatrixKind.HERMITIAN:
         raise KindMismatchError(f"eigensolver needs a hermitian operator, got {m.kind.value}")
     residual_tol = float(residual_tol)
     if not (math.isfinite(residual_tol) and residual_tol > 0.0):
         raise InvalidParameterError(f"residual_tol must be finite and positive, got {residual_tol}")
-    vals, vecs = solve(m)
-    residual = _residual(m.entries, vals, vecs)
+    h = m.entries
+    even = _is_parity_even(h)
+    vals, vecs = solve(m, even)
+    if even:
+        residual = _folded_residual(h, vals, vecs)
+    else:
+        residual = float(np.max(np.linalg.norm(h @ vecs - vecs * vals, axis=0)))
 
     pivots = np.argmax(np.abs(vecs), axis=0)
     order = np.lexsort((pivots, vals))
@@ -98,7 +104,7 @@ def _checked_spectrum(m: OperatorMatrix, residual_tol: float, solve) -> Spectrum
     piv = vecs[pivots, np.arange(vecs.shape[1])]
     vecs = vecs * (piv.conj() / np.abs(piv))
 
-    scale = float(np.max(np.abs(m.entries)))
+    scale = float(np.max(np.abs(h)))
     if residual > residual_tol * scale:
         raise NumericalFailureError(
             f"eigenpair residual {residual:.3e} exceeds {residual_tol:.1e} * {scale:.3e}",
@@ -112,28 +118,11 @@ def _is_parity_even(h: np.ndarray) -> bool:
     return h.dtype.kind == "f" and np.array_equal(h, h[::-1, ::-1])
 
 
-def _is_parity_split(h: np.ndarray, vecs: np.ndarray) -> bool:
-    """Whether vecs holds s+1 even then s odd real columns and h is parity even, all exactly.
-
-    The last even column is compared first and h last, so vectors that
-    are not exactly even, such as free_spectrum's cosines, cost O(d).
-    """
-    if vecs.dtype.kind != "f":
-        return False
-    s = h.shape[0] // 2
-    flipped = vecs[::-1]
-    return (
-        np.array_equal(flipped[:, s], vecs[:, s])
-        and np.array_equal(flipped[:, : s + 1], vecs[:, : s + 1])
-        and np.array_equal(flipped[:, s + 1 :], -vecs[:, s + 1 :])
-        and _is_parity_even(h)
-    )
-
-
 def _folded_residual(h: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> float:
-    """max_k of the 2-norm of h v_k - lambda_k v_k from the rows n >= 0, for _is_parity_split input.
+    """max_k of the 2-norm of h v_k - lambda_k v_k from the rows n >= 0.
 
-    With up = h[n >= 0, l >= 0] and down = h[n >= 0, l <= 0], the rows
+    h is parity even and vecs holds s+1 even then s odd columns.  With
+    up = h[n >= 0, l >= 0] and down = h[n >= 0, l <= 0], the rows
     n >= 0 of h v are even @ v(l >= 0) for an even v, where even is up
     with down[:, 1:] added to its columns l > 0, and
     (up - down)[:, 1:] @ v(l > 0) for an odd v.  The defect is even or
@@ -150,11 +139,12 @@ def _folded_residual(h: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> float
     return float(np.sqrt(np.max(sq[0] + 2.0 * np.sum(sq[1:], axis=0))))
 
 
-def _residual(h: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> float:
-    """max_k of the 2-norm of h v_k - lambda_k v_k; folded onto n >= 0 when h and vecs are parity split."""
-    if _is_parity_split(h, vecs):
-        return _folded_residual(h, vals, vecs)
-    return float(np.max(np.linalg.norm(h @ vecs - vecs * vals, axis=0)))
+def _mirrored(vecs: np.ndarray) -> np.ndarray:
+    """vecs with rows n < 0 written from rows n > 0: the first s+1 columns even, the rest odd."""
+    s = vecs.shape[0] // 2
+    vecs[s - 1 :: -1, : s + 1] = vecs[s + 1 :, : s + 1]
+    vecs[s - 1 :: -1, s + 1 :] = -vecs[s + 1 :, s + 1 :]
+    return vecs
 
 
 def _eigh(h: np.ndarray):
@@ -164,8 +154,8 @@ def _eigh(h: np.ndarray):
         raise NumericalFailureError(f"eigensolver did not converge: {exc}") from exc
 
 
-def _parity_split_eigh(m: OperatorMatrix):
-    """eigh of m, split by parity n -> -n when m is real and commutes with it exactly.
+def _parity_split_eigh(m: OperatorMatrix, even: bool):
+    """eigh of m, split by parity n -> -n when m is real and commutes with it exactly (even).
 
     In the basis delta_0, (delta_n + delta_-n)/sqrt(2) the even block
     is up + down with row and column 0 scaled by 1/sqrt(2); in the basis
@@ -174,24 +164,22 @@ def _parity_split_eigh(m: OperatorMatrix):
     down = h[n >= 0, l <= 0].  Any other matrix goes to one dense eigh.
     """
     h = m.entries
-    if not _is_parity_even(h):
+    if not even:
         return _eigh(h)
     d = h.shape[0]
     s = d // 2
     up, down = h[s:, s:], h[s:, s::-1]
-    even = up + down
-    even[0, :] *= math.sqrt(0.5)
-    even[:, 0] *= math.sqrt(0.5)
-    even_vals, even_w = _eigh(even)
+    even_block = up + down
+    even_block[0, :] *= math.sqrt(0.5)
+    even_block[:, 0] *= math.sqrt(0.5)
+    even_vals, even_w = _eigh(even_block)
     odd_vals, odd_w = _eigh((up - down)[1:, 1:])
 
     vecs = np.zeros((d, d))
     vecs[s, : s + 1] = even_w[0]
     vecs[s + 1 :, : s + 1] = math.sqrt(0.5) * even_w[1:]
-    vecs[s - 1 :: -1, : s + 1] = vecs[s + 1 :, : s + 1]
     vecs[s + 1 :, s + 1 :] = math.sqrt(0.5) * odd_w
-    vecs[s - 1 :: -1, s + 1 :] = -vecs[s + 1 :, s + 1 :]
-    return np.concatenate((even_vals, odd_vals)), vecs
+    return np.concatenate((even_vals, odd_vals)), _mirrored(vecs)
 
 
 def hermitian_eig(m: OperatorMatrix, residual_tol: float = EIG_RESIDUAL_TOL) -> Spectrum:
@@ -273,15 +261,15 @@ def free_hamiltonian(dim) -> OperatorMatrix:
     return OperatorMatrix(dim, _free_entries(dim), MatrixKind.HERMITIAN)
 
 
-def _free_eigenpairs(m: OperatorMatrix):
+def _free_eigenpairs(m: OperatorMatrix, even: bool):
     d, s = m.dim.d, m.dim.s
     levels = _free_levels(m.dim)
-    roots = _roots(m.dim, m.dim.indices(), np.arange(1, s + 1))
+    roots = _roots(m.dim, np.arange(s + 1), np.arange(1, s + 1))
     vecs = np.empty((d, d))
     vecs[:, 0] = 1.0 / math.sqrt(d)
-    vecs[:, 1 : s + 1] = math.sqrt(2.0 / d) * roots.real
-    vecs[:, s + 1 :] = math.sqrt(2.0 / d) * roots.imag
-    return np.concatenate((levels, levels[1:])), vecs
+    vecs[s:, 1 : s + 1] = math.sqrt(2.0 / d) * roots.real
+    vecs[s:, s + 1 :] = math.sqrt(2.0 / d) * roots.imag
+    return np.concatenate((levels, levels[1:])), _mirrored(vecs)
 
 
 def free_spectrum(h: OperatorMatrix) -> Spectrum:
@@ -289,7 +277,8 @@ def free_spectrum(h: OperatorMatrix) -> Spectrum:
 
     Level pi*k**2/d carries 1/sqrt(d) for k = 0 and the pair
     sqrt(2/d)*cos(2*pi*k*n/d), sqrt(2/d)*sin(2*pi*k*n/d) for k = 1..s,
-    with k*n reduced mod d before scaling.  The kind check, the gauge,
+    with k*n reduced mod d before scaling.  They are built on n >= 0 and
+    mirrored, so they are exactly even or odd.  The kind check, the gauge,
     the tie order and the residual check against h are those of
     hermitian_eig at its default EIG_RESIDUAL_TOL, so a matrix that is
     not the free Hamiltonian fails the residual check with

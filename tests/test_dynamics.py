@@ -151,6 +151,29 @@ class TestEvolution:
         with pytest.raises(InvalidParameterError, match="time"):
             evolve(h, random_state(dim, 4), t)
 
+    @pytest.mark.parametrize("with_spectrum", [False, True])
+    def test_time_that_overflows_a_phase_is_refused(self, with_spectrum):
+        # t*lambda overflowed to inf: evolve warned, then reported non-finite amplitudes
+        dim = Dimension(5)
+        h = free_hamiltonian(dim)
+        spec = free_spectrum(h) if with_spectrum else None
+        psi = random_state(dim, 4)
+        with pytest.raises(InvalidParameterError, match="overflows the phase"):
+            evolve(h, psi, 1e308, spectrum=spec)
+        with pytest.raises(InvalidParameterError, match="overflows the phase"):
+            evolve(h, psi, -1e308, spectrum=spec)
+        assert evolve(h, psi, 1e300, spectrum=spec).norm() == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("with_spectrum", [False, True])
+    def test_autocorrelation_refuses_a_time_that_overflows_a_phase(self, with_spectrum):
+        # the sample at 1e308 used to come back as nan
+        dim = Dimension(5)
+        h = free_hamiltonian(dim)
+        spec = free_spectrum(h) if with_spectrum else None
+        with pytest.raises(InvalidParameterError, match="overflows the phase"):
+            autocorrelation(h, random_state(dim, 6), [0.0, 1e308], spectrum=spec)
+        assert autocorrelation(h, random_state(dim, 6), [], spectrum=spec).values.size == 0
+
     @pytest.mark.parametrize(
         "times",
         [[0.0, math.nan, math.inf], [-math.inf], [[0.0, 1.0], [2.0, 3.0]], 1.5],
@@ -206,6 +229,11 @@ class TestPopulatedLevels:
 
 
 class TestDetectRevival:
+    def test_level_ratio_that_overflows_is_refused(self):
+        # math.floor(inf) raised a bare OverflowError
+        with pytest.raises(CapacityExceededError, match="overflows"):
+            detect_revival([1e-19, 3e-19, 1e300], [1, 1, 1], rel_tol=1e-320)
+
     def test_equidistant_triple(self):
         eps = 0.7
         rep = detect_revival([eps, 2 * eps, 3 * eps], [0.3, 0.4, 0.3])
@@ -425,6 +453,27 @@ class TestCertifyPeriod:
         h = free_hamiltonian(dim)
         with pytest.raises(InvalidParameterError, match="period"):
             certify_period(h, random_state(dim, 5), period)
+
+    @pytest.mark.parametrize("with_spectrum", [False, True])
+    def test_period_that_overflows_a_phase_is_refused(self, with_spectrum):
+        # t*lambda overflowed, the defect was nan, and max(0.0, nan) read as certified
+        dim = Dimension(5)
+        h = free_hamiltonian(dim)
+        psi = StateVector(dim, np.eye(5, dtype=complex)[2])
+        spec = free_spectrum(h) if with_spectrum else None
+        with pytest.raises(InvalidParameterError, match="overflows the phase"):
+            certify_period(h, psi, 1e308, spectrum=spec)
+
+    def test_nan_defect_never_certifies(self):
+        dim = Dimension(9)
+        h = free_hamiltonian(dim)
+        spec = free_spectrum(h)
+        vecs = spec.eigenvectors.copy()
+        vecs[:, 3] = math.nan
+        broken = Spectrum(dim, spec.eigenvalues.copy(), vecs, spec.residual)
+        psi = StateVector(dim, np.eye(9, dtype=complex)[4])
+        with np.errstate(invalid="ignore"):
+            assert math.isnan(certify_period(h, psi, 18.0, spectrum=broken))
 
 
 @st.composite

@@ -294,6 +294,15 @@ class TestStateAndOperatorTypes:
         with pytest.raises(DegenerateVectorError):
             psi.normalized()
 
+    @pytest.mark.parametrize(
+        "amp, phase", [(1e308, 1.0), (1.7e308, 1.0), (1.7e308 + 1.7e308j, (1.0 + 1.0j) / math.sqrt(2.0))]
+    )
+    def test_normalize_vector_whose_sum_of_squares_overflows(self, amp, phase):
+        # the norm overflowed to inf and the vector normalized to zero
+        unit = StateVector(Dimension(3), [amp] * 3).normalized()
+        assert np.allclose(unit.amps, phase / math.sqrt(3.0), rtol=1e-15, atol=0.0)
+        assert unit.norm() == pytest.approx(1.0, rel=1e-15)
+
     def test_hermitian_kind_checked(self):
         bad = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(KindMismatchError):

@@ -440,16 +440,16 @@ def dense_residual(h: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> float:
     return float(np.max(np.linalg.norm(h @ vecs - vecs * vals, axis=0)))
 
 
-def folded_calls(monkeypatch) -> list:
-    """Record every call _residual makes to the folded half-lattice product."""
+def spy_calls(monkeypatch, name: str) -> list:
+    """Record the arguments of every call to spectral.<name>, which still runs."""
     calls = []
-    real_folded = spectral._folded_residual
+    real = getattr(spectral, name)
 
     def spy(*args):
         calls.append(args)
-        return real_folded(*args)
+        return real(*args)
 
-    monkeypatch.setattr(spectral, "_folded_residual", spy)
+    monkeypatch.setattr(spectral, name, spy)
     return calls
 
 
@@ -458,10 +458,25 @@ def folded_calls(monkeypatch) -> list:
 FOLD_AGREE_TOL = 1e-14
 
 
-def assert_folded_matches_dense(h: np.ndarray) -> None:
-    vals, vecs = spectral._parity_split_eigh(OperatorMatrix(Dimension(h.shape[0]), h, MatrixKind.HERMITIAN))
-    assert spectral._is_parity_split(h, vecs)
-    gap = abs(spectral._residual(h, vals, vecs) - dense_residual(h, vals, vecs))
+def assert_split(vecs: np.ndarray) -> None:
+    """vecs holds s+1 exactly even real columns, then s exactly odd ones."""
+    s = vecs.shape[0] // 2
+    assert vecs.dtype == np.float64
+    assert np.array_equal(vecs[::-1, : s + 1], vecs[:, : s + 1])
+    assert np.array_equal(vecs[::-1, s + 1 :], -vecs[:, s + 1 :])
+
+
+def assert_folded_matches_dense(spec, h: np.ndarray, calls: list) -> None:
+    """spec's residual is the one folded product, of split vectors, and agrees with the dense one."""
+    assert len(calls) == 1
+    _, vals, vecs = calls[0]
+    assert_split(vecs)
+    v = spec.eigenvectors
+    s = v.shape[0] // 2
+    even = np.all(v[::-1] == v, axis=0)
+    assert np.count_nonzero(even) == s + 1
+    assert np.array_equal(v[::-1, ~even], -v[:, ~even])
+    gap = abs(spec.residual - dense_residual(h, vals, vecs))
     assert gap <= FOLD_AGREE_TOL * np.max(np.abs(h))
 
 
@@ -469,82 +484,100 @@ class TestFoldedResidual:
     @given(st.integers(min_value=1, max_value=30).map(lambda s: 2 * s + 1), st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_random_parity_even_matrix(self, d, seed):
-        assert_folded_matches_dense(parity_even_matrix(d, seed))
+        h = parity_even_matrix(d, seed)
+        with pytest.MonkeyPatch.context() as mp:
+            calls = spy_calls(mp, "_folded_residual")
+            spec = hermitian_eig(OperatorMatrix(Dimension(d), h, MatrixKind.HERMITIAN))
+        assert_folded_matches_dense(spec, h, calls)
 
     @pytest.mark.parametrize("d", [9, 31, 101, 301, 1001])
-    def test_oscillator(self, d):
-        assert_folded_matches_dense(oscillator_hamiltonian(Dimension(d)).entries)
+    def test_oscillator(self, d, monkeypatch):
+        h = oscillator_hamiltonian(Dimension(d))
+        calls = spy_calls(monkeypatch, "_folded_residual")
+        assert_folded_matches_dense(hermitian_eig(h), h.entries, calls)
 
     @pytest.mark.parametrize("d", [9, 31, 101, 301, 1001])
-    def test_commutator(self, d):
-        assert_folded_matches_dense(-spectral._commutator_kernel(Dimension(d)))
+    def test_commutator(self, d, monkeypatch):
+        calls = spy_calls(monkeypatch, "_folded_residual")
+        spec = commutator_spectrum(Dimension(d))
+        assert_folded_matches_dense(spec, -spectral._commutator_kernel(Dimension(d)), calls)
+
+    @given(st.integers(min_value=1, max_value=30).map(lambda s: 2 * s + 1))
+    @settings(max_examples=30, deadline=None)
+    def test_free_spectrum_of_any_size(self, d):
+        h = free_hamiltonian(Dimension(d))
+        with pytest.MonkeyPatch.context() as mp:
+            calls = spy_calls(mp, "_folded_residual")
+            spec = free_spectrum(h)
+        assert_folded_matches_dense(spec, h.entries, calls)
+
+    @pytest.mark.parametrize("d", [9, 31, 101, 301, 1001])
+    def test_free_spectrum_takes_folded_path(self, d, monkeypatch):
+        h = free_hamiltonian(Dimension(d))
+        calls = spy_calls(monkeypatch, "_folded_residual")
+        assert_folded_matches_dense(free_spectrum(h), h.entries, calls)
 
     def test_hermitian_eig_reports_the_folded_residual(self, monkeypatch):
         h = oscillator_hamiltonian(Dimension(31))
-        vals, vecs = spectral._parity_split_eigh(h)
+        vals, vecs = spectral._parity_split_eigh(h, True)
         want = spectral._folded_residual(h.entries, vals, vecs)
-        calls = folded_calls(monkeypatch)
+        calls = spy_calls(monkeypatch, "_folded_residual")
         assert hermitian_eig(h).residual == want
         assert len(calls) == 1
 
-    def test_perturbed_negative_row_takes_dense_path_and_fails(self, monkeypatch):
-        # the folded product never reads rows n < 0, so such input must not reach it
-        h = oscillator_hamiltonian(Dimension(31))
-        vals, vecs = spectral._parity_split_eigh(h)
-        vecs[15 - 4, 7] += 1e-6
-        calls = folded_calls(monkeypatch)
-        assert spectral._residual(h.entries, vals, vecs) == dense_residual(h.entries, vals, vecs)
-        assert calls == []
-        with pytest.raises(NumericalFailureError) as info:
-            spectral._checked_spectrum(h, spectral.EIG_RESIDUAL_TOL, lambda m: (vals, vecs))
-        assert info.value.residual > 1e-10 * np.max(np.abs(h.entries))
-        assert calls == []
+    def test_parity_test_runs_once_per_call(self, monkeypatch):
+        bent = parity_even_matrix(21, 7)
+        bent[0, 1] = bent[1, 0] = bent[0, 1] + 1.0
+        calls = spy_calls(monkeypatch, "_is_parity_even")
+        hermitian_eig(oscillator_hamiltonian(Dimension(31)))
+        assert len(calls) == 1
+        hermitian_eig(OperatorMatrix(Dimension(21), bent, MatrixKind.HERMITIAN))
+        assert len(calls) == 2
+        free_spectrum(free_hamiltonian(Dimension(101)))
+        assert len(calls) == 3
 
     @pytest.mark.parametrize("k", [0, 7, 15, 16, 30])
     def test_shifted_eigenvalue_fails_on_folded_path(self, k, monkeypatch):
         h = oscillator_hamiltonian(Dimension(31))
-        vals, vecs = spectral._parity_split_eigh(h)
+        vals, vecs = spectral._parity_split_eigh(h, True)
         vals[k] += 1e-6
-        calls = folded_calls(monkeypatch)
-        assert spectral._residual(h.entries, vals, vecs) >= 0.99e-6
-        assert len(calls) == 1
+        assert spectral._folded_residual(h.entries, vals, vecs) >= 0.99e-6
+        calls = spy_calls(monkeypatch, "_folded_residual")
         with pytest.raises(NumericalFailureError):
-            spectral._checked_spectrum(h, spectral.EIG_RESIDUAL_TOL, lambda m: (vals, vecs))
-        assert len(calls) == 2
+            spectral._checked_spectrum(h, spectral.EIG_RESIDUAL_TOL, lambda m, even: (vals, vecs))
+        assert len(calls) == 1
 
     def test_complex_matrix_takes_dense_path(self, monkeypatch):
         h = OperatorMatrix(Dimension(21), parity_even_matrix(21, 7).astype(complex), MatrixKind.HERMITIAN)
-        vals, vecs = spectral._parity_split_eigh(h)
-        calls = folded_calls(monkeypatch)
-        assert spectral._residual(h.entries, vals, vecs) == dense_residual(h.entries, vals, vecs)
-        hermitian_eig(h)
+        calls = spy_calls(monkeypatch, "_folded_residual")
+        spec = hermitian_eig(h)
+        assert spec.residual == dense_residual(h.entries, *np.linalg.eigh(h.entries))
         assert calls == []
-
-    @pytest.mark.parametrize("d", [9, 31, 101, 1001])
-    def test_free_spectrum_takes_dense_path(self, d, monkeypatch):
-        # the closed-form cosines and sines are not exactly even or odd in n
-        h = free_hamiltonian(Dimension(d))
-        vals, vecs = spectral._free_eigenpairs(h)
-        assert not spectral._is_parity_split(h.entries, vecs)
-        calls = folded_calls(monkeypatch)
-        free_spectrum(h)
-        assert calls == []
-
-    def test_free_spectrum_skips_the_matrix_parity_test(self, monkeypatch):
-        # the vectors are tested first, so h is never compared with its parity image
-        seen = []
-        monkeypatch.setattr(spectral, "_is_parity_even", lambda h: seen.append(h) or True)
-        free_spectrum(free_hamiltonian(Dimension(101)))
-        assert seen == []
 
     def test_split_vectors_of_a_matrix_that_is_not_even_take_dense_path(self, monkeypatch):
         h = oscillator_hamiltonian(Dimension(31))
-        vals, vecs = spectral._parity_split_eigh(h)
+        vals, vecs = spectral._parity_split_eigh(h, True)
         bent = h.entries.copy()
-        bent[2, 5] += 1e-6
-        bent[5, 2] += 1e-6
-        calls = folded_calls(monkeypatch)
-        assert spectral._residual(bent, vals, vecs) == dense_residual(bent, vals, vecs)
+        bent[2, 5] += 1e-12
+        bent[5, 2] += 1e-12
+        calls = spy_calls(monkeypatch, "_folded_residual")
+        spec = spectral._checked_spectrum(
+            OperatorMatrix(Dimension(31), bent, MatrixKind.HERMITIAN),
+            spectral.EIG_RESIDUAL_TOL,
+            lambda m, even: (vals, vecs),
+        )
+        assert spec.residual == dense_residual(bent, vals, vecs)
+        assert calls == []
+
+    def test_free_spectrum_of_a_matrix_that_is_not_even_takes_dense_path(self, monkeypatch):
+        h = free_hamiltonian(Dimension(31))
+        vals, vecs = spectral._free_eigenpairs(h, True)
+        bent = h.entries.copy()
+        bent[2, 5] += 1e-12
+        bent[5, 2] += 1e-12
+        calls = spy_calls(monkeypatch, "_folded_residual")
+        spec = free_spectrum(OperatorMatrix(Dimension(31), bent, MatrixKind.HERMITIAN))
+        assert spec.residual == dense_residual(bent, vals, vecs)
         assert calls == []
 
 

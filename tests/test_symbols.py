@@ -91,12 +91,15 @@ def _ref_displacement_action(dim, alpha, beta):
 
 def _ref_free_vectors(dim):
     d, s = dim.d, dim.s
-    n, k = dim.indices(), np.arange(1, s + 1)
+    n, k = np.arange(s + 1), np.arange(1, s + 1)
     roots = _root_table(dim)[np.mod(np.outer(n, k), d)]
     vecs = np.empty((d, d))
     vecs[:, 0] = 1.0 / math.sqrt(d)
-    vecs[:, 1 : s + 1] = math.sqrt(2.0 / d) * roots.real
-    vecs[:, s + 1 :] = math.sqrt(2.0 / d) * roots.imag
+    vecs[s:, 1 : s + 1] = math.sqrt(2.0 / d) * roots.real
+    vecs[s:, s + 1 :] = math.sqrt(2.0 / d) * roots.imag
+    # rows n < 0 mirror rows n > 0: cosines are even, sines odd
+    parity = np.where(np.arange(d) <= s, 1.0, -1.0)
+    vecs[:s] = vecs[:s:-1] * parity
     return vecs
 
 
@@ -161,7 +164,7 @@ class TestBitIdentical:
         h = free_hamiltonian(dim)
         levels = np.pi * np.arange(dim.s + 1) ** 2 / d
         want = _checked_spectrum(
-            h, EIG_RESIDUAL_TOL, lambda m: (np.concatenate((levels, levels[1:])), _ref_free_vectors(dim))
+            h, EIG_RESIDUAL_TOL, lambda m, even: (np.concatenate((levels, levels[1:])), _ref_free_vectors(dim))
         )
         got = free_spectrum(h)
         _same_bytes(got.eigenvectors, want.eigenvectors)
