@@ -145,6 +145,8 @@ def cmd_wigner(args):
         grid = wigner_definition(dim, args.kappa)
     elif args.source == "closed":
         grid = wigner_closed_form(dim, args.kappa)
+    elif args.kappa != 1.0:
+        raise InvalidParameterError(f"--source theta is the kappa = 1 form, got --kappa {args.kappa!r}")
     else:
         grid = wigner_theta_form(dim)
     check_value = _wigner_check(args, grid) if args.check else None
@@ -211,7 +213,7 @@ def _revival_state(dim: Dimension, state_spec: list[str], kappa: float) -> State
         if len(state_spec) != 1:
             raise InvalidParameterError("state gauss takes no arguments")
         g = finite_gaussian(dim, kappa)
-        return StateVector(dim, g.values.astype(complex)).normalized()
+        return StateVector(dim, g.values).normalized()
     if kind == "coherent":
         if len(state_spec) != 3:
             raise InvalidParameterError("state coherent needs two integers: alpha beta")

@@ -46,6 +46,10 @@ class RevivalReport:
     zero_level: bool = False
     note: str | None = None
 
+    def __post_init__(self):
+        if self.period is not None and not math.isfinite(self.period):
+            raise CapacityExceededError(f"the {self.kind} revival period overflows float64")
+
 
 @dataclass(frozen=True)
 class TimeSeries:
@@ -181,7 +185,8 @@ def detect_revival(levels, weights, rel_tol: float = 1e-9) -> RevivalReport:
     <= MAX_DEN and relative error <= rel_tol, giving period
     2*m*pi/eps_1 with m the LCM of the denominators.  A certified pair
     is reported with the tighter pair period 2*pi/gap unless a populated
-    zero level forbids the up-to-phase reading.
+    zero level forbids the up-to-phase reading.  A level ratio or a
+    period that overflows float64 raises CapacityExceededError.
     """
     levels = np.asarray(levels, dtype=float)
     wts = np.asarray(weights, dtype=float)

@@ -39,13 +39,13 @@ class MatrixKind(enum.Enum):
 
 @dataclass(frozen=True)
 class StateVector:
-    """A vector in C^d over the centered lattice."""
+    """A vector in C^d over the centered lattice; amps is a read-only complex copy."""
 
     dim: Dimension
     amps: np.ndarray
 
     def __post_init__(self):
-        amps = np.asarray(self.amps, dtype=complex)
+        amps = np.array(self.amps, dtype=complex)
         if amps.shape != (self.dim.d,):
             raise DimensionMismatchError(
                 f"amplitude vector has shape {amps.shape}, lattice needs ({self.dim.d},)"
@@ -57,13 +57,16 @@ class StateVector:
 
     def norm(self) -> float:
         with np.errstate(over="ignore"):  # a sum of squares past the float64 range reads as inf
-            return float(np.linalg.norm(self.amps))
+            n = float(np.linalg.norm(self.amps))
+            if math.isinf(n):  # scale by an exact power of two so the sum of squares fits
+                n = float(np.linalg.norm(self.amps * 2.0**-600)) * 2.0**600
+        return n
 
     def normalized(self) -> "StateVector":
         n = self.norm()
         if n < 1e-150:
             raise DegenerateVectorError(f"cannot normalize a vector of norm {n}")
-        if math.isinf(n):  # scale by an exact power of two so the sum of squares fits
+        if math.isinf(n):  # the norm itself overflows: normalize a copy scaled by 2**-600
             return StateVector(self.dim, self.amps * 2.0**-600).normalized()
         return StateVector(self.dim, self.amps / n)
 
@@ -72,7 +75,7 @@ class StateVector:
 class OperatorMatrix:
     """A d x d matrix tagged with its structural kind.
 
-    Real entries stay float64; any other input is stored as complex.
+    entries is a read-only copy of the input: float64 if it is real, else complex.
     Construction verifies the tag: hermitian matrices must equal their
     adjoint to 1e-13 relative in the max norm, unitary matrices must
     satisfy M^dag M = I to 1e-12 in the max norm.
@@ -106,6 +109,8 @@ class OperatorMatrix:
                 raise KindMismatchError(
                     f"matrix tagged unitary fails M^dag M = I by {dev:.3e}"
                 )
+        if np.may_share_memory(entries, self.entries):  # copied after the check, so its temporaries are freed
+            entries = entries.copy()
         entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "kind", kind)
@@ -294,4 +299,4 @@ def mehta_eigenvector(dim, k: int) -> StateVector:
         raise DegenerateVectorError(
             f"order-{k} vector on a lattice of size {dim.d} is numerically null"
         )
-    return StateVector(dim, values.astype(complex))
+    return StateVector(dim, values)

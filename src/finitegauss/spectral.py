@@ -30,10 +30,9 @@ class Spectrum:
     normalized so its largest-modulus component is real and positive;
     exact eigenvalue ties are ordered by that component's index.  The
     eigenvectors are float64 when the operator's entries are real and
-    complex otherwise.  residual is max_k of the 2-norm of
-    M v_k - lambda_k v_k; when M is real and exactly parity even, each
-    eigenvector is exactly even or odd and it is taken on the rows
-    n >= 0 of M folded onto l >= 0, the same norm in exact arithmetic.
+    complex otherwise.  residual is max_k of the 2-norm of M v_k - lambda_k v_k,
+    taken on the even and odd blocks solved when M is real and exactly
+    parity even, each eigenvector then being exactly even or odd.
     """
 
     dim: Dimension
@@ -76,26 +75,17 @@ class QuasiEigenReport:
 
 
 def _checked_spectrum(m: OperatorMatrix, residual_tol: float, solve) -> Spectrum:
-    """Check m and residual_tol, run solve(m, even) -> (vals, vecs), fix the gauge, check the residual.
+    """Check m and residual_tol, solve m through _solved, fix the gauge, check the residual.
 
-    even says m is real and exactly parity even; solve then returns s+1
-    exactly even columns and s exactly odd ones, and the residual is folded
-    onto the half lattice, else it is a dense product.  It is measured on
-    solve's output, before the gauge, which only reorders the eigenpairs
-    and rescales each by a unit phase (+-1 for real vectors).
+    The gauge only reorders the eigenpairs and rescales each by a unit
+    phase (+-1 for real vectors), so it leaves the residual as it is.
     """
     if m.kind is not MatrixKind.HERMITIAN:
         raise KindMismatchError(f"eigensolver needs a hermitian operator, got {m.kind.value}")
     residual_tol = float(residual_tol)
     if not (math.isfinite(residual_tol) and residual_tol > 0.0):
         raise InvalidParameterError(f"residual_tol must be finite and positive, got {residual_tol}")
-    h = m.entries
-    even = _is_parity_even(h)
-    vals, vecs = solve(m, even)
-    if even:
-        residual = _folded_residual(h, vals, vecs)
-    else:
-        residual = float(np.max(np.linalg.norm(h @ vecs - vecs * vals, axis=0)))
+    vals, vecs, residual = _solved(m, solve)
 
     pivots = np.argmax(np.abs(vecs), axis=0)
     order = np.lexsort((pivots, vals))
@@ -104,7 +94,7 @@ def _checked_spectrum(m: OperatorMatrix, residual_tol: float, solve) -> Spectrum
     piv = vecs[pivots, np.arange(vecs.shape[1])]
     vecs = vecs * (piv.conj() / np.abs(piv))
 
-    scale = float(np.max(np.abs(h)))
+    scale = float(np.max(np.abs(m.entries)))
     if residual > residual_tol * scale:
         raise NumericalFailureError(
             f"eigenpair residual {residual:.3e} exceeds {residual_tol:.1e} * {scale:.3e}",
@@ -118,68 +108,58 @@ def _is_parity_even(h: np.ndarray) -> bool:
     return h.dtype.kind == "f" and np.array_equal(h, h[::-1, ::-1])
 
 
-def _folded_residual(h: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> float:
-    """max_k of the 2-norm of h v_k - lambda_k v_k from the rows n >= 0.
-
-    h is parity even and vecs holds s+1 even then s odd columns.  With
-    up = h[n >= 0, l >= 0] and down = h[n >= 0, l <= 0], the rows
-    n >= 0 of h v are even @ v(l >= 0) for an even v, where even is up
-    with down[:, 1:] added to its columns l > 0, and
-    (up - down)[:, 1:] @ v(l > 0) for an odd v.  The defect is even or
-    odd with v, so each row n > 0 counts twice in its squared norm.
-    """
-    s = h.shape[0] // 2
-    up, down = h[s:, s:], h[s:, s::-1]
-    even = up.copy()
-    even[:, 1:] += down[:, 1:]
-    half = vecs[s:]
-    odd = up[:, 1:] - down[:, 1:]
-    defect = np.concatenate((even @ half[:, : s + 1], odd @ half[1:, s + 1 :]), axis=1) - half * vals
-    sq = defect * defect
-    return float(np.sqrt(np.max(sq[0] + 2.0 * np.sum(sq[1:], axis=0))))
+def _residual(a: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> float:
+    """max_k of the 2-norm of a w_k - lambda_k w_k."""
+    return float(np.max(np.linalg.norm(a @ vecs - vecs * vals, axis=0)))
 
 
-def _mirrored(vecs: np.ndarray) -> np.ndarray:
-    """vecs with rows n < 0 written from rows n > 0: the first s+1 columns even, the rest odd."""
-    s = vecs.shape[0] // 2
-    vecs[s - 1 :: -1, : s + 1] = vecs[s + 1 :, : s + 1]
-    vecs[s - 1 :: -1, s + 1 :] = -vecs[s + 1 :, s + 1 :]
-    return vecs
+def _solved(m: OperatorMatrix, solve):
+    """(vals, vecs, residual) of m from solve(m, blocks), which returns (vals, w) per block.
 
-
-def _eigh(h: np.ndarray):
-    try:
-        return np.linalg.eigh(h)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"eigensolver did not converge: {exc}") from exc
-
-
-def _parity_split_eigh(m: OperatorMatrix, even: bool):
-    """eigh of m, split by parity n -> -n when m is real and commutes with it exactly (even).
-
-    In the basis delta_0, (delta_n + delta_-n)/sqrt(2) the even block
-    is up + down with row and column 0 scaled by 1/sqrt(2); in the basis
-    (delta_n - delta_-n)/sqrt(2) the odd block is up - down without
-    them.  Here h = m.entries, up = h[n >= 0, l >= 0] and
-    down = h[n >= 0, l <= 0].  Any other matrix goes to one dense eigh.
+    A real h = m.entries equal to its parity image is given as two
+    blocks, h in the bases delta_0, (delta_n + delta_-n)/sqrt(2) (even)
+    and (delta_n - delta_-n)/sqrt(2) (odd), n > 0; any other h is given
+    whole.  Each block's eigenpairs are checked on that block; the bases
+    are orthonormal, so the residual is that of h in exact arithmetic.
     """
     h = m.entries
-    if not even:
-        return _eigh(h)
-    d = h.shape[0]
-    s = d // 2
-    up, down = h[s:, s:], h[s:, s::-1]
-    even_block = up + down
-    even_block[0, :] *= math.sqrt(0.5)
-    even_block[:, 0] *= math.sqrt(0.5)
-    even_vals, even_w = _eigh(even_block)
-    odd_vals, odd_w = _eigh((up - down)[1:, 1:])
+    if _is_parity_even(h):
+        s = m.dim.s
+        up, down = h[s:, s:], h[s:, s::-1]
+        even = up + down
+        even[0, :] *= math.sqrt(0.5)
+        even[:, 0] *= math.sqrt(0.5)
+        blocks = (even, (up - down)[1:, 1:])
+    else:
+        blocks = (h,)
+    pairs = solve(m, blocks)
+    residual = max(_residual(a, vals, w) for a, (vals, w) in zip(blocks, pairs))
+    vals, vecs = pairs[0] if len(pairs) == 1 else _mirrored(pairs)
+    return vals, vecs, residual
 
-    vecs = np.zeros((d, d))
+
+def _mirrored(pairs):
+    """(vals, vecs) on the lattice from the even and odd (vals, w) of _solved: even columns first.
+
+    v(0) is row 0 of an even w, v(n) is row n times sqrt(1/2), v(-n) = +-v(n).
+    """
+    (even_vals, even_w), (odd_vals, odd_w) = pairs
+    s = odd_w.shape[0]
+    vecs = np.zeros((2 * s + 1, 2 * s + 1))
     vecs[s, : s + 1] = even_w[0]
     vecs[s + 1 :, : s + 1] = math.sqrt(0.5) * even_w[1:]
     vecs[s + 1 :, s + 1 :] = math.sqrt(0.5) * odd_w
-    return np.concatenate((even_vals, odd_vals)), _mirrored(vecs)
+    vecs[s - 1 :: -1, : s + 1] = vecs[s + 1 :, : s + 1]
+    vecs[s - 1 :: -1, s + 1 :] = -vecs[s + 1 :, s + 1 :]
+    return np.concatenate((even_vals, odd_vals)), vecs
+
+
+def _parity_split_eigh(m: OperatorMatrix, blocks):
+    """eigh of each block of m that _solved gives: its two parity blocks, or the whole matrix."""
+    try:
+        return [np.linalg.eigh(a) for a in blocks]
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(f"eigensolver did not converge: {exc}") from exc
 
 
 def hermitian_eig(m: OperatorMatrix, residual_tol: float = EIG_RESIDUAL_TOL) -> Spectrum:
@@ -261,15 +241,22 @@ def free_hamiltonian(dim) -> OperatorMatrix:
     return OperatorMatrix(dim, _free_entries(dim), MatrixKind.HERMITIAN)
 
 
-def _free_eigenpairs(m: OperatorMatrix, even: bool):
-    d, s = m.dim.d, m.dim.s
+def _free_eigenpairs(m: OperatorMatrix, blocks):
+    """The closed-form free modes in the coordinates of the blocks _solved gives.
+
+    The even block's are 2/sqrt(d) * cos(2*pi*k*n/d), n, k = 0..s, with
+    row and column 0 scaled by sqrt(1/2); the odd block's are
+    2/sqrt(d) * sin(2*pi*k*n/d), n, k = 1..s.  A whole matrix gets them assembled.
+    """
+    s = m.dim.s
     levels = _free_levels(m.dim)
-    roots = _roots(m.dim, np.arange(s + 1), np.arange(1, s + 1))
-    vecs = np.empty((d, d))
-    vecs[:, 0] = 1.0 / math.sqrt(d)
-    vecs[s:, 1 : s + 1] = math.sqrt(2.0 / d) * roots.real
-    vecs[s:, s + 1 :] = math.sqrt(2.0 / d) * roots.imag
-    return np.concatenate((levels, levels[1:])), _mirrored(vecs)
+    roots = _roots(m.dim, np.arange(s + 1), np.arange(s + 1))
+    even = (2.0 / math.sqrt(m.dim.d)) * roots.real
+    even[0, :] *= math.sqrt(0.5)
+    even[:, 0] *= math.sqrt(0.5)
+    odd = (2.0 / math.sqrt(m.dim.d)) * roots.imag[1:, 1:]
+    pairs = [(levels, even), (levels[1:], odd)]
+    return pairs if len(blocks) == 2 else [_mirrored(pairs)]
 
 
 def free_spectrum(h: OperatorMatrix) -> Spectrum:
@@ -277,8 +264,8 @@ def free_spectrum(h: OperatorMatrix) -> Spectrum:
 
     Level pi*k**2/d carries 1/sqrt(d) for k = 0 and the pair
     sqrt(2/d)*cos(2*pi*k*n/d), sqrt(2/d)*sin(2*pi*k*n/d) for k = 1..s,
-    with k*n reduced mod d before scaling.  They are built on n >= 0 and
-    mirrored, so they are exactly even or odd.  The kind check, the gauge,
+    with k*n reduced mod d before scaling.  They are built on the parity
+    blocks and mirrored, so they are exactly even or odd.  The kind check, the gauge,
     the tie order and the residual check against h are those of
     hermitian_eig at its default EIG_RESIDUAL_TOL, so a matrix that is
     not the free Hamiltonian fails the residual check with

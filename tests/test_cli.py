@@ -58,7 +58,7 @@ class TestDeterminism:
             ["gauss", "--d", "9", "--kappa", "2.5"],
             ["commutator", "--d", "11"],
             ["spectrum", "--d", "11", "--ham", "osc", "--format", "json"],
-            ["wigner", "--d", "7", "--kappa", "0.5", "--source", "theta", "--format", "json"],
+            ["wigner", "--d", "7", "--source", "theta", "--format", "json"],
             ["revival", "--d", "7", "--ham", "free", "--state", "delta", "1"],
         ],
     )
@@ -128,6 +128,14 @@ class TestExitCodes:
         payload = json.loads(out.read_text())
         assert payload["certified"] is False
         assert "not certified" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("check", [[], ["--check"]])
+    def test_theta_source_refuses_kappa_other_than_one(self, check, capsys):
+        # --kappa was ignored: the kappa = 1 grid was printed beside a check made at kappa
+        assert main(["wigner", "--d", "5", "--source", "theta", "--kappa", "0.5", *check]) == 2
+        assert "--kappa 0.5" in capsys.readouterr().err
+        assert main(["wigner", "--d", "5", "--source", "theta", "--kappa", "1", *check]) == 0
+        capsys.readouterr()
 
     def test_success_is_zero(self, capsys):
         assert main(["quasi", "--d", "5"]) == 0

@@ -234,6 +234,16 @@ class TestDetectRevival:
         with pytest.raises(CapacityExceededError, match="overflows"):
             detect_revival([1e-19, 3e-19, 1e300], [1, 1, 1], rel_tol=1e-320)
 
+    @pytest.mark.parametrize(
+        "levels",
+        [[5e-324, 1e-323], [5e-324, 1e-323, 1.5e-323], [5e-324, 1e-323, 2e-323, 3e-322], [5e-324]],
+        ids=["pair", "equidistant", "commensurate", "single"],
+    )
+    def test_period_that_overflows_is_refused(self, levels):
+        # 2*pi over a subnormal gap or level overflowed and was reported as period inf
+        with pytest.raises(CapacityExceededError, match="overflows"):
+            detect_revival(levels, [1.0] * len(levels))
+
     def test_equidistant_triple(self):
         eps = 0.7
         rep = detect_revival([eps, 2 * eps, 3 * eps], [0.3, 0.4, 0.3])

@@ -303,6 +303,35 @@ class TestStateAndOperatorTypes:
         assert np.allclose(unit.amps, phase / math.sqrt(3.0), rtol=1e-15, atol=0.0)
         assert unit.norm() == pytest.approx(1.0, rel=1e-15)
 
+    def test_norm_of_a_vector_whose_sum_of_squares_overflows(self):
+        # np.linalg.norm squares first, so a norm of 1.73e308 read inf
+        assert StateVector(Dimension(3), [1e308] * 3).norm() == pytest.approx(math.sqrt(3.0) * 1e308, rel=1e-15)
+        assert StateVector(Dimension(3), [-1e308, 1e308j, 0.0]).norm() == pytest.approx(
+            math.sqrt(2.0) * 1e308, rel=1e-15
+        )
+        assert StateVector(Dimension(3), [1.7e308] * 3).norm() == math.inf
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_operator_keeps_its_own_copy(self, dtype):
+        # the entries were the caller's array, frozen; once thawed, a write bent the tagged matrix
+        h = np.eye(3, dtype=dtype)
+        m = OperatorMatrix(Dimension(3), h, MatrixKind.HERMITIAN)
+        assert h.flags.writeable and not m.entries.flags.writeable
+        h[0, 1] = 5.0
+        assert np.array_equal(m.entries, np.eye(3))
+        big = np.eye(5, dtype=dtype)
+        view = OperatorMatrix(Dimension(3), big[1:4, 1:4], MatrixKind.HERMITIAN)
+        big[1, 2] = 5.0
+        assert np.array_equal(view.entries, np.eye(3))
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_state_keeps_its_own_copy(self, dtype):
+        amps = np.ones(3, dtype=dtype)
+        psi = StateVector(Dimension(3), amps)
+        assert amps.flags.writeable and not psi.amps.flags.writeable
+        amps[0] = np.nan
+        assert np.array_equal(psi.amps, np.ones(3))
+
     def test_hermitian_kind_checked(self):
         bad = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(KindMismatchError):

@@ -453,8 +453,9 @@ def spy_calls(monkeypatch, name: str) -> list:
     return calls
 
 
-# The folded residual must agree with the dense one to this fraction of
-# max|H| (worst seen over 300 random draws and the structured cases: 5.0e-16).
+# The residual reported for the parity blocks must agree with the dense
+# residual of the returned eigenpairs to this fraction of max|H| (worst
+# seen over 300 random draws and the structured cases up to d=1001: 9.2e-16).
 FOLD_AGREE_TOL = 1e-14
 
 
@@ -466,64 +467,64 @@ def assert_split(vecs: np.ndarray) -> None:
     assert np.array_equal(vecs[::-1, s + 1 :], -vecs[:, s + 1 :])
 
 
-def assert_folded_matches_dense(spec, h: np.ndarray, calls: list) -> None:
-    """spec's residual is the one folded product, of split vectors, and agrees with the dense one."""
-    assert len(calls) == 1
-    _, vals, vecs = calls[0]
-    assert_split(vecs)
+def assert_blocks_match_dense(spec, h: np.ndarray) -> None:
+    """spec's columns are exactly even or odd, s+1 even, and its residual is that of the dense product."""
     v = spec.eigenvectors
-    s = v.shape[0] // 2
-    even = np.all(v[::-1] == v, axis=0)
-    assert np.count_nonzero(even) == s + 1
-    assert np.array_equal(v[::-1, ~even], -v[:, ~even])
-    gap = abs(spec.residual - dense_residual(h, vals, vecs))
+    order = np.argsort(~np.all(v[::-1] == v, axis=0), kind="stable")
+    assert_split(v[:, order])
+    gap = abs(spec.residual - dense_residual(h, spec.eigenvalues, v))
     assert gap <= FOLD_AGREE_TOL * np.max(np.abs(h))
 
 
 class TestFoldedResidual:
+    """A parity-even matrix is checked on its even and odd blocks, the matrix folded onto n >= 0."""
+
     @given(st.integers(min_value=1, max_value=30).map(lambda s: 2 * s + 1), st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_random_parity_even_matrix(self, d, seed):
         h = parity_even_matrix(d, seed)
-        with pytest.MonkeyPatch.context() as mp:
-            calls = spy_calls(mp, "_folded_residual")
-            spec = hermitian_eig(OperatorMatrix(Dimension(d), h, MatrixKind.HERMITIAN))
-        assert_folded_matches_dense(spec, h, calls)
+        assert_blocks_match_dense(hermitian_eig(OperatorMatrix(Dimension(d), h, MatrixKind.HERMITIAN)), h)
 
     @pytest.mark.parametrize("d", [9, 31, 101, 301, 1001])
-    def test_oscillator(self, d, monkeypatch):
+    def test_oscillator(self, d):
         h = oscillator_hamiltonian(Dimension(d))
-        calls = spy_calls(monkeypatch, "_folded_residual")
-        assert_folded_matches_dense(hermitian_eig(h), h.entries, calls)
+        assert_blocks_match_dense(hermitian_eig(h), h.entries)
 
     @pytest.mark.parametrize("d", [9, 31, 101, 301, 1001])
-    def test_commutator(self, d, monkeypatch):
-        calls = spy_calls(monkeypatch, "_folded_residual")
+    def test_commutator(self, d):
         spec = commutator_spectrum(Dimension(d))
-        assert_folded_matches_dense(spec, -spectral._commutator_kernel(Dimension(d)), calls)
+        assert_blocks_match_dense(spec, -spectral._commutator_kernel(Dimension(d)))
 
     @given(st.integers(min_value=1, max_value=30).map(lambda s: 2 * s + 1))
     @settings(max_examples=30, deadline=None)
     def test_free_spectrum_of_any_size(self, d):
         h = free_hamiltonian(Dimension(d))
-        with pytest.MonkeyPatch.context() as mp:
-            calls = spy_calls(mp, "_folded_residual")
-            spec = free_spectrum(h)
-        assert_folded_matches_dense(spec, h.entries, calls)
+        assert_blocks_match_dense(free_spectrum(h), h.entries)
 
     @pytest.mark.parametrize("d", [9, 31, 101, 301, 1001])
-    def test_free_spectrum_takes_folded_path(self, d, monkeypatch):
+    def test_free_spectrum_takes_folded_path(self, d):
         h = free_hamiltonian(Dimension(d))
-        calls = spy_calls(monkeypatch, "_folded_residual")
-        assert_folded_matches_dense(free_spectrum(h), h.entries, calls)
+        assert_blocks_match_dense(free_spectrum(h), h.entries)
 
     def test_hermitian_eig_reports_the_folded_residual(self, monkeypatch):
-        h = oscillator_hamiltonian(Dimension(31))
-        vals, vecs = spectral._parity_split_eigh(h, True)
-        want = spectral._folded_residual(h.entries, vals, vecs)
-        calls = spy_calls(monkeypatch, "_folded_residual")
-        assert hermitian_eig(h).residual == want
-        assert len(calls) == 1
+        # every matrix eigh solves is checked by _residual, and the worst of them is reported
+        solved, checked = [], []
+        real_eigh, real_residual = np.linalg.eigh, spectral._residual
+
+        def eigh(a):
+            solved.append(a)
+            return real_eigh(a)
+
+        def residual(a, vals, vecs):
+            checked.append((a, real_residual(a, vals, vecs)))
+            return checked[-1][1]
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        monkeypatch.setattr(spectral, "_residual", residual)
+        spec = hermitian_eig(oscillator_hamiltonian(Dimension(31)))
+        assert [a.shape for a in solved] == [(16, 16), (15, 15)]
+        assert len(checked) == len(solved) and all(a is b for (a, _), b in zip(checked, solved))
+        assert spec.residual == max(r for _, r in checked)
 
     def test_parity_test_runs_once_per_call(self, monkeypatch):
         bent = parity_even_matrix(21, 7)
@@ -537,48 +538,57 @@ class TestFoldedResidual:
         assert len(calls) == 3
 
     @pytest.mark.parametrize("k", [0, 7, 15, 16, 30])
-    def test_shifted_eigenvalue_fails_on_folded_path(self, k, monkeypatch):
-        h = oscillator_hamiltonian(Dimension(31))
-        vals, vecs = spectral._parity_split_eigh(h, True)
-        vals[k] += 1e-6
-        assert spectral._folded_residual(h.entries, vals, vecs) >= 0.99e-6
-        calls = spy_calls(monkeypatch, "_folded_residual")
-        with pytest.raises(NumericalFailureError):
-            spectral._checked_spectrum(h, spectral.EIG_RESIDUAL_TOL, lambda m, even: (vals, vecs))
-        assert len(calls) == 1
+    def test_shifted_eigenvalue_fails_on_folded_path(self, k):
+        # k < 16 shifts an eigenvalue of the d = 31 oscillator's even block, k >= 16 one of its odd block
+        def shifted(m, blocks):
+            pairs = spectral._parity_split_eigh(m, blocks)
+            even_size = pairs[0][0].size
+            block, i = (0, k) if k < even_size else (1, k - even_size)
+            pairs[block][0][i] += 1e-6
+            return pairs
 
-    def test_complex_matrix_takes_dense_path(self, monkeypatch):
+        h = oscillator_hamiltonian(Dimension(31))
+        with pytest.raises(NumericalFailureError) as info:
+            spectral._checked_spectrum(h, spectral.EIG_RESIDUAL_TOL, shifted)
+        assert info.value.residual >= 0.99e-6
+
+    def test_complex_matrix_takes_dense_path(self):
         h = OperatorMatrix(Dimension(21), parity_even_matrix(21, 7).astype(complex), MatrixKind.HERMITIAN)
-        calls = spy_calls(monkeypatch, "_folded_residual")
         spec = hermitian_eig(h)
         assert spec.residual == dense_residual(h.entries, *np.linalg.eigh(h.entries))
-        assert calls == []
 
-    def test_split_vectors_of_a_matrix_that_is_not_even_take_dense_path(self, monkeypatch):
+    def test_split_vectors_of_a_matrix_that_is_not_even_take_dense_path(self):
         h = oscillator_hamiltonian(Dimension(31))
-        vals, vecs = spectral._parity_split_eigh(h, True)
+        spec = hermitian_eig(h)
+        vals, vecs = spec.eigenvalues, spec.eigenvectors
         bent = h.entries.copy()
         bent[2, 5] += 1e-12
         bent[5, 2] += 1e-12
-        calls = spy_calls(monkeypatch, "_folded_residual")
-        spec = spectral._checked_spectrum(
-            OperatorMatrix(Dimension(31), bent, MatrixKind.HERMITIAN),
-            spectral.EIG_RESIDUAL_TOL,
-            lambda m, even: (vals, vecs),
-        )
-        assert spec.residual == dense_residual(bent, vals, vecs)
-        assert calls == []
+        given_blocks = []
 
-    def test_free_spectrum_of_a_matrix_that_is_not_even_takes_dense_path(self, monkeypatch):
+        def solve(m, blocks):
+            given_blocks.append(blocks)
+            return [(vals, vecs)]
+
+        spec = spectral._checked_spectrum(
+            OperatorMatrix(Dimension(31), bent, MatrixKind.HERMITIAN), spectral.EIG_RESIDUAL_TOL, solve
+        )
+        assert [b[0].shape for b in given_blocks] == [(31, 31)] and len(given_blocks[0]) == 1
+        assert spec.residual == dense_residual(bent, vals, vecs)
+
+    def test_free_spectrum_of_a_matrix_that_is_not_even_takes_dense_path(self):
         h = free_hamiltonian(Dimension(31))
-        vals, vecs = spectral._free_eigenpairs(h, True)
         bent = h.entries.copy()
         bent[2, 5] += 1e-12
         bent[5, 2] += 1e-12
-        calls = spy_calls(monkeypatch, "_folded_residual")
-        spec = free_spectrum(OperatorMatrix(Dimension(31), bent, MatrixKind.HERMITIAN))
+        m = OperatorMatrix(Dimension(31), bent, MatrixKind.HERMITIAN)
+        spec = free_spectrum(m)
+        [(vals, vecs)] = spectral._free_eigenpairs(m, (bent,))
+        assert_split(vecs)
         assert spec.residual == dense_residual(bent, vals, vecs)
-        assert calls == []
+        want = free_spectrum(h)
+        assert np.array_equal(spec.eigenvalues, want.eigenvalues)
+        assert np.array_equal(spec.eigenvectors, want.eigenvectors)
 
 
 class TestFreeSpectrum:
