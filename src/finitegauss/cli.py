@@ -384,15 +384,15 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        text, code = args.run(args)
-    except (InvalidDimensionError, InvalidParameterError) as exc:
+        text, code = args.run(args)  # make-goldens creates --out-dir here
+        if text is not None:
+            _write(text, args.out)
+    except (InvalidDimensionError, InvalidParameterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except FiniteGaussError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    if text is not None:
-        _write(text, args.out)
     return code
 
 

@@ -146,7 +146,9 @@ class PhasePoint:
 def _roots(dim: Dimension, a, b) -> np.ndarray:
     """exp(2j*pi*a*b/d) over the outer product of labels a and b; a*b is reduced mod d first."""
     d = dim.d
-    return np.exp(2j * np.pi * np.arange(d) / d)[np.mod(np.multiply.outer(a, b), d)]
+    table = np.exp(2j * np.pi * np.arange(d) / d)
+    table[dim.s + 1 :] = table[dim.s : 0 : -1].conj()  # entry d - j is conj(entry j), bit for bit
+    return table[np.mod(np.multiply.outer(a, b), d)]
 
 
 def _toeplitz(col: np.ndarray) -> np.ndarray:
@@ -203,14 +205,10 @@ def momentum_operator(dim) -> OperatorMatrix:
     return OperatorMatrix(dim, _toeplitz(symbol), MatrixKind.HERMITIAN)
 
 
-def _displacement_action(dim: Dimension, alpha: int, beta):
-    """(D psi)[j] = phases[j] * psi[cols[j]] in storage order.
-
-    beta may be an array of labels; phases then gains a trailing axis
-    over it, one column per displacement D(alpha, beta).
-    """
+def _displacement_action(dim: Dimension, alpha: int, beta: int):
+    """(D psi)[j] = phases[j] * psi[cols[j]] in storage order, for D = D(alpha, beta)."""
     d = dim.d
-    b = np.asarray(beta)
+    b = np.asarray(beta)  # numpy scalar arithmetic: Python's complex division rounds differently
     phases = np.exp(-1j * np.pi * alpha * b / d) * _roots(dim, dim.indices(), b)
     cols = np.mod(np.arange(d) - alpha, d)
     return phases, cols
@@ -247,21 +245,16 @@ def coherent_state(dim, point: PhasePoint) -> StateVector:
     return StateVector(dim, phases * base[cols])
 
 
-def _frame_operator(dim: Dimension) -> np.ndarray:
-    """(1/d) times the sum of the d**2 coherent projectors, one product per alpha.
+def _frame_symbol(dim: Dimension) -> np.ndarray:
+    """(1/d) times the sum of the d**2 coherent projectors, whose (j, l) entry is symbol[(j - l) % d].
 
-    The columns of v are the coherent states D(alpha, beta) g over every beta.
+    The phase exp(-1j*pi*alpha*beta/d) cancels in each projector, leaving R(u) * S(u) / d:
+    R is the cyclic autocorrelation of the normalized g, S(u) = sum_beta exp(2j*pi*beta*u/d).
     """
-    d = dim.d
     g = finite_gaussian(dim, 1.0)
     base = g.values / math.sqrt(g.squared_norm())
-    labels = dim.indices()
-    acc = np.zeros((d, d), dtype=complex)
-    for alpha in labels:
-        phases, cols = _displacement_action(dim, int(alpha), labels)
-        v = phases * base[cols][:, None]
-        acc += v @ v.conj().T
-    return acc / d
+    autocorrelation = base @ _toeplitz(np.concatenate((base[1:], base)))
+    return autocorrelation * _roots(dim, dim.indices(), np.arange(dim.d)).sum(axis=0) / dim.d
 
 
 def frame_resolution_residual(dim) -> float:
@@ -270,7 +263,7 @@ def frame_resolution_residual(dim) -> float:
     Zero (to rounding) because the coherent family forms a tight frame.
     """
     dim = as_dimension(dim)
-    return float(np.max(np.abs(_frame_operator(dim) - np.eye(dim.d))))
+    return float(np.max(np.abs(_frame_symbol(dim) - (np.arange(dim.d) == 0))))
 
 
 def _hermite(k: int, x: float) -> float:

@@ -256,16 +256,19 @@ def alternating_wrapped_sum(dim, kappa: float, n):
 
         sum_alpha (-1)**alpha * exp(-kappa*pi*(alpha*d + n)**2 / d)
 
-    Anti-periodic under n -> n + d, so n is NOT reduced into the
-    lattice; pass the integer you mean.  Terms are paired (a, -a) to
-    keep the alternating cancellation stable; below kappa*d = 1 the sum
-    is theta2(n/d, 1/(kappa*d)) / sqrt(kappa*d), anti-periodic in n as
-    well.  Accepts scalar or array n; returns matching shape.
+    Anti-periodic, f(n + d) = -f(n): n = r + q*d with |r| <= s is summed
+    at r and negated for odd q, so every int64 n costs the same few terms.
+    Terms are paired (a, -a) to keep the alternating cancellation stable;
+    below kappa*d = 1 the sum is theta2(r/d, 1/(kappa*d)) / sqrt(kappa*d).
+    Accepts scalar or array n; returns matching shape.
     """
     dim = as_dimension(dim)
     kappa = _check_kappa(kappa)
     narr = np.asarray(n)
     if not np.issubdtype(narr.dtype, np.integer):
         raise InvalidParameterError("argument n must be integer-valued")
-    acc = _wrapped_sum(ThetaKind.THETA2, dim, kappa, narr)
+    q, r = np.divmod(narr, np.int64(dim.d))  # n = q*d + r, 0 <= r < d; nothing is added to n
+    wrap = r > dim.s
+    acc = _wrapped_sum(ThetaKind.THETA2, dim, kappa, np.where(wrap, r - dim.d, r))
+    acc = np.where((q % 2 == 1) != wrap, -acc, acc)
     return float(acc) if narr.shape == () else acc

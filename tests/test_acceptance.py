@@ -197,7 +197,7 @@ def test_criterion_10_mehta_eigenvectors():
 
 
 def test_criterion_11_tight_frame():
-    worst = max(frame_resolution_residual(Dimension(d)) for d in (3, 5, 9, 15))
+    worst = max(frame_resolution_residual(Dimension(d)) for d in (3, 5, 9, 15, 101, 1001))
     report(11, worst <= 1e-12, f"coherent frame resolution worst residual {worst:.3e} (tol 1e-12)")
 
 

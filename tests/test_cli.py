@@ -162,6 +162,21 @@ class TestExitCodes:
         assert main(argv) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_unwritable_out_exits_2(self, capsys, tmp_path):
+        out = tmp_path / "missing" / "x.csv"
+        assert main(["gauss", "--d", "3", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_out_dir_that_is_a_file_exits_2(self, capsys, tmp_path):
+        target = tmp_path / "goldens"
+        target.write_text("kept\n")
+        assert main(["make-goldens", "--out-dir", str(target)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == [target] and target.read_text() == "kept\n"
+
 
 class TestFormats:
     def test_json_table(self, capsys):

@@ -27,7 +27,7 @@ from finitegauss import (
     momentum_operator,
     position_operator,
 )
-from finitegauss.hilbert import HERMITIAN_TOL, _displacement_action, _frame_operator
+from finitegauss.hilbert import HERMITIAN_TOL, _frame_symbol
 
 
 def brute_fourier(dim: Dimension) -> np.ndarray:
@@ -214,10 +214,10 @@ class TestCoherent:
     def test_tight_frame(self, d):
         assert frame_resolution_residual(Dimension(d)) <= 1e-12
 
-    @pytest.mark.parametrize("d", [3, 5, 9, 15])
+    @pytest.mark.parametrize("d", [3, 5, 9, 15, 31])
     def test_frame_sum_matches_double_loop(self, d):
-        # The batched sum, one product per alpha, against the d**2
-        # projectors summed one at a time; the order of additions differs.
+        # The circulant symbol, read at (j - l) mod d, against the d**2
+        # projectors summed one at a time.
         dim = Dimension(d)
         want = np.zeros((d, d), dtype=complex)
         for alpha in range(-dim.s, dim.s + 1):
@@ -225,17 +225,8 @@ class TestCoherent:
                 v = coherent_state(dim, PhasePoint(alpha, beta)).amps
                 want += np.outer(v, v.conj())
         want /= d
-        assert np.max(np.abs(_frame_operator(dim) - want)) <= 1e-14
-
-    def test_batched_action_matches_each_displacement(self):
-        dim = Dimension(9)
-        labels = dim.indices()
-        for alpha in (-4, 0, 3):
-            phases, cols = _displacement_action(dim, alpha, labels)
-            for k, beta in enumerate(labels):
-                one, one_cols = _displacement_action(dim, alpha, int(beta))
-                assert phases[:, k].tobytes() == one.tobytes()
-                assert np.array_equal(cols, one_cols)
+        j, l = np.indices((d, d))
+        assert np.max(np.abs(_frame_symbol(dim)[(j - l) % d] - want)) <= 1e-14
 
     def test_overlap_modulus_depends_on_separation_only(self):
         dim = Dimension(7)

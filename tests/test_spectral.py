@@ -13,10 +13,12 @@ from finitegauss import (
     MatrixKind,
     NumericalFailureError,
     OperatorMatrix,
+    StateVector,
     commutator_qp,
     commutator_spectrum,
     finite_gaussian,
     floratos_approx,
+    fourier_apply,
     fourier_matrix,
     free_hamiltonian,
     free_spectrum,
@@ -269,6 +271,23 @@ class TestOscillator:
         h = oscillator_hamiltonian(dim).entries
         f = fourier_matrix(dim).entries
         assert np.max(np.abs(f @ h - h @ f)) <= 1e-12
+
+    @pytest.mark.parametrize("d", [9, 31, 101, 301])
+    def test_eigenvectors_are_fourier_eigenvectors(self, d):
+        # The eigenvectors are discrete Hermite functions: F v_k = lambda v_k
+        # with lambda in {1, i, -1, -i}, and lambda = i**k for the low levels.
+        # Measured: worst deviation 1.5e-14 at d = 301, and lambda = i**k
+        # below k = 0.74*d to 0.78*d for d from 9 to 1001.
+        dim = Dimension(d)
+        vecs = hermitian_eig(oscillator_hamiltonian(dim)).eigenvectors
+        phases = np.array([1.0, 1j, -1.0, -1j])
+        for k in range(d):
+            v = vecs[:, k]
+            fv = fourier_apply(StateVector(dim, v)).amps
+            dev = np.max(np.abs(fv[:, None] - v[:, None] * phases), axis=0)
+            assert dev.min() <= 1e-13
+            if k < 0.7 * d:
+                assert np.argmin(dev) == k % 4
 
     def test_low_levels_approach_half_integers(self):
         vals = hermitian_eig(oscillator_hamiltonian(Dimension(31))).eigenvalues

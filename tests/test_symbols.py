@@ -22,7 +22,7 @@ from finitegauss import (
     momentum_operator,
     oscillator_hamiltonian,
 )
-from finitegauss.hilbert import _displacement_action, _toeplitz
+from finitegauss.hilbert import _displacement_action, _roots, _toeplitz
 
 DIMS = [3, 5, 9, 31, 101, 1001]
 
@@ -37,7 +37,12 @@ def _dense_kernel(dim):
 
 
 def _root_table(dim):
-    return np.exp(2j * np.pi * np.arange(dim.d) / dim.d)
+    # entries d - s..d - 1 are the conjugates of s..1, as in the library's table
+    d, s = dim.d, dim.s
+    table = np.exp(2j * np.pi * np.arange(d) / d)
+    for j in range(1, s + 1):
+        table[d - j] = table[j].conjugate()
+    return table
 
 
 def _ref_momentum(dim):
@@ -153,15 +158,20 @@ class TestBitIdentical:
     def test_displacement_over_every_beta(self, d):
         dim = Dimension(d)
         for alpha in (0, -dim.s):
-            got_phases, got_cols = _displacement_action(dim, alpha, dim.indices())
-            want_phases, want_cols = _ref_displacement_action(dim, alpha, dim.indices())
-            _same_bytes(got_phases, want_phases)
-            _same_bytes(got_cols, want_cols)
+            for beta in range(-dim.s, dim.s + 1):
+                got_phases, got_cols = _displacement_action(dim, alpha, beta)
+                want_phases, want_cols = _ref_displacement_action(dim, alpha, beta)
+                _same_bytes(got_phases, want_phases)
+                _same_bytes(got_cols, want_cols)
+
+    def test_root_table_is_conjugate_symmetric(self, d):
+        table = _roots(Dimension(d), np.arange(d), 1)
+        _same_bytes(table[:0:-1], table[1:].conj())
 
     def test_free_spectrum_eigenvectors(self, d):
         # The modes pass through the sqrt(1/2) of the parity blocks, so they
         # match the elementwise reference to rounding, up to the gauge's sign
-        # and tie order, which rounding decides between mirror-equal entries.
+        # and tie order.
         dim = Dimension(d)
         levels = np.pi * np.arange(dim.s + 1) ** 2 / d
         want_vals, want_vecs = np.concatenate((levels, levels[1:])), _ref_free_vectors(dim)
@@ -176,3 +186,14 @@ class TestBitIdentical:
         even = np.all(v[::-1] == v, axis=0)
         assert np.count_nonzero(even) == dim.s + 1
         assert np.array_equal(v[::-1, ~even], -v[:, ~even])
+
+
+@pytest.mark.parametrize("d", [9, 25, 225, 1001])
+def test_free_eigenvector_pivots_are_exact(d):
+    # The gauge picks each column's sign and tie order at its largest
+    # modulus.  Mirror-equal entries carry equal bits, so no entry comes
+    # within rounding of that maximum without being equal to it.
+    v = np.abs(free_spectrum(free_hamiltonian(Dimension(d))).eigenvectors)
+    top = v.max(axis=0)
+    near = (v >= top * (1.0 - 8e-16)) & (v != top)
+    assert np.count_nonzero(near.any(axis=0)) == 0

@@ -268,6 +268,20 @@ class TestSplittingIdentities:
         for i, n in enumerate(ns):
             assert arr[i] == alternating_wrapped_sum(dim, 1.0, int(n))
 
+    @pytest.mark.parametrize("n", [10**6, 10**12, 2**63 - 1, -(2**63 - 1)])
+    def test_alternating_at_large_n(self, n):
+        # n = r + q*d with |r| <= s, reduced in Python's unbounded integers
+        dim = Dimension(3)
+        q, r = divmod(n, 3)
+        if r > dim.s:
+            q, r = q + 1, r - 3
+        want = alternating_wrapped_sum(dim, 1.0, r)
+        want = -want if q % 2 else want
+        assert alternating_wrapped_sum(dim, 1.0, n) == want
+        # one large entry leaves the other entries of an array as they are
+        both = alternating_wrapped_sum(dim, 1.0, np.array([n, 1]))
+        assert both.tolist() == [want, alternating_wrapped_sum(dim, 1.0, 1)]
+
 
 # kappa*d log-uniform over both sides of the route switch at kappa*d = 1
 overlap_kd = st.floats(min_value=-1.0, max_value=1.0).map(lambda e: 10.0**e)
@@ -301,6 +315,15 @@ class TestCrossRoute:
         modular = modular_sum(ThetaKind.THETA2, d, kappa, ns)
         scale = np.max(direct_sum(ThetaKind.THETA3, d, kappa, ns))
         assert np.max(np.abs(direct - modular)) <= 4e-15 * scale
+
+    @given(wide_dims, both_routes_kd, st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
+    @settings(max_examples=60, deadline=None)
+    def test_alternating_antiperiodic_bitwise(self, d, kd, n, q):
+        dim = Dimension(d)
+        want = alternating_wrapped_sum(dim, kd / d, n)
+        want = -want if q % 2 else want
+        got = alternating_wrapped_sum(dim, kd / d, n + q * d)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
     @given(wide_dims, both_routes_kd)
     @settings(max_examples=60, deadline=None)
