@@ -4,8 +4,8 @@ Each subcommand accepts only the flags it reads.  Exit codes: 0 success,
 2 usage/parameter error, 3 numerical failure or an uncertified revival
 period.  Floats are printed with the shortest round-trip decimal so
 identical configs give byte-identical files.  Each cmd_* takes the parsed
-arguments and returns its rendered text (None when it writes its own
-files) and its exit code.
+arguments and returns its rendered text, as one string or as chunks to
+write in turn (None when it writes its own files), and its exit code.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ import numpy as np
 from .dynamics import CERT_TOL, certify_period, detect_revival, populated_levels
 from .errors import FiniteGaussError, InvalidDimensionError, InvalidParameterError
 from .hilbert import PhasePoint, StateVector, coherent_state
-from .lattice import Dimension
+from .lattice import _BLOCK_CELLS, Dimension, _row_blocks
 from .spectral import (
     commutator_spectrum,
     free_hamiltonian,
@@ -65,11 +65,15 @@ def _render_table(header: list[str], rows: list[list], fmt: str) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _write(text: str, output_path: str | None) -> None:
-    if output_path is None:
-        sys.stdout.write(text)
-    else:
-        Path(output_path).write_text(text, encoding="utf-8", newline="\n")
+def _write(text, output_path: str | None) -> None:
+    """Write a str, or each chunk of an iterable of str, to stdout or to output_path."""
+    out = sys.stdout if output_path is None else open(output_path, "w", encoding="utf-8", newline="\n")
+    try:
+        for chunk in [text] if isinstance(text, str) else text:
+            out.write(chunk)
+    finally:
+        if out is not sys.stdout:
+            out.close()
 
 
 def cmd_gauss(args):
@@ -156,12 +160,14 @@ def cmd_wigner(args):
 def _wigner_check(args, grid) -> float:
     """max |definition - closed form|, reusing grid for the route that made it.
 
-    A function of its own so that the second grid is freed before rendering.
+    Taken in blocks of rows, so no d x d difference is formed, and in a function
+    of its own, so that the second grid is freed before rendering.
     """
     dim = grid.dim
     wd = grid if args.source == "definition" else wigner_definition(dim, args.kappa)
     wc = grid if args.source == "closed" else wigner_closed_form(dim, args.kappa)
-    return float(np.max(np.abs(wd.values - wc.values)))
+    return max(float(np.max(np.abs(wd.values[rows] - wc.values[rows])))
+               for rows in _row_blocks(dim.d, dim.d, _BLOCK_CELLS))
 
 
 def _csv_row(row) -> str:
@@ -175,23 +181,25 @@ def _csv_row(row) -> str:
     return ",".join(texts[inverse].tolist())
 
 
-def _render_wigner(grid, check_value, fmt: str) -> str:
-    ms = [int(m) for m in grid.dim.indices()]
-    ns = [int(n) for n in grid.dim.indices()]
+def _render_wigner(grid, check_value, fmt: str):
+    """The grid's text as chunks: CSV one line at a time, JSON as one string."""
+    ms = ns = [int(n) for n in grid.dim.indices()]
     if fmt == "csv":
         bits = grid.values.view(np.int64)
-        lines = [",".join(["n"] + [str(m) for m in ms])]
+        yield ",".join(["n"] + [str(m) for m in ms]) + "\n"
+        waiting = {}  # the cells of rows n < 0 whose row -n is still to come
         for i, n in enumerate(ns):
             mirror = len(ns) - 1 - i
-            if mirror < i and np.array_equal(bits[i], bits[mirror]):
-                # Row -n of an even grid repeats row n: reuse its cells.
-                cells = lines[mirror + 1]
-                lines.append(str(n) + cells[cells.index(","):])
-            else:
-                lines.append(str(n) + "," + _csv_row(grid.values[i]))
+            # Row -n of an even grid repeats row n: reuse its cells when the bits agree.
+            cells = waiting.pop(mirror, None)
+            if cells is None or not np.array_equal(bits[i], bits[mirror]):
+                cells = "," + _csv_row(grid.values[i])
+            if i < mirror:
+                waiting[i] = cells
+            yield f"{n}{cells}\n"
         if check_value is not None:
-            lines.append(f"check_max_abs_diff,{_fmt(check_value)}")
-        return "\n".join(lines) + "\n"
+            yield f"check_max_abs_diff,{_fmt(check_value)}\n"
+        return
     payload = {
         "d": grid.dim.d,
         "kappa": float(grid.kappa),
@@ -204,7 +212,7 @@ def _render_wigner(grid, check_value, fmt: str) -> str:
         payload["fitted_scale"] = float(grid.fitted_scale)
     if check_value is not None:
         payload["check_max_abs_diff"] = float(check_value)
-    return json.dumps(payload, indent=2) + "\n"
+    yield json.dumps(payload, indent=2) + "\n"
 
 
 def _revival_state(dim: Dimension, state_spec: list[str], kappa: float) -> StateVector:

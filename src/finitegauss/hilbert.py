@@ -24,7 +24,7 @@ from .errors import (
     PhasePointRangeError,
     UnsupportedOrderError,
 )
-from .lattice import Dimension, as_dimension
+from .lattice import _BLOCK_CELLS, Dimension, _row_blocks, as_dimension
 from .wrapped import finite_gaussian, periodize
 
 HERMITIAN_TOL = 1e-13
@@ -249,12 +249,14 @@ def _frame_symbol(dim: Dimension) -> np.ndarray:
     """(1/d) times the sum of the d**2 coherent projectors, whose (j, l) entry is symbol[(j - l) % d].
 
     The phase exp(-1j*pi*alpha*beta/d) cancels in each projector, leaving R(u) * S(u) / d:
-    R is the cyclic autocorrelation of the normalized g, S(u) = sum_beta exp(2j*pi*beta*u/d).
+    R is the cyclic autocorrelation of the normalized g, taken by FFT, and S(u) = sum_beta exp(2j*pi*beta*u/d).
     """
     g = finite_gaussian(dim, 1.0)
     base = g.values / math.sqrt(g.squared_norm())
-    autocorrelation = base @ _toeplitz(np.concatenate((base[1:], base)))
-    return autocorrelation * _roots(dim, dim.indices(), np.arange(dim.d)).sum(axis=0) / dim.d
+    autocorrelation = np.fft.irfft(np.abs(np.fft.rfft(base)) ** 2, dim.d)
+    sums = sum(_roots(dim, dim.indices()[rows], np.arange(dim.d)).sum(axis=0)  # blocks of beta: no d x d table
+               for rows in _row_blocks(dim.d, dim.d, 4 * _BLOCK_CELLS))
+    return autocorrelation * sums / dim.d
 
 
 def frame_resolution_residual(dim) -> float:

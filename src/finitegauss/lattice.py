@@ -12,6 +12,8 @@ import numpy as np
 
 from .errors import InvalidDimensionError
 
+_BLOCK_CELLS = 4096  # cells per block of row-blocked work: one temporary block stays in cache
+
 
 @dataclass(frozen=True)
 class Dimension:
@@ -48,3 +50,9 @@ def as_dimension(d) -> Dimension:
     if isinstance(d, Dimension):
         return d
     return Dimension(d)
+
+
+def _row_blocks(rows: int, width: int, cells: int) -> list[slice]:
+    """Slices covering rows 0..rows-1 of a `width`-wide array, about `cells` cells and at least one row each."""
+    step = max(1, cells // width)
+    return [slice(i, i + step) for i in range(0, rows, step)]

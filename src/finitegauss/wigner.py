@@ -14,12 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalFailureError
-from .lattice import Dimension, as_dimension
+from .lattice import _BLOCK_CELLS, Dimension, _row_blocks, as_dimension
 from .wrapped import ThetaKind, _check_kappa, finite_gaussian, shifted_finite_gaussian, theta
 
 REALNESS_TOL = 1e-13
-# cells per block of a filled grid: the one temporary block stays in cache
-_BLOCK_CELLS = 4096
 
 
 class WignerSource(enum.Enum):
@@ -61,11 +59,10 @@ def _two_products(a: np.ndarray, b: np.ndarray, c: np.ndarray, e: np.ndarray) ->
     Each cell is a[i]*b[j] + c[i]*e[j], rounded as the two outer products are.
     """
     grid = np.empty((a.size, b.size))
-    rows = max(1, _BLOCK_CELLS // b.size)
-    for i in range(0, a.size, rows):
-        block = grid[i : i + rows]
-        np.multiply(a[i : i + rows, None], b, out=block)
-        block += c[i : i + rows, None] * e
+    for rows in _row_blocks(a.size, b.size, _BLOCK_CELLS):
+        block = grid[rows]
+        np.multiply(a[rows, None], b, out=block)
+        block += c[rows, None] * e
     return grid
 
 
@@ -75,28 +72,32 @@ def wigner_definition(dim, kappa: float) -> WignerGrid:
         W(n, m) = (1/d) sum_k exp(4j*pi*m*k/d) g(n-k) g(n+k)
 
     The chords are real and even in k, so the k-sum is a real DFT read
-    at frequency 2m mod d folded into 0..s.  Its imaginary residue is
-    checked against 1e-13 times the largest value and discarded; the
-    real part is copied out so the complex grid is freed.
+    at frequency 2m mod d folded into 0..s.  It runs over blocks of rows
+    n, each written into the one grid; its imaginary residue is checked
+    against 1e-13 times the largest value and discarded.
     """
     dim = as_dimension(dim)
     kappa = _check_kappa(kappa)
     d = dim.d
-    g = finite_gaussian(dim, kappa).values
-    n = dim.indices()[:, None]
-    k = np.fft.ifftshift(dim.indices())[None, :]  # 0..s, -s..-1: the order the DFT reads
-    chords = g[dim.offset(n - k)] * g[dim.offset(n + k)]
-    spectrum = np.fft.rfft(chords, axis=1) / d
+    # row n + s of each factor is a window of three periods of g, over k = 0..d-1: the order the DFT reads
+    periods = np.tile(finite_gaussian(dim, kappa).values, 3)
+    ahead = np.lib.stride_tricks.sliding_window_view(periods, d)[d : 2 * d]  # g(n + k)
+    behind = np.lib.stride_tricks.sliding_window_view(periods[::-1], d)[2 * d - 1 : d - 1 : -1]  # g(n - k)
     freq = np.mod(2 * dim.indices(), d)
-    grid = np.take(spectrum, np.minimum(freq, d - freq), axis=1)
-    top = float(np.max(np.abs(grid)))
-    residue = float(np.max(np.abs(grid.imag)))
+    cols = np.minimum(freq, d - freq)
+    grid = np.empty((d, d))
+    top = residue = 0.0
+    for rows in _row_blocks(d, d, 4 * _BLOCK_CELLS):  # larger than _two_products' blocks: one rfft call each
+        block = np.take(np.fft.rfft(ahead[rows] * behind[rows], axis=1) / d, cols, axis=1)
+        top = max(top, float(np.max(np.abs(block))))
+        residue = max(residue, float(np.max(np.abs(block.imag))))
+        grid[rows] = block.real
     if residue > REALNESS_TOL * top:
         raise NumericalFailureError(
             f"Wigner grid of an even state has imaginary residue {residue:.3e}",
             residual=residue,
         )
-    return WignerGrid(dim, kappa, grid.real.copy(), WignerSource.DEFINITION)
+    return WignerGrid(dim, kappa, grid, WignerSource.DEFINITION)
 
 
 def wigner_closed_form(dim, kappa: float) -> WignerGrid:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 import finitegauss
 from finitegauss import (
     Dimension,
+    NumericalFailureError,
     WignerGrid,
     WignerSource,
     commutator_spectrum,
@@ -21,6 +23,7 @@ from finitegauss import (
     wigner_definition,
     wigner_theta_form,
 )
+from finitegauss import cli
 from finitegauss.cli import _build_parser, _golden_jobs, _render_wigner, main
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
@@ -337,7 +340,7 @@ class TestWignerRendering:
     @settings(max_examples=200, deadline=None)
     @given(even_grids_with_defects(), st.sampled_from([None, 0.0, 1.3877787807814457e-17]))
     def test_csv_matches_reference(self, grid, check_value):
-        assert _render_wigner(grid, check_value, "csv") == reference_wigner_csv(grid, check_value)
+        assert "".join(_render_wigner(grid, check_value, "csv")) == reference_wigner_csv(grid, check_value)
 
     @pytest.mark.parametrize("check", [False, True])
     @pytest.mark.parametrize("source", ["definition", "closed", "theta"])
@@ -351,6 +354,49 @@ class TestWignerRendering:
         argv = ["wigner", "--d", "101", "--source", source] + (["--check"] if check else [])
         assert main(argv) == 0
         assert capsys.readouterr().out == reference_wigner_csv(grid, check_value)
+
+    @pytest.mark.parametrize("source", ["definition", "closed", "theta"])
+    def test_stdout_and_out_file_match_reference(self, source, capsys, tmp_path):
+        dim = Dimension(31)
+        grid = WIGNER_ROUTES[source](dim)
+        diff = wigner_definition(dim, 1.0).values - wigner_closed_form(dim, 1.0).values
+        want = reference_wigner_csv(grid, float(np.max(np.abs(diff)))).encode()
+        argv = ["wigner", "--d", "31", "--source", source, "--check"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.encode() == want
+        assert run_to_file(argv, tmp_path / "w.csv") == 0
+        assert (tmp_path / "w.csv").read_bytes() == want
+
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+    @pytest.mark.parametrize("argv", [["--source", "definition"], ["--source", "closed", "--check"]],
+                             ids=["route", "check"])
+    def test_numerical_failure_writes_nothing(self, argv, to_file, monkeypatch, capsys, tmp_path):
+        def failing(*_args):
+            raise NumericalFailureError("imaginary residue", residual=1.0)
+
+        monkeypatch.setattr(cli, "wigner_definition", failing)
+        out = tmp_path / "w.csv"
+        assert main(["wigner", "--d", "31", *argv] + (["--out", str(out)] if to_file else [])) == 3
+        assert capsys.readouterr().out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["--source", "definition"], ["--source", "closed", "--check"],
+                                      ["--source", "theta"]], ids=["definition", "closed", "theta"])
+    def test_peak_at_d_1001_holds_one_grid_and_half_the_text(self, argv, monkeypatch):
+        # Rows are written as they are formatted; only rows n < 0 wait for their mirror.
+        # Whole, the text is 23 MB, and the grid 8 MB.
+        class Discard:
+            def write(self, text):
+                return len(text)
+
+        monkeypatch.setattr(sys, "stdout", Discard())
+        tracemalloc.start()
+        try:
+            assert main(["wigner", "--d", "1001", *argv]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 30e6
 
     @pytest.mark.parametrize("source", ["definition", "closed", "theta"])
     def test_cli_json_matches_reference(self, source, capsys):

@@ -1,5 +1,6 @@
 """Fourier transform, Weyl pair, coherent frame, Mehta eigenvectors."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -227,6 +228,17 @@ class TestCoherent:
         want /= d
         j, l = np.indices((d, d))
         assert np.max(np.abs(_frame_symbol(dim)[(j - l) % d] - want)) <= 1e-14
+
+    def test_frame_symbol_holds_no_square_table(self):
+        # A d x d complex table is 16 MB at d = 1001; the symbol takes blocks of beta and an FFT.
+        dim = Dimension(1001)
+        tracemalloc.start()
+        try:
+            _frame_symbol(dim)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * dim.d * 16
 
     def test_overlap_modulus_depends_on_separation_only(self):
         dim = Dimension(7)

@@ -52,6 +52,18 @@ def dense_kernel_wigner(d: int, kappa: float) -> np.ndarray:
     return (chords @ kernel.T / d).real
 
 
+def dense_chord_wigner(d: int, kappa: float) -> np.ndarray:
+    """The whole d x d chord table gathered by modular index, then one rfft: the blocked sum's reference."""
+    dim = Dimension(d)
+    g = finite_gaussian(dim, kappa).values
+    n = dim.indices()[:, None]
+    k = np.fft.ifftshift(dim.indices())[None, :]  # 0..s, -s..-1: the order the DFT reads
+    chords = g[dim.offset(n - k)] * g[dim.offset(n + k)]
+    spectrum = np.fft.rfft(chords, axis=1) / d
+    freq = np.mod(2 * dim.indices(), d)
+    return np.take(spectrum, np.minimum(freq, d - freq), axis=1).real
+
+
 class TestDefinition:
     @pytest.mark.parametrize("d", [3, 5, 9])
     @pytest.mark.parametrize("kappa", [0.5, 1.0, 3.0])
@@ -67,6 +79,19 @@ class TestDefinition:
         want = dense_kernel_wigner(d, kappa)
         got = wigner_definition(Dimension(d), kappa).values
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @given(st.integers(min_value=1, max_value=150), st.floats(min_value=-3.0, max_value=3.0),
+           st.sampled_from(["one_row", "ragged", "default"]))
+    @settings(max_examples=60, deadline=None)
+    def test_row_blocks_match_dense_chord_table(self, s, log_kappa, blocks):
+        # Each row's rfft reads the same chords in the same order, so the grid is bitwise equal.
+        # A constant of d gives 4-row blocks, which leave a ragged last block at every odd d >= 5.
+        d, kappa = 2 * s + 1, 10.0**log_kappa
+        cells = {"one_row": 1, "ragged": d, "default": wigner._BLOCK_CELLS}[blocks]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(wigner, "_BLOCK_CELLS", cells)
+            got = wigner_definition(Dimension(d), kappa).values
+        assert got.tobytes() == dense_chord_wigner(d, kappa).tobytes()
 
     def test_real_valued(self):
         grid = wigner_definition(Dimension(15), 2.0)
@@ -198,11 +223,13 @@ class TestThetaForm:
 
 
 class TestOneGrid:
-    @pytest.mark.parametrize("route", [lambda dim: wigner_closed_form(dim, 4.0 / 3.0), wigner_theta_form],
-                             ids=["closed", "theta"])
-    def test_peak_holds_one_grid(self, route):
-        # Filled in blocks of rows: the two outer products never coexist as grids.
-        dim = Dimension(301)
+    @pytest.mark.parametrize("route,d", [(lambda dim: wigner_closed_form(dim, 4.0 / 3.0), 301),
+                                         (wigner_theta_form, 301),
+                                         (lambda dim: wigner_definition(dim, 0.7), 1001)],
+                             ids=["closed", "theta", "definition"])
+    def test_peak_holds_one_grid(self, route, d):
+        # Filled in blocks of rows: no second grid, complex grid or d x d chord table is ever held.
+        dim = Dimension(d)
         route(dim)
         tracemalloc.start()
         try:
