@@ -21,6 +21,7 @@ from .errors import FiniteGaussError, InvalidDimensionError, InvalidParameterErr
 from .hilbert import PhasePoint, StateVector, coherent_state
 from .lattice import _BLOCK_CELLS, Dimension, _row_blocks
 from .spectral import (
+    _populated_spectrum,
     commutator_spectrum,
     free_hamiltonian,
     free_spectrum,
@@ -170,19 +171,19 @@ def _wigner_check(args, grid) -> float:
                for rows in _row_blocks(dim.d, dim.d, _BLOCK_CELLS))
 
 
-def _csv_row(row) -> str:
-    """The cells of one float64 grid row as `_fmt` text, joined by commas.
+def _csv_row(row, sep: str = ",") -> str:
+    """The cells of one float64 grid row as `_fmt` text, joined by sep.
 
     `repr` runs once per distinct value, not once per cell.  Values are
     keyed by bit pattern, so 0.0 and -0.0 keep their own text.
     """
     keys, inverse = np.unique(row.view(np.int64), return_inverse=True)
     texts = np.array(list(map(repr, keys.view(np.float64).tolist())), dtype=object)
-    return ",".join(texts[inverse].tolist())
+    return sep.join(texts[inverse].tolist())
 
 
 def _render_wigner(grid, check_value, fmt: str):
-    """The grid's text as chunks: CSV one line at a time, JSON as one string."""
+    """The grid's text as chunks, one grid row at a time; JSON reads as json.dumps(payload, indent=2) + newline."""
     ms = ns = [int(n) for n in grid.dim.indices()]
     if fmt == "csv":
         bits = grid.values.view(np.int64)
@@ -206,13 +207,17 @@ def _render_wigner(grid, check_value, fmt: str):
         "source": grid.source.value,
         "n": ns,
         "m": ms,
-        "values": grid.values.tolist(),
+        "values": [],
     }
     if grid.fitted_scale is not None:
         payload["fitted_scale"] = float(grid.fitted_scale)
     if check_value is not None:
         payload["check_max_abs_diff"] = float(check_value)
-    yield json.dumps(payload, indent=2) + "\n"
+    head, tail = json.dumps(payload, indent=2).split('"values": []')
+    yield head + '"values": ['
+    for i, row in enumerate(grid.values):
+        yield ("," if i else "") + "\n    [\n      " + _csv_row(row, ",\n      ") + "\n    ]"
+    yield "\n  ]" + tail + "\n"
 
 
 def _revival_state(dim: Dimension, state_spec: list[str], kappa: float) -> StateVector:
@@ -251,7 +256,8 @@ def cmd_revival(args):
     build, solve = _HAMILTONIANS[args.ham]
     h = build(dim)
     psi = _revival_state(dim, args.state, args.kappa)
-    spec = solve(h)
+    # the oscillator's revival needs only the levels psi populates
+    spec = _populated_spectrum(h, psi) if args.ham == "osc" else solve(h)
     levels, weights, _ = populated_levels(spec, psi)
     report = detect_revival(levels, weights, args.rel_tol)
 
@@ -323,10 +329,9 @@ _SHARED_FLAGS = {
 }
 
 
-def _add_command(sub, name: str, run, summary: str, *flags: str) -> argparse.ArgumentParser:
-    """Subcommand `name` dispatching to `run`, with the named shared flags."""
+def _add_command(sub, name: str, summary: str, *flags: str) -> argparse.ArgumentParser:
+    """Subcommand `name`, run by cmd_<name>, with the named shared flags."""
     p = sub.add_parser(name, help=summary)
-    p.set_defaults(run=run)
     for flag in flags:
         p.add_argument(flag, **_SHARED_FLAGS[flag])
     return p
@@ -340,13 +345,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     table = ("--format", "--out")
 
-    _add_command(sub, "gauss", cmd_gauss, "wrapped, shifted, and naive Gaussian columns",
+    _add_command(sub, "gauss", "wrapped, shifted, and naive Gaussian columns",
                  "--d", "--kappa", *table)
 
-    _add_command(sub, "commutator", cmd_commutator, "spectrum of the position-momentum commutator",
+    _add_command(sub, "commutator", "spectrum of the position-momentum commutator",
                  "--d", *table)
 
-    p = _add_command(sub, "uncertainty", cmd_uncertainty, "spread products over a list of lattice sizes",
+    p = _add_command(sub, "uncertainty", "spread products over a list of lattice sizes",
                      "--kappa", *table)
     p.add_argument(
         "--d-list",
@@ -354,14 +359,14 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated odd lattice sizes",
     )
 
-    p = _add_command(sub, "spectrum", cmd_spectrum, "Hamiltonian eigenvalues, descending, with gaps",
+    p = _add_command(sub, "spectrum", "Hamiltonian eigenvalues, descending, with gaps",
                      "--d", *table)
     p.add_argument("--ham", choices=tuple(_HAMILTONIANS), default="osc", help="which Hamiltonian")
 
-    _add_command(sub, "quasi", cmd_quasi, "quasi-eigenvalue of the wrapped Gaussian and its defect",
+    _add_command(sub, "quasi", "quasi-eigenvalue of the wrapped Gaussian and its defect",
                  "--d", *table)
 
-    p = _add_command(sub, "wigner", cmd_wigner, "discrete Wigner grid",
+    p = _add_command(sub, "wigner", "discrete Wigner grid",
                      "--d", "--kappa", *table)
     p.add_argument(
         "--source",
@@ -372,7 +377,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", action="store_true", help="also emit max |definition - closed_form|")
 
     # revival always writes JSON; --kappa shapes the gauss initial state
-    p = _add_command(sub, "revival", cmd_revival, "detect and certify a revival period",
+    p = _add_command(sub, "revival", "detect and certify a revival period",
                      "--d", "--kappa", "--out")
     p.add_argument("--ham", choices=tuple(_HAMILTONIANS), default="free", help="which Hamiltonian")
     p.add_argument(
@@ -384,15 +389,23 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--rel-tol", type=float, default=1e-9, help="revival rational-certification tolerance")
 
-    p = _add_command(sub, "make-goldens", cmd_make_goldens, "regenerate all golden outputs")
+    p = _add_command(sub, "make-goldens", "regenerate all golden outputs")
     p.add_argument("--out-dir", default="tests/goldens", help="directory for golden files")
     return parser
 
 
+_PARSER = None  # built by the first main call, not at import
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = _build_parser()
+    args = _PARSER.parse_args(argv)
+    # looked up at each call, so that a cmd_* rebound on the module is the one that runs
+    run = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        text, code = args.run(args)  # make-goldens creates --out-dir here
+        text, code = run(args)  # make-goldens creates --out-dir here
         if text is not None:
             _write(text, args.out)
     except (InvalidDimensionError, InvalidParameterError, OSError) as exc:

@@ -20,6 +20,7 @@ from .errors import (
     InvalidParameterError,
     KindMismatchError,
     NoLevelsError,
+    NumericalFailureError,
 )
 from .hilbert import MatrixKind, OperatorMatrix, StateVector
 from .spectral import Spectrum, hermitian_eig
@@ -82,10 +83,20 @@ def _apply(v: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _coefficients(spec: Spectrum, psi: StateVector) -> np.ndarray:
-    """V^dagger psi: the amplitudes of psi on the eigenvectors."""
+    """V^dagger psi: the amplitudes of psi on the eigenvectors.
+
+    When V holds K < d levels, NumericalFailureError is raised if |psi - V c| exceeds
+    sqrt(TERM_TOL) * |psi|, that is, if the levels hold less than (1 - TERM_TOL) of |psi|**2.
+    """
     if spec.dim != psi.dim:
         raise DimensionMismatchError("state and spectrum live on different lattices")
-    return _apply(spec.eigenvectors.conj().T, psi.amps)
+    v = spec.eigenvectors
+    coeffs = _apply(v.conj().T, psi.amps)
+    if v.shape[1] < v.shape[0]:
+        missed = float(np.linalg.norm(psi.amps - _apply(v, coeffs)))
+        if not missed <= math.sqrt(TERM_TOL) * psi.norm():
+            raise NumericalFailureError(f"the {v.shape[1]} levels miss {missed:.3e} of the state", residual=missed)
+    return coeffs
 
 
 def _evolved(spec: Spectrum, coeffs: np.ndarray, t: float) -> np.ndarray:

@@ -24,7 +24,7 @@ from .errors import (
     PhasePointRangeError,
     UnsupportedOrderError,
 )
-from .lattice import _BLOCK_CELLS, Dimension, _row_blocks, as_dimension
+from .lattice import _BLOCK_CELLS, Dimension, _check_capacity, _row_blocks, as_dimension
 from .wrapped import finite_gaussian, periodize
 
 HERMITIAN_TOL = 1e-13
@@ -146,6 +146,7 @@ class PhasePoint:
 def _roots(dim: Dimension, a, b) -> np.ndarray:
     """exp(2j*pi*a*b/d) over the outer product of labels a and b; a*b is reduced mod d first."""
     d = dim.d
+    _check_capacity(np.size(a), np.size(b), 16)
     table = np.exp(2j * np.pi * np.arange(d) / d)
     table[dim.s + 1 :] = table[dim.s : 0 : -1].conj()  # entry d - j is conj(entry j), bit for bit
     return table[np.mod(np.multiply.outer(a, b), d)]
@@ -154,6 +155,7 @@ def _roots(dim: Dimension, a, b) -> np.ndarray:
 def _toeplitz(col: np.ndarray) -> np.ndarray:
     """The d x d matrix whose (j, l) entry is col[j - l + d - 1], for a symbol over u = 1-d..d-1."""
     d = (col.size + 1) // 2
+    _check_capacity(d, d, col.itemsize)
     return np.lib.stride_tricks.sliding_window_view(col[::-1], d)[::-1].copy()
 
 
@@ -176,6 +178,7 @@ def fourier_apply(state: StateVector, inverse: bool = False) -> StateVector:
 def position_operator(dim) -> OperatorMatrix:
     """Q = sqrt(2*pi/d) * diag(n) over the centered labels."""
     dim = as_dimension(dim)
+    _check_capacity(dim.d, dim.d, 8)
     q = math.sqrt(2.0 * math.pi / dim.d) * dim.indices().astype(float)
     return OperatorMatrix(dim, np.diag(q), MatrixKind.HERMITIAN)
 
@@ -225,6 +228,7 @@ def displacement(dim, point: PhasePoint) -> OperatorMatrix:
     """
     dim = as_dimension(dim)
     point.check_range(dim)
+    _check_capacity(dim.d, dim.d, 16)
     phases, cols = _displacement_action(dim, point.alpha, point.beta)
     entries = np.zeros((dim.d, dim.d), dtype=complex)
     entries[np.arange(dim.d), cols] = phases

@@ -10,9 +10,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidDimensionError
+from .errors import CapacityExceededError, InvalidDimensionError
 
 _BLOCK_CELLS = 4096  # cells per block of row-blocked work: one temporary block stays in cache
+_MAX_ARRAY_BYTES = 2**31  # the largest dense array built; a complex d x d at d = 10001 takes 1.6e9 bytes
 
 
 @dataclass(frozen=True)
@@ -56,3 +57,11 @@ def _row_blocks(rows: int, width: int, cells: int) -> list[slice]:
     """Slices covering rows 0..rows-1 of a `width`-wide array, about `cells` cells and at least one row each."""
     step = max(1, cells // width)
     return [slice(i, i + step) for i in range(0, rows, step)]
+
+
+def _check_capacity(rows: int, cols: int, itemsize: int) -> None:
+    """Raise CapacityExceededError, before allocating, when a rows x cols array exceeds _MAX_ARRAY_BYTES."""
+    if rows * cols * itemsize > _MAX_ARRAY_BYTES:
+        raise CapacityExceededError(
+            f"a {rows} x {cols} array of {itemsize}-byte entries exceeds {_MAX_ARRAY_BYTES} bytes"
+        )

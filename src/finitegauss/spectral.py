@@ -12,10 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, KindMismatchError, NumericalFailureError
-from .hilbert import MatrixKind, OperatorMatrix, _lattice_symbol, _roots, _toeplitz
-from .lattice import Dimension, as_dimension
-from .wrapped import finite_gaussian
+from .errors import DimensionMismatchError, InvalidParameterError, KindMismatchError, NumericalFailureError
+from .hilbert import MatrixKind, OperatorMatrix, StateVector, _lattice_symbol, _roots, _toeplitz
+from .lattice import Dimension, _check_capacity, as_dimension
+from .wrapped import TERM_TOL, finite_gaussian
 
 EIG_RESIDUAL_TOL = 1e-10
 HALF_COMM_CROSS_TOL = 1e-12
@@ -26,7 +26,10 @@ UNCERTAINTY_GAP_TOL = 1e-12  # how far product may fall below half_comm before i
 class Spectrum:
     """Eigenvalues (ascending) and phase-fixed orthonormal eigenvectors.
 
-    eigenvectors[:, k] belongs to eigenvalues[k].  Each column is
+    eigenvectors[:, k] belongs to eigenvalues[k]; there are K columns,
+    1 <= K <= d, and any other shape raises DimensionMismatchError.  A
+    Spectrum with K < d holds only some levels, so a state it evolves
+    must lie in their span (see dynamics).  Each column is
     normalized so its largest-modulus component is real and positive;
     exact eigenvalue ties are ordered by that component's index.  The
     eigenvectors are float64 when the operator's entries are real and
@@ -41,6 +44,9 @@ class Spectrum:
     residual: float
 
     def __post_init__(self):
+        k, shape = self.eigenvalues.size, self.eigenvectors.shape
+        if self.eigenvalues.ndim != 1 or shape != (self.dim.d, k) or not 1 <= k <= self.dim.d:
+            raise DimensionMismatchError(f"{k} eigenvalues and eigenvectors {shape} are not 1..{self.dim.d} levels")
         self.eigenvalues.setflags(write=False)
         self.eigenvectors.setflags(write=False)
 
@@ -141,16 +147,17 @@ def _solved(m: OperatorMatrix, solve):
 def _mirrored(pairs):
     """(vals, vecs) on the lattice from the even and odd (vals, w) of _solved: even columns first.
 
-    v(0) is row 0 of an even w, v(n) is row n times sqrt(1/2), v(-n) = +-v(n).
+    Blocks of any width.  v(0) is row 0 of an even w, v(n) is row n times sqrt(1/2), v(-n) = +-v(n).
     """
     (even_vals, even_w), (odd_vals, odd_w) = pairs
-    s = odd_w.shape[0]
-    vecs = np.zeros((2 * s + 1, 2 * s + 1))
-    vecs[s, : s + 1] = even_w[0]
-    vecs[s + 1 :, : s + 1] = math.sqrt(0.5) * even_w[1:]
-    vecs[s + 1 :, s + 1 :] = math.sqrt(0.5) * odd_w
-    vecs[s - 1 :: -1, : s + 1] = vecs[s + 1 :, : s + 1]
-    vecs[s - 1 :: -1, s + 1 :] = -vecs[s + 1 :, s + 1 :]
+    s, ke = odd_w.shape[0], even_w.shape[1]
+    _check_capacity(2 * s + 1, ke + odd_w.shape[1], 8)
+    vecs = np.zeros((2 * s + 1, ke + odd_w.shape[1]))
+    vecs[s, :ke] = even_w[0]
+    vecs[s + 1 :, :ke] = math.sqrt(0.5) * even_w[1:]
+    vecs[s + 1 :, ke:] = math.sqrt(0.5) * odd_w
+    vecs[s - 1 :: -1, :ke] = vecs[s + 1 :, :ke]
+    vecs[s - 1 :: -1, ke:] = -vecs[s + 1 :, ke:]
     return np.concatenate((even_vals, odd_vals)), vecs
 
 
@@ -174,6 +181,60 @@ def hermitian_eig(m: OperatorMatrix, residual_tol: float = EIG_RESIDUAL_TOL) -> 
     matrix entry.
     """
     return _checked_spectrum(m, residual_tol, _parity_split_eigh)
+
+
+def _hermite_blocks(dim: Dimension, count: int):
+    """The Hermite functions k < count at x_n = sqrt(2*pi/d)*n, as the even and odd block bases of _solved.
+
+    psi_0 = pi**-0.25 exp(-x**2/2), psi_{k+1} = sqrt(2/(k+1)) x psi_k - sqrt(k/(k+1)) psi_{k-1}.  Even k
+    give the even block's columns over n = 0..s, odd k the odd block's over n = 1..s; rows n > 0 carry sqrt(2).
+    """
+    x = math.sqrt(2.0 * math.pi / dim.d) * np.arange(dim.s + 1)
+    funcs = np.zeros((count + 1, dim.s + 1))  # row 0 stands for psi_{-1} = 0
+    funcs[1] = math.pi**-0.25 * np.exp(-0.5 * x * x)
+    for k in range(count - 1):
+        funcs[k + 2] = math.sqrt(2.0 / (k + 1)) * x * funcs[k + 1] - math.sqrt(k / (k + 1)) * funcs[k]
+    funcs[:, 1:] *= math.sqrt(2.0)
+    return funcs[1::2].T, funcs[2::2, 1:].T
+
+
+def _populated_spectrum(h: OperatorMatrix, psi: StateVector) -> Spectrum:
+    """The levels of the oscillator h that psi populates, by Rayleigh-Ritz on Hermite functions.
+
+    The Ritz space is the first K functions of _hermite_blocks, orthonormalized by QR in each parity
+    block.  One QR of all d // 8 functions and c = Q^T psi measure what each K misses: the part of psi
+    outside the first K columns has squared norm |psi - Q c|**2 plus the sum of |c_j|**2 over the later
+    columns, a sum of orthogonal parts.  K is the smallest count from 8 to d // 8 whose later columns
+    hold no more of psi than lies outside all d // 8, so K misses at most sqrt(2) times what the cap
+    misses: rounding, for a coherent state.  The cap keeps every turning point sqrt(2K + 1) below 0.4
+    times the lattice half-width sqrt(pi*d/2), in position and by self-duality in momentum.
+    hermitian_eig(h) runs instead when K reaches the cap (the expansion has not settled; so for every
+    d < 72) or misses more than sqrt(TERM_TOL)*|psi|.  The K x K blocks are solved by eigh, and the
+    Ritz pairs assembled by _mirrored pass the gauge and the residual check of hermitian_eig against h.
+    """
+    s, cap = h.dim.s, h.dim.d // 8
+    if cap <= 8:
+        return hermitian_eig(h)
+    amps = psi.amps
+    parts = ((amps[s:] + amps[s::-1]) * math.sqrt(0.5), (amps[s + 1 :] - amps[s - 1 :: -1]) * math.sqrt(0.5))
+    parts[0][0] = amps[s]
+    bases = [np.linalg.qr(b)[0] for b in _hermite_blocks(h.dim, cap)]
+    coeffs = [q.T @ part for q, part in zip(bases, parts)]
+    outside = sum(float(np.linalg.norm(part - q @ c)) ** 2 for q, part, c in zip(bases, parts, coeffs))
+    # tails[b][j]: the squared norm of c over columns j.. of block b; both are 0 at the cap
+    tails = [np.append(np.cumsum(np.abs(c[::-1]) ** 2)[::-1], 0.0) for c in coeffs]
+    counts = np.arange(8, cap + 1)
+    later = tails[0][(counts + 1) // 2] + tails[1][counts // 2]
+    k = int(counts[np.argmax(later <= outside)])
+    if k == cap or outside + later[k - 8] > TERM_TOL * psi.norm() ** 2:
+        return hermitian_eig(h)
+    spans = (bases[0][:, : (k + 1) // 2], bases[1][:, : k // 2])
+
+    def ritz(m, blocks):  # the oscillator is exactly parity even, so _solved gives two blocks
+        small = _parity_split_eigh(m, [q.T @ (a @ q) for a, q in zip(blocks, spans)])
+        return [(vals, q @ y) for q, (vals, y) in zip(spans, small)]
+
+    return _checked_spectrum(h, EIG_RESIDUAL_TOL, ritz)
 
 
 def _commutator_kernel(dim: Dimension) -> np.ndarray:

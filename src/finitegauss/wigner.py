@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalFailureError
-from .lattice import _BLOCK_CELLS, Dimension, _row_blocks, as_dimension
+from .lattice import _BLOCK_CELLS, Dimension, _check_capacity, _row_blocks, as_dimension
 from .wrapped import ThetaKind, _check_kappa, finite_gaussian, shifted_finite_gaussian, theta
 
 REALNESS_TOL = 1e-13
@@ -79,6 +79,7 @@ def wigner_definition(dim, kappa: float) -> WignerGrid:
     dim = as_dimension(dim)
     kappa = _check_kappa(kappa)
     d = dim.d
+    _check_capacity(d, d, 8)
     # row n + s of each factor is a window of three periods of g, over k = 0..d-1: the order the DFT reads
     periods = np.tile(finite_gaussian(dim, kappa).values, 3)
     ahead = np.lib.stride_tricks.sliding_window_view(periods, d)[d : 2 * d]  # g(n + k)
@@ -108,6 +109,7 @@ def wigner_closed_form(dim, kappa: float) -> WignerGrid:
     """
     dim = as_dimension(dim)
     kappa = _check_kappa(kappa)
+    _check_capacity(dim.d, dim.d, 8)
     gn = finite_gaussian(dim, 2.0 * kappa).values
     gn_plus = shifted_finite_gaussian(dim, 2.0 * kappa).values
     gm = finite_gaussian(dim, 2.0 / kappa).values
@@ -128,6 +130,7 @@ def wigner_theta_form(dim) -> WignerGrid:
     """
     dim = as_dimension(dim)
     d = dim.d
+    _check_capacity(d, d, 8)
     ns = dim.indices()
     col3 = theta(ThetaKind.THETA3, ns / d, 1.0 / (2.0 * d))
     col4 = theta(ThetaKind.THETA4, ns / d, 1.0 / (2.0 * d))

@@ -405,6 +405,36 @@ class TestWignerRendering:
         assert main(["wigner", "--d", "31", "--source", source, "--format", "json"]) == 0
         assert capsys.readouterr().out == reference_wigner_json(grid, None)
 
+    @pytest.mark.parametrize("check", [False, True])
+    @pytest.mark.parametrize("d", [3, 31, 301])
+    @pytest.mark.parametrize("source", ["definition", "closed", "theta"])
+    def test_streamed_json_matches_one_dump(self, source, d, check, capsys):
+        dim = Dimension(d)
+        grid = WIGNER_ROUTES[source](dim)
+        check_value = None
+        if check:
+            diff = wigner_definition(dim, 1.0).values - wigner_closed_form(dim, 1.0).values
+            check_value = float(np.max(np.abs(diff)))
+        argv = ["wigner", "--d", str(d), "--source", source, "--format", "json"] + (["--check"] if check else [])
+        assert main(argv) == 0
+        assert capsys.readouterr().out.encode() == reference_wigner_json(grid, check_value).encode()
+
+    def test_json_peak_at_d_1001_holds_one_grid_and_a_row(self, monkeypatch):
+        # One dump of the whole payload peaked at 151 MiB; the grid is 8 MB.
+        # The rows are rendered alike for every route, so one route is measured.
+        class Discard:
+            def write(self, text):
+                return len(text)
+
+        monkeypatch.setattr(sys, "stdout", Discard())
+        tracemalloc.start()
+        try:
+            assert main(["wigner", "--d", "1001", "--format", "json"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40e6
+
 
 # The flags each subcommand reads; any other flag is a usage error.
 COMMAND_FLAGS = {
@@ -457,6 +487,29 @@ class TestFlags:
             main(argv)
         assert err.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestParserOnce:
+    def test_two_calls_build_one_parser(self, monkeypatch, capsys):
+        builds = []
+        real = cli._build_parser
+
+        def counted():
+            builds.append(1)
+            return real()
+
+        monkeypatch.setattr(cli, "_PARSER", None)
+        monkeypatch.setattr(cli, "_build_parser", counted)
+        assert main(["quasi", "--d", "5"]) == 0
+        assert main(["gauss", "--d", "5"]) == 0
+        assert len(builds) == 1
+
+    def test_a_command_rebound_after_the_first_call_is_the_one_that_runs(self, monkeypatch, capsys):
+        assert main(["quasi", "--d", "5"]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "cmd_quasi", lambda args: (f"rebound {args.d}\n", 0))
+        assert main(["quasi", "--d", "5"]) == 0
+        assert capsys.readouterr().out == "rebound 5\n"
 
 
 class TestMakeGoldens:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finitegauss import (
+    CapacityExceededError,
     DegenerateVectorError,
     Dimension,
     DimensionMismatchError,
@@ -28,7 +29,9 @@ from finitegauss import (
     momentum_operator,
     position_operator,
 )
+from finitegauss import spectral, wigner
 from finitegauss.hilbert import HERMITIAN_TOL, _frame_symbol
+from finitegauss.lattice import _MAX_ARRAY_BYTES, _check_capacity
 
 
 def brute_fourier(dim: Dimension) -> np.ndarray:
@@ -371,3 +374,55 @@ class TestStateAndOperatorTypes:
         psi = StateVector(Dimension(7), np.ones(7, dtype=complex))
         with pytest.raises(DimensionMismatchError):
             op.apply(psi)
+
+
+# One lattice size past the budget: a float64 d x d array there takes 1.3e12 bytes.
+HUGE = Dimension(400001)
+
+DENSE_BUILDERS = {
+    "oscillator_hamiltonian": lambda: spectral.oscillator_hamiltonian(HUGE),
+    "free_hamiltonian": lambda: spectral.free_hamiltonian(HUGE),
+    "commutator_qp": lambda: spectral.commutator_qp(HUGE),
+    "commutator_spectrum": lambda: spectral.commutator_spectrum(HUGE),
+    "floratos_approx": lambda: spectral.floratos_approx(HUGE),
+    "uncertainty_product": lambda: spectral.uncertainty_product(HUGE, 1.0),
+    "quasi_eigen_residual": lambda: spectral.quasi_eigen_residual(HUGE),
+    "momentum_operator": lambda: momentum_operator(HUGE),
+    "position_operator": lambda: position_operator(HUGE),
+    "displacement": lambda: displacement(HUGE, PhasePoint(1, 2)),
+    "fourier_matrix": lambda: fourier_matrix(HUGE),
+    "wigner_definition": lambda: wigner.wigner_definition(HUGE, 1.0),
+    "wigner_closed_form": lambda: wigner.wigner_closed_form(HUGE, 1.0),
+    "wigner_theta_form": lambda: wigner.wigner_theta_form(HUGE),
+    # even and odd blocks of s columns each, as views that hold one number
+    "_mirrored": lambda: spectral._mirrored(
+        [(np.zeros(HUGE.s + 1), np.broadcast_to(0.0, (HUGE.s + 1, HUGE.s + 1))),
+         (np.zeros(HUGE.s), np.broadcast_to(0.0, (HUGE.s, HUGE.s)))]),
+}
+
+
+class TestCapacityGuard:
+    @pytest.fixture
+    def no_large_allocation(self, monkeypatch):
+        """np.empty and np.zeros refuse any array of more than 10**7 entries."""
+        for name in ("empty", "zeros"):
+            real = getattr(np, name)
+
+            def guarded(shape, *args, real=real, **kwargs):
+                assert np.prod(shape, dtype=float) <= 1e7, f"allocates {shape}"
+                return real(shape, *args, **kwargs)
+
+            monkeypatch.setattr(np, name, guarded)
+
+    @pytest.mark.parametrize("build", DENSE_BUILDERS.values(), ids=DENSE_BUILDERS.keys())
+    def test_dense_builders_refuse_before_allocating(self, build, no_large_allocation):
+        with pytest.raises(CapacityExceededError, match="exceeds 2147483648 bytes"):
+            build()
+
+    def test_budget_keeps_every_documented_size(self):
+        # a complex d x d array fits up to d = 11585, so every path at d <= 10001 runs
+        _check_capacity(10001, 10001, 16)
+        _check_capacity(11585, 11585, 16)
+        with pytest.raises(CapacityExceededError):
+            _check_capacity(11587, 11587, 16)
+        assert _MAX_ARRAY_BYTES == 2**31

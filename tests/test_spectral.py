@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 
 from finitegauss import (
     Dimension,
+    DimensionMismatchError,
     InvalidParameterError,
     KindMismatchError,
     MatrixKind,
     NumericalFailureError,
     OperatorMatrix,
+    Spectrum,
     StateVector,
     commutator_qp,
     commutator_spectrum,
@@ -642,3 +644,27 @@ class TestFreeSpectrum:
     def test_non_hermitian_matrix_is_refused(self):
         with pytest.raises(KindMismatchError):
             free_spectrum(commutator_qp(Dimension(9)))
+
+
+class TestSpectrumShape:
+    @pytest.mark.parametrize("k", [1, 4, 9])
+    def test_holds_one_to_d_levels(self, k):
+        spec = Spectrum(Dimension(9), np.arange(k, dtype=float), np.eye(9)[:, :k], 0.0)
+        assert spec.eigenvectors.shape == (9, k)
+
+    @pytest.mark.parametrize(
+        "vals, vecs",
+        [
+            (np.arange(3.0), np.eye(9)[:, :4]),  # one more column than levels
+            (np.arange(4.0), np.eye(9)[:, :3]),
+            (np.arange(0.0), np.eye(9)[:, :0]),  # no level
+            (np.arange(10.0), np.ones((9, 10))),  # more levels than the lattice has
+            (np.arange(3.0), np.eye(7)[:, :3]),  # rows of another lattice
+            (np.arange(3.0), np.eye(9)[:, :3].T),
+            (np.zeros((3, 1)), np.eye(9)[:, :3]),  # eigenvalues that are not a vector
+            (np.arange(9.0), np.eye(9).ravel()),
+        ],
+    )
+    def test_other_shapes_raise(self, vals, vecs):
+        with pytest.raises(DimensionMismatchError):
+            Spectrum(Dimension(9), vals, vecs, 0.0)
