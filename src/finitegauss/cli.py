@@ -112,17 +112,13 @@ def cmd_uncertainty(args):
     return _render_table(header, rows, args.format), 0
 
 
-# --ham -> (builder, solver); the free eigensystem is known in closed form
-_HAMILTONIANS = {
-    "osc": (oscillator_hamiltonian, hermitian_eig),
-    "free": (free_hamiltonian, free_spectrum),
-}
-
-
 def cmd_spectrum(args):
     """Eigenvalues descending with the gap down to the next level."""
-    build, solve = _HAMILTONIANS[args.ham]
-    spec = solve(build(Dimension(args.d)))
+    dim = Dimension(args.d)
+    if args.ham == "osc":
+        spec = hermitian_eig(oscillator_hamiltonian(dim))
+    else:  # the free eigensystem is known in closed form
+        spec = free_spectrum(free_hamiltonian(dim))
     vals = spec.eigenvalues[::-1]
     header = ["k", "eigenvalue", "gap"]
     rows = []
@@ -253,11 +249,10 @@ def _revival_state(dim: Dimension, state_spec: list[str], kappa: float) -> State
 def cmd_revival(args):
     """Detect and certify a revival period; JSON report, exit 3 if uncertified."""
     dim = Dimension(args.d)
-    build, solve = _HAMILTONIANS[args.ham]
-    h = build(dim)
+    h = oscillator_hamiltonian(dim) if args.ham == "osc" else free_hamiltonian(dim)
     psi = _revival_state(dim, args.state, args.kappa)
     # the oscillator's revival needs only the levels psi populates
-    spec = _populated_spectrum(h, psi) if args.ham == "osc" else solve(h)
+    spec = _populated_spectrum(h, psi) if args.ham == "osc" else free_spectrum(h)
     levels, weights, _ = populated_levels(spec, psi)
     report = detect_revival(levels, weights, args.rel_tol)
 
@@ -361,7 +356,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = _add_command(sub, "spectrum", "Hamiltonian eigenvalues, descending, with gaps",
                      "--d", *table)
-    p.add_argument("--ham", choices=tuple(_HAMILTONIANS), default="osc", help="which Hamiltonian")
+    p.add_argument("--ham", choices=("osc", "free"), default="osc", help="which Hamiltonian")
 
     _add_command(sub, "quasi", "quasi-eigenvalue of the wrapped Gaussian and its defect",
                  "--d", *table)
@@ -379,7 +374,7 @@ def _build_parser() -> argparse.ArgumentParser:
     # revival always writes JSON; --kappa shapes the gauss initial state
     p = _add_command(sub, "revival", "detect and certify a revival period",
                      "--d", "--kappa", "--out")
-    p.add_argument("--ham", choices=tuple(_HAMILTONIANS), default="free", help="which Hamiltonian")
+    p.add_argument("--ham", choices=("osc", "free"), default="free", help="which Hamiltonian")
     p.add_argument(
         "--state",
         nargs="+",

