@@ -66,7 +66,6 @@ from .wrapped import (
     alternating_wrapped_sum,
     finite_gaussian,
     naive_gaussian,
-    periodize,
     shifted_finite_gaussian,
     theta,
 )

@@ -21,11 +21,12 @@ from .errors import (
     DimensionMismatchError,
     InvalidParameterError,
     KindMismatchError,
+    NumericalFailureError,
     PhasePointRangeError,
     UnsupportedOrderError,
 )
 from .lattice import _BLOCK_CELLS, Dimension, _check_capacity, _row_blocks, as_dimension
-from .wrapped import finite_gaussian, periodize
+from .wrapped import _WINDOW_CAP, TERM_TOL, finite_gaussian
 
 HERMITIAN_TOL = 1e-13
 UNITARY_TOL = 1e-12
@@ -272,30 +273,67 @@ def frame_resolution_residual(dim) -> float:
     return float(np.max(np.abs(_frame_symbol(dim) - (np.arange(dim.d) == 0))))
 
 
-def _hermite(k: int, x: float) -> float:
-    # physicists' convention: H0=1, H1=2x, H_{k+1} = 2x H_k - 2k H_{k-1}
-    hk, hk1 = 1.0, 0.0
-    for j in range(k):
-        hk, hk1 = 2.0 * x * hk - 2.0 * j * hk1, hk
-    return hk
+def _hermite_functions(x, count: int) -> np.ndarray:
+    """The normalized Hermite functions psi_0..psi_{count-1} at the points x, one row per k.
+
+    The normalized three-term recurrence runs on h_k = psi_k * exp(x**2/2): h_0 = pi**-0.25,
+    h_{k+1} = sqrt(2/(k+1)) x h_k - sqrt(k/(k+1)) h_{k-1}.  Every 8 steps each point's pair
+    (h_k, h_{k-1}) is divided by a power of two whose exponent the point keeps, and the factor
+    exp(-x**2/2) is applied together with that exponent in log form, so no psi_k underflows before
+    its value does (Bunck, BIT 49, 281, 2009).  Values below 2**-900 are returned as exact zeros.
+    """
+    ln2_hi, ln2_lo = 6.93147180369123816490e-01, 1.90821492927058770002e-10  # shift * ln2_hi is exact (Cody-Waite)
+    x = np.asarray(x, dtype=float)
+    out = np.empty((count,) + x.shape)
+    half_square = 0.5 * x * x
+    prev, h = np.zeros(x.shape), np.full(x.shape, math.pi**-0.25)
+    shift = np.zeros(x.shape)  # psi_k = h_k * 2**shift * exp(-x**2/2)
+    for start in range(0, count, 8):
+        exponent = np.frexp(np.maximum(np.abs(h), np.abs(prev)))[1]
+        h, prev = np.ldexp(h, -exponent), np.ldexp(prev, -exponent)
+        shift += exponent
+        stop = min(start + 8, count)
+        for k in range(start, stop):
+            out[k] = h
+            prev, h = h, math.sqrt(2.0 / (k + 1)) * x * h - math.sqrt(k / (k + 1)) * prev
+        out[start:stop] *= np.exp((shift * ln2_hi - half_square) + shift * ln2_lo)
+    out[np.abs(out) < 2.0**-900] = 0.0  # subnormal entries would slow every later product
+    return out
 
 
 def mehta_eigenvector(dim, k: int) -> StateVector:
     """Unnormalized k-th discrete Hermite-Gaussian, a Fourier eigenvector.
 
-    Built by periodizing exp(-x**2/2) * H_k(x); satisfies
-    F f_k = i**k f_k exactly in exact arithmetic.  Supported for
-    k = 0..6; higher orders are refused, and a lattice too small to
-    carry the requested order raises DegenerateVectorError.
+    Built by periodizing exp(-x**2/2) * H_k(x) at x = sqrt(2*pi/d) * (alpha*d + n);
+    satisfies F f_k = i**k f_k exactly in exact arithmetic.  The alpha-window
+    grows until the first excluded term, at both edge points, is below
+    TERM_TOL * max(1, |Phi(0)|).  Supported for k = 0..6; higher orders are
+    refused, and a lattice too small to carry the requested order raises
+    DegenerateVectorError.
     """
     dim = as_dimension(dim)
     if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
         raise InvalidParameterError(f"order k must be an integer, got {k!r}")
     if k < 0 or k > 6:
         raise UnsupportedOrderError(f"order k = {k} outside the supported range 0..6")
-    values = periodize(lambda x: math.exp(-0.5 * x * x) * _hermite(k, x), dim)
+    d, s = dim.d, dim.s
+    step = math.sqrt(2.0 * math.pi / d)
+    scale = math.sqrt(2.0**k * math.factorial(k) * math.sqrt(math.pi))  # scale * psi_k(x) = exp(-x**2/2) * H_k(x)
+
+    # the window |alpha| <= A holds the terms at m = alpha*d + n, |m| < reach; m = +-reach are the first excluded
+    halfwidth = 0
+    while True:
+        reach = halfwidth * d + s + 1
+        terms = scale * _hermite_functions(step * np.arange(-reach, reach + 1.0), k + 1)[k]
+        rows = terms[1:-1].reshape(2 * halfwidth + 1, d)  # rows[A + alpha][n + s]
+        if max(abs(terms[0]), abs(terms[-1])) < TERM_TOL * max(1.0, abs(float(np.sum(rows[:, s])))):
+            break
+        halfwidth += 1
+        if halfwidth > _WINDOW_CAP:
+            raise NumericalFailureError("periodized sum window did not converge")
+    # pairs (a, -a) summed from the outside in, so the sum is exactly even or odd in n
+    values = sum((rows[halfwidth + a] + rows[halfwidth - a] for a in range(halfwidth, 0, -1)), np.zeros(d))
+    values = values + rows[halfwidth]
     if float(np.linalg.norm(values)) < 1e-10:
-        raise DegenerateVectorError(
-            f"order-{k} vector on a lattice of size {dim.d} is numerically null"
-        )
+        raise DegenerateVectorError(f"order-{k} vector on a lattice of size {dim.d} is numerically null")
     return StateVector(dim, values)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidParameterError, KindMismatchError, NumericalFailureError
-from .hilbert import MatrixKind, OperatorMatrix, StateVector, _lattice_symbol, _roots, _toeplitz
+from .hilbert import MatrixKind, OperatorMatrix, StateVector, _hermite_functions, _lattice_symbol, _roots, _toeplitz
 from .lattice import Dimension, _check_capacity, as_dimension
 from .wrapped import TERM_TOL, finite_gaussian
 
@@ -186,16 +186,12 @@ def hermitian_eig(m: OperatorMatrix, residual_tol: float = EIG_RESIDUAL_TOL) -> 
 def _hermite_blocks(dim: Dimension, count: int):
     """The Hermite functions k < count at x_n = sqrt(2*pi/d)*n, as the even and odd block bases of _solved.
 
-    psi_0 = pi**-0.25 exp(-x**2/2), psi_{k+1} = sqrt(2/(k+1)) x psi_k - sqrt(k/(k+1)) psi_{k-1}.  Even k
-    give the even block's columns over n = 0..s, odd k the odd block's over n = 1..s; rows n > 0 carry sqrt(2).
+    Even k give the even block's columns over n = 0..s, odd k the odd block's over n = 1..s; rows n > 0
+    carry sqrt(2).  The functions come from _hermite_functions, so far states keep their norm at large d.
     """
-    x = math.sqrt(2.0 * math.pi / dim.d) * np.arange(dim.s + 1)
-    funcs = np.zeros((count + 1, dim.s + 1))  # row 0 stands for psi_{-1} = 0
-    funcs[1] = math.pi**-0.25 * np.exp(-0.5 * x * x)
-    for k in range(count - 1):
-        funcs[k + 2] = math.sqrt(2.0 / (k + 1)) * x * funcs[k + 1] - math.sqrt(k / (k + 1)) * funcs[k]
+    funcs = _hermite_functions(math.sqrt(2.0 * math.pi / dim.d) * np.arange(dim.s + 1), count)
     funcs[:, 1:] *= math.sqrt(2.0)
-    return funcs[1::2].T, funcs[2::2, 1:].T
+    return funcs[0::2].T, funcs[1::2, 1:].T
 
 
 def _populated_spectrum(h: OperatorMatrix, psi: StateVector) -> Spectrum:

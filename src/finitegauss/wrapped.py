@@ -26,7 +26,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -214,41 +213,6 @@ def naive_gaussian(dim, kappa: float) -> np.ndarray:
     if not math.isfinite(c):
         raise InvalidParameterError(f"kappa = {kappa} is out of range at d = {dim.d}: kappa*pi/d is not finite")
     return _gauss_terms(c, dim.indices().astype(float), dim.s)
-
-
-def periodize(sample: Callable[[float], float], dim) -> np.ndarray:
-    """Wrap a decaying function onto the lattice.
-
-    Returns Phi(n) = sum_alpha sample(sqrt(2*pi/d) * (alpha*d + n)) for
-    n = -s..s.  The window grows until the first excluded sample, taken
-    at the worst lattice point, is below TERM_TOL times
-    max(1, |partial Phi(0)|).  Convergence of the alpha-sum is the
-    caller's responsibility; a window cap guards against samples that
-    do not decay.
-    """
-    dim = as_dimension(dim)
-    d, s = dim.d, dim.s
-    step = math.sqrt(2.0 * math.pi / d)
-
-    # not _halfwidth: the sample is an arbitrary callable, tested at both edges
-    phi0 = float(sample(0.0))
-    halfwidth = 0
-    while True:
-        edge = step * ((halfwidth + 1) * d - s)
-        if max(abs(float(sample(edge))), abs(float(sample(-edge)))) < TERM_TOL * max(1.0, abs(phi0)):
-            break
-        halfwidth += 1
-        if halfwidth > _WINDOW_CAP:
-            raise NumericalFailureError("periodized sum window did not converge")
-        phi0 += float(sample(step * halfwidth * d)) + float(sample(-step * halfwidth * d))
-
-    ns = dim.indices().astype(float)
-    acc = np.zeros(d)
-    for a in range(halfwidth, 0, -1):
-        acc += np.array([float(sample(step * (a * d + n))) for n in ns])
-        acc += np.array([float(sample(step * (-a * d + n))) for n in ns])
-    acc += np.array([float(sample(step * n)) for n in ns])
-    return acc
 
 
 def alternating_wrapped_sum(dim, kappa: float, n):

@@ -1,6 +1,7 @@
 """Fourier transform, Weyl pair, coherent frame, Mehta eigenvectors."""
 import math
 import tracemalloc
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -25,12 +26,14 @@ from finitegauss import (
     fourier_apply,
     fourier_matrix,
     frame_resolution_residual,
+    hermitian_eig,
     mehta_eigenvector,
     momentum_operator,
+    oscillator_hamiltonian,
     position_operator,
 )
 from finitegauss import spectral, wigner
-from finitegauss.hilbert import HERMITIAN_TOL, _frame_symbol
+from finitegauss.hilbert import HERMITIAN_TOL, _frame_symbol, _hermite_functions
 from finitegauss.lattice import _MAX_ARRAY_BYTES, _check_capacity
 
 
@@ -263,11 +266,32 @@ class TestMehta:
         assert np.max(np.abs(out - (1j**k) * fk.amps)) <= 1e-11
 
     def test_order_zero_is_gaussian(self):
-        # The order-0 periodization is exactly the wrapped Gaussian, no scaling.
-        dim = Dimension(9)
-        g = finite_gaussian(dim, 1.0)
-        f0 = mehta_eigenvector(dim, 0).amps
-        assert np.max(np.abs(f0 - g.values)) <= 1e-13
+        # The order-0 periodization of exp(-x**2/2), x = sqrt(2*pi/d)*(alpha*d + n), is the wrapped
+        # Gaussian g_1 with no scaling, at every window size from d = 3 up.
+        for d in (3, 9, 31, 101, 1001):
+            f0 = mehta_eigenvector(Dimension(d), 0).amps
+            assert np.max(np.abs(f0 - finite_gaussian(Dimension(d), 1.0).values)) <= 1e-15
+
+    @staticmethod
+    def oscillator_overlap_defect(d: int) -> float:
+        # An independent route: the dense eigenvectors v_k of the lattice oscillator, levels in ascending order.
+        spec = hermitian_eig(oscillator_hamiltonian(Dimension(d)))
+        defects = []
+        for k in range(7):
+            f = mehta_eigenvector(Dimension(d), k).amps
+            defects.append(1.0 - abs(np.vdot(spec.eigenvectors[:, k], f / np.linalg.norm(f))))
+        return max(defects)
+
+    @pytest.mark.parametrize("d", [31, 41, 101])
+    def test_matches_the_oscillator_eigenvectors(self, d):
+        assert self.oscillator_overlap_defect(d) <= 1e-14
+
+    def test_oscillator_overlap_defect_at_small_d(self):
+        # Below d = 31 the two families differ visibly; the defect shrinks fast with d (7.3e-4 at d = 9).
+        for d in (9, 11, 15, 21):
+            defect = self.oscillator_overlap_defect(d)
+            print(f"d={d}: worst 1 - |<v_k, f_k>| over k <= 6 = {defect:.2e}")
+            assert defect < 1e-2
 
     def test_parity(self):
         dim = Dimension(11)
@@ -288,6 +312,47 @@ class TestMehta:
         # At d = 3 the order-3 periodization cancels identically.
         with pytest.raises(DegenerateVectorError):
             mehta_eigenvector(Dimension(3), 3)
+
+
+def decimal_hermite_functions(x: float, count: int) -> list:
+    """psi_0..psi_{count-1} at the double x, by the normalized recurrence in 40-digit decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        pi = Decimal("3.141592653589793238462643383279502884197169")
+        xd = Decimal(x)  # the double's exact value
+        gauss = (-xd * xd / 2).exp()
+        prev, h, out = Decimal(0), 1 / pi.sqrt().sqrt(), []
+        for k in range(count):
+            out.append(float(h * gauss))
+            prev, h = h, (Decimal(2) / (k + 1)).sqrt() * xd * h - (Decimal(k) / (k + 1)).sqrt() * prev
+        return out
+
+
+class TestHermiteFunctions:
+    # At d = 10001 the lattice reaches x = 125 and the Ritz cap d // 8 reaches k = 1249, whose turning
+    # point is near x = 50; an unscaled recurrence loses psi_k beyond x = 38.6, where exp(-x**2/2) underflows.
+    D = 10001
+
+    @pytest.fixture(scope="class")
+    def lattice_functions(self):
+        x = math.sqrt(2.0 * math.pi / self.D) * np.arange(self.D // 2 + 1)
+        return x, _hermite_functions(x, self.D // 8)
+
+    def test_matches_a_decimal_reference(self, lattice_functions):
+        x, funcs = lattice_functions
+        for n in (0, 1, 500, 1000, 1300, 1500, 1700, 2000, 3000, 5000):
+            want = np.array(decimal_hermite_functions(float(x[n]), self.D // 8))
+            assert np.max(np.abs(funcs[:, n] - want)) <= 1e-13, n
+
+    def test_lattice_norms_are_one(self, lattice_functions):
+        # step * sum over n = -s..s of psi_k(x_n)**2, from the half lattice n >= 0
+        x, funcs = lattice_functions
+        norms = x[1] * (funcs[:, 0] ** 2 + 2.0 * np.sum(funcs[:, 1:] ** 2, axis=1))
+        assert np.max(np.abs(norms - 1.0)) <= 1e-11
+
+    def test_no_entry_is_subnormal(self, lattice_functions):
+        _, funcs = lattice_functions
+        assert not np.any((funcs != 0.0) & (np.abs(funcs) < np.finfo(float).tiny))
 
 
 class TestStateAndOperatorTypes:

@@ -19,7 +19,6 @@ from finitegauss import (
     alternating_wrapped_sum,
     finite_gaussian,
     naive_gaussian,
-    periodize,
     shifted_finite_gaussian,
     theta,
 )
@@ -426,21 +425,6 @@ class TestNaiveAndPeriodize:
             naive_gaussian(d, 1.7e308)
         # At the small end kappa*pi/d underflows to 0 or a subnormal, which is finite.
         assert np.array_equal(naive_gaussian(d, 5e-324), np.ones(d))
-
-    def test_periodize_recovers_wrapped_gaussian(self):
-        # The continuous Gaussian in physical units wraps to the lattice one.
-        d, kappa = 9, 1.0
-        dim = Dimension(d)
-        g = finite_gaussian(dim, kappa)
-        per = periodize(lambda x: math.exp(-0.5 * kappa * x * x), dim)
-        assert np.max(np.abs(per - g.values)) <= 1e-15
-
-    def test_periodize_constant_rejected(self):
-        # A non-decaying sample can never meet the tail criterion.
-        from finitegauss import NumericalFailureError
-
-        with pytest.raises(NumericalFailureError):
-            periodize(lambda x: 1.0, Dimension(5))
 
 
 class TestDimension:
