@@ -18,6 +18,7 @@ from finitegauss import (
     ThetaKind,
     alternating_wrapped_sum,
     finite_gaussian,
+    mehta_eigenvector,
     naive_gaussian,
     shifted_finite_gaussian,
     theta,
@@ -425,6 +426,13 @@ class TestNaiveAndPeriodize:
             naive_gaussian(d, 1.7e308)
         # At the small end kappa*pi/d underflows to 0 or a subnormal, which is finite.
         assert np.array_equal(naive_gaussian(d, 5e-324), np.ones(d))
+
+    def test_periodize_recovers_wrapped_gaussian(self):
+        # The continuous Gaussian in physical units wraps to the lattice one; the order-0 Mehta
+        # vector is that periodization of exp(-x**2/2), x = sqrt(2*pi/d)*(alpha*d + n).
+        dim = Dimension(9)
+        per = mehta_eigenvector(dim, 0).amps
+        assert np.max(np.abs(per - finite_gaussian(dim, 1.0).values)) <= 1e-15
 
 
 class TestDimension:
