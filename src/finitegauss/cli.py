@@ -3,7 +3,9 @@
 Each subcommand accepts only the flags it reads.  Exit codes: 0 success,
 2 usage/parameter error, 3 numerical failure or an uncertified revival
 period.  Floats are printed with the shortest round-trip decimal so
-identical configs give byte-identical files.  Each cmd_* takes the parsed
+identical configs give byte-identical files: `repr` for table cells, and for
+Wigner grids a vectorized kernel in `_shortest` that writes the same bytes
+for a block of rows at a time.  Each cmd_* takes the parsed
 arguments and returns its rendered text, as one string or as chunks to
 write in turn (None when it writes its own files), and its exit code.
 """
@@ -167,38 +169,53 @@ def _wigner_check(args, grid) -> float:
                for rows in _row_blocks(dim.d, dim.d, _BLOCK_CELLS))
 
 
-def _csv_row(row, sep: str = ",") -> str:
-    """The cells of one float64 grid row as `_fmt` text, joined by sep.
+def _row_texts(formatter, values, rows: list[int], symmetric) -> list[str]:
+    """The cells of the listed grid rows as `_fmt` text, joined by the formatter's separator.
 
-    `repr` runs once per distinct value, not once per cell.  Values are
-    keyed by bit pattern, so 0.0 and -0.0 keep their own text.
+    A row whose bits are symmetric in m formats its m >= 0 half and mirrors
+    the text.  The rows go to the formatter as views, so that no copy of a
+    block of them is left in the heap among the row texts.
     """
-    keys, inverse = np.unique(row.view(np.int64), return_inverse=True)
-    texts = np.array(list(map(repr, keys.view(np.float64).tolist())), dtype=object)
-    return sep.join(texts[inverse].tolist())
+    half = values.shape[1] // 2
+    halves = [i for i in rows if symmetric[i]]
+    whole = [i for i in rows if not symmetric[i]]
+    texts = dict(zip(halves, formatter.join_rows([values[i, half:] for i in halves],
+                                                 np.abs(np.arange(-half, half + 1)))))
+    texts.update(zip(whole, formatter.join_rows([values[i] for i in whole])))
+    return [texts[i] for i in rows]
 
 
 def _render_wigner(grid, check_value, fmt: str):
     """The grid's text as chunks, one grid row at a time; JSON reads as json.dumps(payload, indent=2) + newline."""
+    from ._shortest import RowFormatter  # on first use: a fresh import of the CLI does not load it
+
     ms = ns = [int(n) for n in grid.dim.indices()]
+    d, values = grid.dim.d, grid.values
+    bits = values.view(np.int64)
+    slices = _row_blocks(d, d, 4 * _BLOCK_CELLS)
+    blocks = [range(*b.indices(d)) for b in slices]
+    # -0.0 against 0.0 breaks the symmetry, so that each keeps its text
+    symmetric = np.concatenate([np.all(bits[b, d // 2:] == bits[b, d // 2::-1], axis=1) for b in slices])
+    formatter = RowFormatter("," if fmt == "csv" else ",\n      ")
     if fmt == "csv":
-        bits = grid.values.view(np.int64)
         yield ",".join(["n"] + [str(m) for m in ms]) + "\n"
-        waiting = {}  # the cells of rows n < 0 whose row -n is still to come
-        for i, n in enumerate(ns):
-            mirror = len(ns) - 1 - i
-            # Row -n of an even grid repeats row n: reuse its cells when the bits agree.
-            cells = waiting.pop(mirror, None)
-            if cells is None or not np.array_equal(bits[i], bits[mirror]):
-                cells = "," + _csv_row(grid.values[i])
-            if i < mirror:
-                waiting[i] = cells
-            yield f"{n}{cells}\n"
+        waiting = {}  # the text of rows n < 0 whose row -n is still to come
+        for block in blocks:
+            # Row -n of an even grid repeats row n: reuse its text when the bits agree.
+            fresh = [i for i in block
+                     if d - 1 - i not in waiting or not np.array_equal(bits[i], bits[d - 1 - i])]
+            texts = dict(zip(fresh, _row_texts(formatter, values, fresh, symmetric)))
+            for i in block:
+                partner = waiting.pop(d - 1 - i, None)
+                cells = texts.get(i, partner)
+                if i < d - 1 - i:
+                    waiting[i] = cells
+                yield f"{ns[i]},{cells}\n"
         if check_value is not None:
             yield f"check_max_abs_diff,{_fmt(check_value)}\n"
         return
     payload = {
-        "d": grid.dim.d,
+        "d": d,
         "kappa": float(grid.kappa),
         "source": grid.source.value,
         "n": ns,
@@ -211,8 +228,11 @@ def _render_wigner(grid, check_value, fmt: str):
         payload["check_max_abs_diff"] = float(check_value)
     head, tail = json.dumps(payload, indent=2).split('"values": []')
     yield head + '"values": ['
-    for i, row in enumerate(grid.values):
-        yield ("," if i else "") + "\n    [\n      " + _csv_row(row, ",\n      ") + "\n    ]"
+    for block in blocks:
+        for i, text in zip(block, _row_texts(formatter, values, block, symmetric)):
+            # json.dumps spells the non-finite floats as JavaScript does
+            text = text.replace("inf", "Infinity").replace("nan", "NaN")
+            yield ("," if i else "") + "\n    [\n      " + text + "\n    ]"
     yield "\n  ]" + tail + "\n"
 
 

@@ -336,17 +336,27 @@ _EDGE_VALUES += [-v for v in _EDGE_VALUES]
 
 @st.composite
 def even_grids_with_defects(draw):
-    """Odd d in [3, 41]; rows -n mirror rows n except where perturbed.
+    """Odd d in [3, 41]; rows mirror in m, and rows -n mirror rows n, except where perturbed.
 
-    Each row of the lower half either mirrors its partner bit for bit,
-    differs from it in one cell, or differs only by 0.0 against -0.0.
+    Each row of the upper half is either symmetric in m bit for bit, or
+    breaks that symmetry in one cell, or only by 0.0 against -0.0.  Each row
+    of the lower half either mirrors its partner bit for bit, differs from
+    it in one cell, or differs only by 0.0 against -0.0.
     """
     d = 2 * draw(st.integers(1, 20)) + 1
     s = d // 2
     extra = draw(st.lists(st.floats(width=64), max_size=6))
     pool = np.array(_EDGE_VALUES + extra)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    upper = rng.choice(pool, size=(s + 1, d))
+    right = rng.choice(pool, size=(s + 1, s + 1))  # m = 0..s
+    upper = np.hstack([right[:, :0:-1], right])
+    m_kinds = draw(st.lists(st.sampled_from(["symmetric", "cell", "zero_sign"]), min_size=s + 1, max_size=s + 1))
+    for r, kind in enumerate(m_kinds):
+        col = draw(st.integers(0, s - 1))  # m = col - s < 0
+        if kind == "cell":
+            upper[r, col] = draw(st.sampled_from(_EDGE_VALUES))
+        elif kind == "zero_sign":
+            upper[r, col], upper[r, d - 1 - col] = -0.0, 0.0
     grid = np.vstack([upper, upper[-2::-1]])
     kinds = draw(st.lists(st.sampled_from(["mirror", "cell", "zero_sign"]), min_size=s, max_size=s))
     for r, kind in zip(range(s + 1, d), kinds):
@@ -373,18 +383,26 @@ class TestWignerRendering:
     def test_csv_matches_reference(self, grid, check_value):
         assert "".join(_render_wigner(grid, check_value, "csv")) == reference_wigner_csv(grid, check_value)
 
+    @settings(max_examples=200, deadline=None)
+    @given(even_grids_with_defects(), st.sampled_from([None, 0.0, 1.3877787807814457e-17]))
+    def test_json_matches_reference(self, grid, check_value):
+        # json.dumps writes inf, -inf and nan as Infinity, -Infinity and NaN
+        assert "".join(_render_wigner(grid, check_value, "json")) == reference_wigner_json(grid, check_value)
+
     @pytest.mark.parametrize("check", [False, True])
     @pytest.mark.parametrize("source", ["definition", "closed", "theta"])
     def test_cli_csv_matches_reference(self, source, check, capsys):
-        dim = Dimension(101)
-        grid = WIGNER_ROUTES[source](dim)
-        check_value = None
-        if check:
-            diff = wigner_definition(dim, 1.0).values - wigner_closed_form(dim, 1.0).values
-            check_value = float(np.max(np.abs(diff)))
-        argv = ["wigner", "--d", "101", "--source", source] + (["--check"] if check else [])
-        assert main(argv) == 0
-        assert capsys.readouterr().out == reference_wigner_csv(grid, check_value)
+        # at d=301 the rows take more than one block, and the last block is partial
+        for d in (3, 31, 101, 301):
+            dim = Dimension(d)
+            grid = WIGNER_ROUTES[source](dim)
+            check_value = None
+            if check:
+                diff = wigner_definition(dim, 1.0).values - wigner_closed_form(dim, 1.0).values
+                check_value = float(np.max(np.abs(diff)))
+            argv = ["wigner", "--d", str(d), "--source", source] + (["--check"] if check else [])
+            assert main(argv) == 0
+            assert capsys.readouterr().out == reference_wigner_csv(grid, check_value)
 
     @pytest.mark.parametrize("source", ["definition", "closed", "theta"])
     def test_stdout_and_out_file_match_reference(self, source, capsys, tmp_path):
@@ -437,7 +455,7 @@ class TestWignerRendering:
         assert capsys.readouterr().out == reference_wigner_json(grid, None)
 
     @pytest.mark.parametrize("check", [False, True])
-    @pytest.mark.parametrize("d", [3, 31, 301])
+    @pytest.mark.parametrize("d", [3, 31, 101, 301])
     @pytest.mark.parametrize("source", ["definition", "closed", "theta"])
     def test_streamed_json_matches_one_dump(self, source, d, check, capsys):
         dim = Dimension(d)
