@@ -18,15 +18,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import CERT_TOL, certify_period, detect_revival, populated_levels
+from .dynamics import CERT_TOL, _defect, certify_period, detect_revival, populated_levels
 from .errors import FiniteGaussError, InvalidDimensionError, InvalidParameterError
 from .hilbert import PhasePoint, StateVector, coherent_state
 from .lattice import _BLOCK_CELLS, Dimension, _row_blocks
 from .spectral import (
+    _free_coefficients,
+    _free_levels,
     _populated_spectrum,
     commutator_spectrum,
-    free_hamiltonian,
-    free_spectrum,
     hermitian_eig,
     oscillator_hamiltonian,
     quasi_eigen_residual,
@@ -58,13 +58,20 @@ def _cell_json(c):
     return c
 
 
-def _render_table(header: list[str], rows: list[list], fmt: str) -> str:
+def _column_csv(col) -> list[str]:
+    """The CSV text of one column's cells; a float64 array goes to repr straight from tolist."""
+    if isinstance(col, np.ndarray):
+        return list(map(repr if col.dtype == np.float64 else _cell_csv, col.tolist()))
+    return list(map(_cell_csv, col))
+
+
+def _render_table(header: list[str], columns: list, fmt: str) -> str:
+    """The table whose columns, one per header key, are arrays or sequences of cells, rendered a column at a time."""
     if fmt == "csv":
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join(_cell_csv(c) for c in row))
-        return "\n".join(lines) + "\n"
-    payload = [{key: _cell_json(c) for key, c in zip(header, row)} for row in rows]
+        texts = [_column_csv(col) for col in columns]
+        return "\n".join([",".join(header), *map(",".join, zip(*texts))]) + "\n"
+    cells = [col.tolist() if isinstance(col, np.ndarray) else list(map(_cell_json, col)) for col in columns]
+    payload = [dict(zip(header, row)) for row in zip(*cells)]
     return json.dumps(payload, indent=2) + "\n"
 
 
@@ -85,17 +92,13 @@ def cmd_gauss(args):
     g = finite_gaussian(dim, args.kappa).values
     gp = shifted_finite_gaussian(dim, args.kappa).values
     nv = naive_gaussian(dim, args.kappa)
-    header = ["n", "g", "g_plus", "naive"]
-    rows = [[int(n), g[i], gp[i], nv[i]] for i, n in enumerate(dim.indices())]
-    return _render_table(header, rows, args.format), 0
+    return _render_table(["n", "g", "g_plus", "naive"], [dim.indices(), g, gp, nv], args.format), 0
 
 
 def cmd_commutator(args):
     """Imaginary parts of the commutator spectrum, ascending."""
-    spec = commutator_spectrum(Dimension(args.d))
-    header = ["k", "eta_imag"]
-    rows = [[k, v] for k, v in enumerate(spec.eigenvalues)]
-    return _render_table(header, rows, args.format), 0
+    vals = commutator_spectrum(Dimension(args.d)).eigenvalues
+    return _render_table(["k", "eta_imag"], [range(vals.size), vals], args.format), 0
 
 
 def cmd_uncertainty(args):
@@ -107,38 +110,29 @@ def cmd_uncertainty(args):
     if not d_list:
         raise InvalidParameterError("--d-list must name at least one lattice size")
     header = ["d", "delta_q", "delta_p", "product", "half_comm", "gap"]
-    rows = []
-    for d in d_list:
-        r = uncertainty_product(Dimension(d), args.kappa)
-        rows.append([int(d), r.delta_q, r.delta_p, r.product, r.half_comm, r.gap])
-    return _render_table(header, rows, args.format), 0
+    reports = [uncertainty_product(Dimension(d), args.kappa) for d in d_list]
+    columns = [d_list] + [[getattr(r, key) for r in reports] for key in header[1:]]
+    return _render_table(header, columns, args.format), 0
 
 
 def cmd_spectrum(args):
     """Eigenvalues descending with the gap down to the next level."""
     dim = Dimension(args.d)
     if args.ham == "osc":
-        spec = hermitian_eig(oscillator_hamiltonian(dim))
-    else:  # the free eigensystem is known in closed form
-        spec = free_spectrum(free_hamiltonian(dim))
-    vals = spec.eigenvalues[::-1]
-    header = ["k", "eigenvalue", "gap"]
-    rows = []
-    for k, v in enumerate(vals):
-        gap = vals[k] - vals[k + 1] if k + 1 < len(vals) else None
-        rows.append([k, v, gap])
-    return _render_table(header, rows, args.format), 0
+        vals = hermitian_eig(oscillator_hamiltonian(dim)).eigenvalues[::-1]
+    else:  # the free levels pi*k**2/d are known in closed form: k = 0 once, each k > 0 twice
+        vals = np.repeat(_free_levels(dim)[::-1], 2)[:-1]
+    gaps = (vals[:-1] - vals[1:]).tolist() + [None]
+    return _render_table(["k", "eigenvalue", "gap"], [range(vals.size), vals, gaps], args.format), 0
 
 
 def cmd_quasi(args):
     """Quasi-eigenvalue and the defect at n = 1..s."""
     dim = Dimension(args.d)
     rep = quasi_eigen_residual(dim)
-    header = ["quantity", "value"]
-    rows = [["lambda", rep.lam]]
-    for n in range(1, dim.s + 1):
-        rows.append([f"residual_{n}", rep.residual[dim.s + n]])
-    return _render_table(header, rows, args.format), 0
+    names = ["lambda"] + [f"residual_{n}" for n in range(1, dim.s + 1)]
+    values = np.append(rep.lam, rep.residual[dim.s + 1 :])
+    return _render_table(["quantity", "value"], [names, values], args.format), 0
 
 
 def cmd_wigner(args):
@@ -269,17 +263,24 @@ def _revival_state(dim: Dimension, state_spec: list[str], kappa: float) -> State
 def cmd_revival(args):
     """Detect and certify a revival period; JSON report, exit 3 if uncertified."""
     dim = Dimension(args.d)
-    h = oscillator_hamiltonian(dim) if args.ham == "osc" else free_hamiltonian(dim)
     psi = _revival_state(dim, args.state, args.kappa)
-    # the oscillator's revival needs only the levels psi populates
-    spec = _populated_spectrum(h, psi) if args.ham == "osc" else free_spectrum(h)
-    levels, weights, _ = populated_levels(spec, psi)
+    if args.ham == "osc":
+        h = oscillator_hamiltonian(dim)
+        # the oscillator's revival needs only the levels psi populates
+        spec = _populated_spectrum(h, psi)
+        levels, weights, _ = populated_levels(spec, psi)
+        defect = lambda period: certify_period(h, psi, period, spectrum=spec)
+    else:  # the free modes are cosines and sines, so psi's amplitudes on them are one FFT
+        levels, coeffs = _free_coefficients(psi)
+        mags = np.abs(coeffs)
+        weights = mags**2
+        defect = lambda period: _defect(levels, mags, period)
     report = detect_revival(levels, weights, args.rel_tol)
 
     certified = False
     max_residual = None
     if report.period is not None:
-        max_residual = float(certify_period(h, psi, report.period, spectrum=spec))
+        max_residual = float(defect(report.period))
         certified = max_residual <= CERT_TOL
     payload = {
         "kind": report.kind,

@@ -281,13 +281,17 @@ def certify_period(
     if not math.isfinite(period):
         raise InvalidParameterError(f"period must be finite, got {period}")
     spec = _spectrum_for(h, psi, spectrum, [period])
-    mags = np.abs(_coefficients(spec, psi))
+    return _defect(spec.eigenvalues, np.abs(_coefficients(spec, psi)), period)
+
+
+def _defect(levels: np.ndarray, mags: np.ndarray, period: float) -> float:
+    """certify_period's D from the levels and the moduli |c_k| of the state's amplitudes on them."""
     top = float(np.max(mags))
     if top == 0.0:
         raise DegenerateVectorError("the zero state has no phase to fit a period against")
     # scale by an exact power of two so the squared weights neither underflow nor overflow
     shift = math.frexp(top)[1]
     weights = np.ldexp(mags, -shift) ** 2
-    turns = np.exp(-1j * period * spec.eigenvalues)
+    turns = np.exp(-1j * period * levels)
     phase = np.exp(1j * np.angle(weights @ turns))
     return math.ldexp(float(np.sqrt(weights @ np.abs(turns - phase) ** 2)), shift)

@@ -316,6 +316,23 @@ def _free_eigenpairs(m: OperatorMatrix, blocks):
     return pairs if len(blocks) == 2 else [_mirrored(pairs)]
 
 
+def _free_coefficients(psi: StateVector):
+    """The levels of free_spectrum and the amplitudes of psi on its modes, by one FFT and no d x d array.
+
+    With f(k) = sum_n psi(n) exp(-2j*pi*k*n/d), psi's amplitude is f(0)/sqrt(d) on the constant
+    mode, and (f(k) + f(-k))/sqrt(2d) and 1j*(f(k) - f(-k))/sqrt(2d) on the cos and sin modes of
+    level k = 1..s.  The levels ascend, as free_spectrum's do, with the cos mode first at each.
+    """
+    d, s = psi.dim.d, psi.dim.s
+    f = np.fft.fft(np.fft.ifftshift(psi.amps))  # f(k) at index k mod d
+    up, down = f[1 : s + 1], f[:s:-1]
+    coeffs = np.empty(d, dtype=complex)
+    coeffs[0] = f[0] / math.sqrt(d)
+    coeffs[1::2] = (up + down) / math.sqrt(2.0 * d)
+    coeffs[2::2] = 1j * (up - down) / math.sqrt(2.0 * d)
+    return np.repeat(_free_levels(psi.dim), 2)[1:], coeffs
+
+
 def free_spectrum(h: OperatorMatrix) -> Spectrum:
     """Closed-form eigensystem of the free Hamiltonian h, with no eigensolve.
 

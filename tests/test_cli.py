@@ -1,5 +1,7 @@
 """Command-line surface: goldens, determinism, formats, exit codes, flags."""
 import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -18,7 +20,12 @@ from finitegauss import (
     NumericalFailureError,
     WignerGrid,
     WignerSource,
+    certify_period,
     commutator_spectrum,
+    detect_revival,
+    free_hamiltonian,
+    free_spectrum,
+    populated_levels,
     wigner_closed_form,
     wigner_definition,
     wigner_theta_form,
@@ -227,22 +234,23 @@ class TestFormats:
         assert '"period": 402.0,' in out
         assert payload["kind"] == "commensurate" and payload["certified"] is True
 
-    def test_free_revival_builds_one_hamiltonian(self, monkeypatch, capsys):
-        import finitegauss.cli as cli
+    @pytest.mark.parametrize("argv", [["spectrum", "--ham", "free"], ["revival", "--ham", "free", "--state", "delta", "0"]],
+                             ids=["spectrum", "revival"])
+    def test_free_jobs_build_no_hamiltonian(self, argv, no_eigh, monkeypatch, capsys):
+        # the free levels are closed form and the free modes' amplitudes one FFT
         import finitegauss.spectral as spectral
 
-        built = []
-        real_build = spectral.free_hamiltonian
+        def no_build(*_):
+            raise AssertionError("dense free route called")
 
-        def spy(dim):
-            built.append(dim.d)
-            return real_build(dim)
-
-        monkeypatch.setattr(spectral, "free_hamiltonian", spy)
-        monkeypatch.setattr(cli, "free_hamiltonian", spy)
-        assert main(["revival", "--d", "31", "--ham", "free", "--state", "delta", "0"]) == 0
-        assert json.loads(capsys.readouterr().out)["certified"] is True
-        assert built == [31]
+        for name in ("free_hamiltonian", "free_spectrum", "_toeplitz"):
+            monkeypatch.setattr(spectral, name, no_build)
+        assert main(argv + ["--d", "31"]) == 0
+        out = capsys.readouterr().out
+        if argv[0] == "spectrum":
+            assert out.count("\n") == 32
+        else:
+            assert json.loads(out)["certified"] is True
 
     def test_spectrum_solver_is_looked_up_at_call_time(self, monkeypatch, capsys):
         # A profiler rebinds module attributes after import; a solver kept in a
@@ -295,6 +303,118 @@ class TestFormats:
         for k, gap in enumerate(gaps):
             assert gap == pytest.approx(vals[k] - vals[k + 1], abs=1e-15)
         assert lines[-1].endswith(",")
+
+
+def reference_table(header, rows, fmt: str) -> str:
+    """The table rendered a row at a time, one cell after another: the renderer's reference."""
+    if fmt == "csv":
+        lines = [",".join(header)]
+        for row in rows:
+            lines.append(",".join(cli._cell_csv(c) for c in row))
+        return "\n".join(lines) + "\n"
+    payload = [{key: cli._cell_json(c) for key, c in zip(header, row)} for row in rows]
+    return json.dumps(payload, indent=2) + "\n"
+
+
+_FLOAT_CELLS = st.one_of(
+    st.floats(width=64),
+    st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.225073858507201e-308]),
+)
+
+
+@st.composite
+def table_columns(draw):
+    """A header and columns of one length: float64 and int64 arrays, and lists of ints, str, floats or None."""
+    rows = draw(st.integers(0, 12))
+    cells = st.lists(_FLOAT_CELLS, min_size=rows, max_size=rows)
+    kinds = {
+        "float64": cells.map(lambda v: np.array(v, dtype=np.float64)),
+        "int64": st.lists(st.integers(-2**63, 2**63 - 1), min_size=rows, max_size=rows).map(np.array),
+        "ints": st.lists(st.integers(), min_size=rows, max_size=rows),
+        "str": st.lists(st.text(max_size=6), min_size=rows, max_size=rows),
+        "np.float64": cells.map(lambda v: [np.float64(x) for x in v]),
+        "float or None": st.lists(st.one_of(st.none(), _FLOAT_CELLS), min_size=rows, max_size=rows),
+    }
+    columns = draw(st.lists(st.sampled_from(sorted(kinds)).flatmap(kinds.get), min_size=1, max_size=5))
+    return [f"c{j}" for j in range(len(columns))], columns
+
+
+def dense_free_revival(d: int, state: list[str], kappa: float, rel_tol: float) -> dict:
+    """revival --ham free's report from free_spectrum of the d x d free Hamiltonian."""
+    dim = Dimension(d)
+    h = free_hamiltonian(dim)
+    spec = free_spectrum(h)
+    psi = cli._revival_state(dim, state, kappa)
+    levels, weights, _ = populated_levels(spec, psi)
+    report = detect_revival(levels, weights, rel_tol)
+    residual = float(certify_period(h, psi, report.period, spectrum=spec))
+    return {"kind": report.kind, "period": report.period, "m": report.m, "certified": residual <= CERT_TOL,
+            "max_residual": residual, "zero_level": report.zero_level, "note": report.note}
+
+
+@st.composite
+def free_revival_jobs(draw):
+    """Odd d <= 301 and a delta, coherent or gauss state on it."""
+    d = 2 * draw(st.integers(1, 150)) + 1
+    s = d // 2
+    label = st.integers(-s, s).map(str)
+    state = draw(st.one_of(st.tuples(st.just("delta"), label), st.tuples(st.just("coherent"), label, label),
+                           st.tuples(st.just("gauss"))))
+    return d, list(state), draw(st.sampled_from([0.3, 1.0, 2.5]))
+
+
+class TestTables:
+    @settings(max_examples=300, deadline=None)
+    @given(table_columns(), st.sampled_from(["csv", "json"]))
+    def test_columns_render_as_the_rows_would(self, table, fmt):
+        header, columns = table
+        rows = [list(row) for row in zip(*columns)]
+        assert cli._render_table(header, columns, fmt).encode() == reference_table(header, rows, fmt).encode()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("d", [5, 101, 1001])
+    def test_free_spectrum_prints_the_dense_levels(self, d, fmt, capsys):
+        vals = free_spectrum(free_hamiltonian(Dimension(d))).eigenvalues[::-1]
+        rows = [[k, v, vals[k] - vals[k + 1] if k + 1 < d else None] for k, v in enumerate(vals)]
+        assert main(["spectrum", "--d", str(d), "--ham", "free", "--format", fmt]) == 0
+        assert capsys.readouterr().out.encode() == reference_table(["k", "eigenvalue", "gap"], rows, fmt).encode()
+
+
+class TestFreeRevival:
+    @settings(max_examples=60, deadline=None)
+    @given(free_revival_jobs())
+    def test_report_matches_the_dense_route(self, job):
+        d, state, kappa = job
+        want = dense_free_revival(d, state, kappa, 1e-9)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["revival", "--d", str(d), "--ham", "free", "--state", *state, "--kappa", repr(kappa)])
+        got = json.loads(out.getvalue())
+        assert code == (0 if want["certified"] else 3)
+        assert got["max_residual"] == pytest.approx(want.pop("max_residual"), rel=1e-14, abs=0.0)
+        assert {key: got[key] for key in want} == want
+
+    @pytest.mark.parametrize("argv,bound", [(["revival", "--state", "delta", "0"], 4e6), (["spectrum"], 8e6)],
+                             ids=["revival", "spectrum"])
+    def test_peak_at_d_10001_is_linear_in_d(self, argv, bound, monkeypatch):
+        # one d x d float64 array is 800 MB here
+        text = []
+
+        class Keep:
+            def write(self, chunk):
+                text.append(chunk)
+                return len(chunk)
+
+        monkeypatch.setattr(sys, "stdout", Keep())
+        tracemalloc.start()
+        try:
+            code = main(argv + ["--d", "10001", "--ham", "free"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and peak <= bound, f"tracemalloc peak {peak / 1e6:.2f} MB"
+        if argv[0] == "revival":
+            assert 0.0 <= json.loads(text[0])["max_residual"] <= CERT_TOL
 
 
 def reference_wigner_csv(grid, check_value) -> str:

@@ -645,6 +645,22 @@ class TestFreeSpectrum:
         with pytest.raises(KindMismatchError):
             free_spectrum(commutator_qp(Dimension(9)))
 
+    @given(st.integers(min_value=1, max_value=150).map(lambda s: 2 * s + 1), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_fft_coefficients_match_the_dense_modes(self, d, seed):
+        # Each level k > 0 holds one even (cos) and one odd (sin) mode; the FFT lists cos first.
+        dim = Dimension(d)
+        rng = np.random.default_rng(seed)
+        psi = StateVector(dim, rng.normal(size=d) + 1j * rng.normal(size=d))
+        spec = free_spectrum(free_hamiltonian(dim))
+        v = spec.eigenvectors
+        odd = ~np.all(v == v[::-1], axis=0)
+        order = np.lexsort((odd, spec.eigenvalues))
+        levels, coeffs = spectral._free_coefficients(psi)
+        assert np.array_equal(levels, spec.eigenvalues)
+        want = np.abs(v.T @ psi.amps)[order]
+        assert np.max(np.abs(np.abs(coeffs) - want)) <= 1e-13 * psi.norm()
+
 
 class TestSpectrumShape:
     @pytest.mark.parametrize("k", [1, 4, 9])
