@@ -28,7 +28,6 @@ from .hilbert import (
     PhasePoint,
     StateVector,
     coherent_state,
-    displacement,
     fourier_apply,
     fourier_matrix,
     frame_resolution_residual,

@@ -8,18 +8,22 @@ tried whenever s >= 10, not only from s >= 100, and subnormals are not
 rescaled.  Each value is written into a fixed-column byte layout whose unused
 columns a pattern table zeroes; dropping the NUL bytes leaves the text.
 
-Every array op writes into work arrays that a `RowFormatter` allocates once,
-in mappings of their own: fresh temporaries at each step, or buffers in the
-heap between the row texts that outlive them, leave a heap that is not
-returned after a render.  Integer arrays keep explicit dtypes, since uint64
-mixed with int64 is float64.
+The kernel is plain array expressions, run on 4 * _BLOCK_CELLS values at a
+time, so that its temporaries, about 265 bytes a value, are freed step by
+step.  What a `RowFormatter` keeps from one call to the next lives in
+anonymous mappings of its own: the values it is given, their cells and the
+cells repeated by columns.  Kept, the buffers are made once per render:
+fresh heap arrays per call raised cli-large's peak RSS from 100.2-103.8 MB
+to 104.2-111.0 MB, and a fresh mapping per call made the d=1001 grids
+15-40% slower (4 and 2 pairs of runs on a shared 2-core host).  Mapped, a
+buffer outgrown during a render is returned to the system instead of
+leaving a hole in the heap between the row texts.  Integer arrays keep
+explicit dtypes, since uint64 mixed with int64 is float64.
 """
 from __future__ import annotations
 
 import functools
-import math
 import mmap
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -119,239 +123,113 @@ def _scratch(nbytes: int) -> np.ndarray:
     return np.frombuffer(mmap.mmap(-1, max(nbytes, 1)), np.uint8)[:nbytes]
 
 
-class _Work:
-    """Work arrays for up to `size` values, in one mapping; `view(n)` gives their first n entries by name."""
-
-    U64 = ("bits", "c", "cb", "cp", "vb", "vbl", "vbr", "lo", "hi", "s", "s10", "f",
-           "cph", "cpl", "x1", "z", "w1", "w2")
-    I64 = ("q", "k", "h", "index", "decpt", "key")
-    BOOL = ("special", "negative", "irregular", "flag", "up", "inside", "zero_run")
-    U8 = ("sign", "exponent_sign", "tz")
-
-    def __init__(self, size: int):
-        self.size = size
-        # the 8-byte types first, so that every array is aligned
-        fields = [(name, np.uint64, (size,)) for name in self.U64]
-        fields += [(name, np.int64, (size,)) for name in self.I64]
-        fields += [("g", np.uint64, (5, size)), ("groups", np.intp, (size, 5)), ("digits", np.uint32, (size, 5))]
-        fields += [(name, np.bool_, (size,)) for name in self.BOOL]
-        fields += [(name, np.uint8, (size,)) for name in self.U8]
-        fields += [("zeros", np.uint8, (size, 4)), ("exponent", np.uint8, (size, 3))]
-        nbytes = [np.dtype(dtype).itemsize * math.prod(shape) for _, dtype, shape in fields]
-        memory = _scratch(sum(nbytes))
-        self.arrays, start = {}, 0
-        for (name, dtype, shape), n in zip(fields, nbytes):
-            self.arrays[name] = memory[start:start + n].view(dtype).reshape(shape)
-            start += n
-
-    def view(self, n: int) -> SimpleNamespace:
-        return SimpleNamespace(**{name: a[:, :n] if name == "g" else a[:n] for name, a in self.arrays.items()})
-
-
-def _mulhi(a1, a0, b1, b0, out, w1, w2):
-    """out = floor(a b / 2^64) from 32-bit halves, for a < 2^63 and b < 2^60.
+def _mulhi(a1, a0, b1, b0):
+    """floor(a b / 2^64) from 32-bit halves, for a < 2^63 and b < 2^60.
 
     Those bounds keep (a0 b0 >> 32) + a0 b1 + a1 b0 below 2^64, so the middle
     terms need no split.
     """
-    np.multiply(a0, b0, out=w1)
-    np.right_shift(w1, 32, out=w1)
-    np.multiply(a0, b1, out=w2)
-    np.add(w1, w2, out=w1)
-    np.multiply(a1, b0, out=w2)
-    np.add(w1, w2, out=w1)
-    np.right_shift(w1, 32, out=w1)
-    np.multiply(a1, b1, out=out)
-    np.add(out, w1, out=out)
+    return a1 * b1 + ((((a0 * b0) >> _U64(32)) + a0 * b1 + a1 * b0) >> _U64(32))
 
 
-def _rop(g, cp, out, w):
+def _rop(g, cp):
     """Schubfach's r_o(g cp): g cp / 2^127 rounded to odd, with g from the table's columns."""
     g1h, g1l, g0h, g0l, g1 = g
-    np.right_shift(cp, 32, out=w.cph)
-    np.bitwise_and(cp, _LOW32, out=w.cpl)
-    _mulhi(g0h, g0l, w.cph, w.cpl, w.x1, w.w1, w.w2)
-    _mulhi(g1h, g1l, w.cph, w.cpl, out, w.w1, w.w2)
-    z = w.z
-    np.multiply(g1, cp, out=z)
-    np.right_shift(z, 1, out=z)
-    np.add(z, w.x1, out=z)
-    np.right_shift(z, 63, out=w.w1)
-    np.add(out, w.w1, out=out)
-    np.bitwise_and(z, _ABS, out=z)
-    np.add(z, _ABS, out=z)
-    np.right_shift(z, 63, out=z)
-    np.bitwise_or(out, z, out=out)
+    cph, cpl = cp >> _U64(32), cp & _LOW32
+    z = ((g1 * cp) >> _U64(1)) + _mulhi(g0h, g0l, cph, cpl)
+    return (_mulhi(g1h, g1l, cph, cpl) + (z >> _U64(63))) | (((z & _ABS) + _ABS) >> _U64(63))
 
 
-def _decimal(x, w, t) -> None:
-    """Shortest decimals f 10^k of |x| into w.f and w.k; w.special marks zeros, infinities and nans."""
-    bits, c, q, k, h = w.bits, w.c, w.q, w.k, w.h
-    np.bitwise_and(x.view(np.uint64), _ABS, out=bits)
-    np.subtract(bits, _U64(1), out=c)
-    np.greater_equal(c, _U64(0x7FEFFFFFFFFFFFFF), out=w.special)
-    np.copyto(bits, _U64(0x3FF0000000000000), where=w.special)  # 1.0 until the keys are set
+def _decimal(x, t):
+    """Shortest decimals f 10^k of |x|, and the mask of zeros, infinities and nans."""
+    bits = x.view(np.uint64) & _ABS
+    special = bits - _U64(1) >= _U64(0x7FEFFFFFFFFFFFFF)
+    bits[special] = _U64(0x3FF0000000000000)  # 1.0 until the keys are set
 
     # |x| = c 2^q; the spacing below c is irregular at the powers of two above the subnormals
-    np.right_shift(bits, _U64(52), out=q.view(np.uint64))
-    np.bitwise_and(bits, _U64((1 << 52) - 1), out=c)
-    np.equal(c, _U64(0), out=w.irregular)
-    np.greater(q, 1, out=w.flag)
-    np.logical_and(w.irregular, w.flag, out=w.irregular)
-    np.not_equal(q, 0, out=w.flag)
-    np.left_shift(w.flag.view(np.uint8), 52, out=w.cb, dtype=np.uint64)
-    np.bitwise_or(c, w.cb, out=c)
-    np.maximum(q, 1, out=q)
-    np.subtract(q, 1075, out=q)
+    q = (bits >> _U64(52)).view(np.int64)
+    c = bits & _U64((1 << 52) - 1)
+    irregular = (c == _U64(0)) & (q > 1)
+    c |= (q != 0).astype(np.uint64) << _U64(52)
+    q = np.maximum(q, 1) - 1075
 
     # k = floor(log10 2^q), or floor(log10 (3/4) 2^q) on irregular spacing; h = q + floor(log2 10^-k) + 2
-    np.multiply(q, 661971961083, out=k)
-    np.multiply(w.irregular, np.int64(274743187321), out=h)
-    np.subtract(k, h, out=k)
-    np.right_shift(k, 41, out=k)
-    np.multiply(k, -913124641741, out=h)
-    np.right_shift(h, 38, out=h)
-    np.add(h, q, out=h)
-    np.add(h, 2, out=h)
-    np.subtract(k, _K_MIN, out=w.index)
-    np.take(t["g"], w.index, axis=1, out=w.g, mode="clip")
+    k = (q * 661971961083 - irregular * np.int64(274743187321)) >> 41
+    h = (k * -913124641741 >> 38) + q + 2
+    g = np.take(t["g"], k - _K_MIN, axis=1, mode="clip")
 
-    # vb, vbl, vbr: |x| and the ends of its rounding interval, times 4 / 10^k, rounded to odd
-    hu, cb, cp = h.view(np.uint64), w.cb, w.cp
-    np.left_shift(c, _U64(2), out=cb)
-    np.left_shift(cb, hu, out=cp)
-    _rop(w.g, cp, w.vb, w)
-    np.add(cb, _U64(2), out=cp)
-    np.left_shift(cp, hu, out=cp)
-    _rop(w.g, cp, w.vbr, w)
-    np.subtract(cb, _U64(2), out=cp)
-    np.add(cp, w.irregular, out=cp)
-    np.left_shift(cp, hu, out=cp)
-    _rop(w.g, cp, w.vbl, w)
+    # vb, vbr, vbl: |x| and the ends of its rounding interval, times 4 / 10^k, rounded to odd
+    cb = c << _U64(2)
+    vb, vbr, vbl = _rop(g, np.stack([cb, cb + _U64(2), cb - _U64(2) + irregular]) << h.view(np.uint64))
     # the ends belong to the interval when c is even: y 10^k is inside iff lo <= 4 y <= hi
-    np.bitwise_and(c, _U64(1), out=cp)
-    np.add(w.vbl, cp, out=w.lo)
-    np.subtract(w.vbr, cp, out=w.hi)
+    odd = c & _U64(1)
+    lo, hi = vbl + odd, vbr - odd
 
     # s or s + 1, whichever is inside, or the nearer one, the even one on a tie
-    s, f = w.s, w.f
-    np.right_shift(w.vb, _U64(2), out=s)
-    np.left_shift(s, _U64(2), out=cp)
-    np.less_equal(w.lo, cp, out=w.up)
-    np.add(cp, _U64(4), out=cb)
-    np.less_equal(cb, w.hi, out=w.inside)
-    np.bitwise_and(s, _U64(1), out=cb)
-    np.subtract(cp, cb, out=cp)
-    np.add(cp, _U64(3), out=cp)
-    np.less(w.vb, cp, out=w.flag)
-    np.logical_not(w.inside, out=w.inside)
-    np.logical_or(w.inside, w.flag, out=w.flag)
-    np.logical_and(w.up, w.flag, out=w.flag)  # s is chosen
-    np.add(s, _U64(1), out=f)
-    np.subtract(f, w.flag, out=f)
+    s = vb >> _U64(2)
+    s4 = s << _U64(2)
+    nearer = (s4 + _U64(4) > hi) | (vb < s4 - (s & _U64(1)) + _U64(3))
+    f = s + _U64(1) - ((lo <= s4) & nearer)
     # unless one digit fewer fits: 10 floor(s / 10) or the next multiple of 10, when exactly one is inside
-    np.floor_divide(s, _U64(10), out=w.s10)
-    np.multiply(w.s10, _U64(40), out=cp)
-    np.less_equal(w.lo, cp, out=w.up)
-    np.add(cp, _U64(40), out=cp)
-    np.less_equal(cp, w.hi, out=w.inside)
-    np.not_equal(w.up, w.inside, out=w.inside)
-    np.greater_equal(s, _U64(10), out=w.flag)
-    np.logical_and(w.inside, w.flag, out=w.inside)
-    np.add(w.s10, _U64(1), out=cp)
-    np.subtract(cp, w.up, out=cp)
-    np.multiply(cp, _U64(10), out=cp)
-    np.copyto(f, cp, where=w.inside)
+    s10 = s // _U64(10)
+    lower = lo <= s10 * _U64(40)
+    fewer = (lower != (s10 * _U64(40) + _U64(40) <= hi)) & (s >= _U64(10))
+    return np.where(fewer, (s10 + _U64(1) - lower) * _U64(10), f), k, special
 
 
-def _cells(x, cells, w, t, patterns) -> None:
+def _cells(x, cells, t, patterns) -> None:
     """Write the layout of the float64 values x into the rows of cells."""
-    _decimal(x, w, t)
-    f, k = w.f, w.k
+    f, k, special = _decimal(x, t)
     # f has nd digits: scale it to 17, so the point sits nd digits after the first
     nd = np.searchsorted(t["pow10"], f, side="right")
-    np.add(k, nd, out=w.decpt)
-    np.subtract(17, nd, out=w.index)
-    np.take(t["pow10"], w.index, out=w.cp, mode="clip")
-    np.multiply(f, w.cp, out=f)
-    np.copyto(f, _U64(0), where=w.special)  # "0.0" for zeros
+    decpt = k + nd
+    f *= np.take(t["pow10"], 17 - nd, mode="clip")
+    f[special] = 0  # "0.0" for zeros
 
-    # 17 digits as a digit and four groups of four; the divisions run on contiguous arrays
-    groups = w.groups.view(np.uint64)
-    part, rest = w.cb, w.cp
-    np.floor_divide(f, _U64(10**16), out=part)
-    groups[:, 0] = part
-    np.multiply(part, _U64(10**16), out=rest)
-    np.subtract(f, rest, out=rest)
-    np.floor_divide(rest, _U64(10**8), out=part)
-    np.multiply(part, _U64(10**8), out=w.w1)
-    np.subtract(rest, w.w1, out=rest)
-    for col, four in ((1, part), (3, rest)):
-        np.floor_divide(four, _U64(10**4), out=w.w2)
-        groups[:, col] = w.w2
-        np.multiply(w.w2, _U64(10**4), out=w.w1)
-        np.subtract(four, w.w1, out=groups[:, col + 1])
-    np.take(t["digits4"], w.groups, out=w.digits, mode="clip")
-    chars = w.digits.view(np.uint8)[:, 3:]  # "000d" then four groups
+    # 17 digits as a digit and four groups of four
+    first, rest = np.divmod(f, _U64(10**16))
+    high, low = np.divmod(rest, _U64(10**8))
+    groups = np.stack([first, *np.divmod(high, _U64(10**4)), *np.divmod(low, _U64(10**4))], axis=1).view(np.intp)
+    chars = np.take(t["digits4"], groups, mode="clip").view(np.uint8)[:, 3:]  # "000d" then four groups
 
     # the key of the pattern: point position class and significant digits
-    zeros, tz, run = w.zeros, w.tz, w.zero_run
-    np.take(t["zeros4"], w.groups[:, 1:], out=zeros, mode="clip")
-    np.copyto(tz, zeros[:, 3])
-    run.fill(True)
+    zeros = np.take(t["zeros4"], groups[:, 1:], mode="clip")
+    tz, run = zeros[:, 3].copy(), True
     for j in (2, 1, 0):  # a group of four zeros carries the count on to the group before it
-        np.equal(zeros[:, j + 1], 4, out=w.flag)
-        np.logical_and(run, w.flag, out=run)
-        np.multiply(run, zeros[:, j], out=zeros[:, j])
-        np.add(tz, zeros[:, j], out=tz)
-    np.subtract(w.decpt, _DEC_MIN, out=w.index)
-    np.take(t["key"], w.index, out=w.key, mode="clip")
-    np.subtract(w.key, tz, out=w.key)
-    if w.special.any():
-        at = np.flatnonzero(w.special)
+        run = run & (zeros[:, j + 1] == 4)
+        tz += run * zeros[:, j]
+    key = np.take(t["key"], decpt - _DEC_MIN, mode="clip") - tz
+    if special.any():
+        at = np.flatnonzero(special)
         magnitude = x[at].view(np.uint64) & _ABS
-        w.key[at] = np.where(magnitude == 0, _ZERO_KEY,
-                             np.where(magnitude == 0x7FF0000000000000, _INF_KEY, _NAN_KEY))
+        key[at] = np.where(magnitude == 0, _ZERO_KEY,
+                           np.where(magnitude == 0x7FF0000000000000, _INF_KEY, _NAN_KEY))
 
+    np.take(patterns, key, axis=0, out=cells, mode="clip")
+    cells[:, 0] &= np.where(x.view(np.uint64) >= _U64(1 << 63), np.uint8(ord("-")), np.uint8(0))
+    cells[:, _SLOTS] &= chars[:, 0]
+    cells[:, _SLOTS + 2:_E] &= chars[:, 1:]
     # exponent decpt - 1: its sign and three digits
-    np.subtract(w.decpt, 1, out=w.index)
-    np.less(w.index, 0, out=w.flag)
-    np.abs(w.index, out=w.index)
-    np.take(t["exponent"], w.index, axis=0, out=w.exponent, mode="clip")
-    w.exponent_sign.fill(ord("+"))
-    np.copyto(w.exponent_sign, np.uint8(ord("-")), where=w.flag)
-    np.greater_equal(x.view(np.uint64), _U64(1 << 63), out=w.negative)
-    w.sign.fill(0)
-    np.copyto(w.sign, np.uint8(ord("-")), where=w.negative)
-
-    np.take(patterns, w.key, axis=0, out=cells, mode="clip")
-    np.bitwise_and(cells[:, 0], w.sign, out=cells[:, 0])
-    np.bitwise_and(cells[:, _SLOTS], chars[:, 0], out=cells[:, _SLOTS])
-    np.bitwise_and(cells[:, _SLOTS + 2:_E], chars[:, 1:], out=cells[:, _SLOTS + 2:_E])
-    np.bitwise_and(cells[:, _E + 1], w.exponent_sign, out=cells[:, _E + 1])
-    np.bitwise_and(cells[:, _E + 2:_WIDTH], w.exponent, out=cells[:, _E + 2:_WIDTH])
+    cells[:, _E + 1] &= np.where(decpt < 1, np.uint8(ord("-")), np.uint8(ord("+")))
+    cells[:, _E + 2:_WIDTH] &= np.take(t["exponent"], np.abs(decpt - 1), axis=0, mode="clip")
 
     # point positions 2..16: the point moves into the digits
-    np.greater_equal(w.key, _SHIFTED_KEYS[0], out=w.flag)
-    np.less(w.key, _SHIFTED_KEYS[1], out=w.up)
-    np.logical_and(w.flag, w.up, out=w.flag)
-    if w.flag.any():
-        at = np.flatnonzero(w.flag)
+    at = np.flatnonzero((key >= _SHIFTED_KEYS[0]) & (key < _SHIFTED_KEYS[1]))
+    if at.size:
         source = np.empty((at.size, 18), np.uint8)
         source[:, :17] = chars[at]
         source[:, 17] = ord(".")
-        shifted = np.take_along_axis(source, t["shift"][w.decpt[at]], axis=1)
-        cells[at, _SLOTS:_E] = patterns[w.key[at], _SLOTS:_E] & shifted
+        shifted = np.take_along_axis(source, t["shift"][decpt[at]], axis=1)
+        cells[at, _SLOTS:_E] = patterns[key[at], _SLOTS:_E] & shifted
 
 
 class RowFormatter:
     """The text of rows of float64 values, each value as `repr` writes it, cells joined by sep.
 
-    A formatter keeps its work arrays and buffers from one call to the next,
-    grown to the largest call, so that a render of many blocks of rows
-    allocates them once.  They live in mappings of their own, and the only
-    heap allocations of a call are row-sized: a render's heap then holds its
-    row texts and no holes between them.
+    A formatter keeps its buffers from one call to the next, grown to the
+    largest call, so that a render of many blocks of rows maps them once.
+    They live in mappings of their own; the kernel's temporaries, a step of
+    4 * _BLOCK_CELLS values at a time, are freed before the row texts are made.
     """
 
     def __init__(self, sep: str):
@@ -361,7 +239,6 @@ class RowFormatter:
         self.patterns = np.empty((len(self.tables["patterns"]), self.width), np.uint8)
         self.patterns[:, :_WIDTH] = self.tables["patterns"]
         self.patterns[:, _WIDTH:] = sep_bytes
-        self.work = _Work(0)
         self.buffers = {}
 
     def _buffer(self, name: str, nbytes: int) -> np.ndarray:
@@ -383,13 +260,11 @@ class RowFormatter:
         for target, row in zip(values, rows):
             target[:] = row
         flat = values.reshape(-1)
-        if self.work.size < min(flat.size, _BLOCK_CELLS):
-            self.work = _Work(min(flat.size, _BLOCK_CELLS))
         cells = self._buffer("formatted", flat.size * self.width).reshape(*shape, self.width)
         flat_cells = cells.reshape(-1, self.width)
-        for start in range(0, flat.size, _BLOCK_CELLS):
-            x = flat[start:start + _BLOCK_CELLS]
-            _cells(x, flat_cells[start:start + _BLOCK_CELLS], self.work.view(x.size), self.tables, self.patterns)
+        step = 4 * _BLOCK_CELLS
+        for start in range(0, flat.size, step):
+            _cells(flat[start:start + step], flat_cells[start:start + step], self.tables, self.patterns)
         if columns is not None:
             repeated = self._buffer("repeated", shape[0] * len(columns) * self.width)
             cells = np.take(cells, columns, axis=1, out=repeated.reshape(shape[0], len(columns), self.width),

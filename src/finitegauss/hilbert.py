@@ -218,24 +218,6 @@ def _displacement_action(dim: Dimension, alpha: int, beta: int):
     return phases, cols
 
 
-def displacement(dim, point: PhasePoint) -> OperatorMatrix:
-    """Phase-space displacement D(alpha, beta).
-
-    D = exp(1j*pi*alpha*beta/d) * A**alpha * B**beta where A is the
-    cyclic shift and B the modulation; acting on components,
-
-        (D psi)(j) = exp(-1j*pi*alpha*beta/d)
-                     * exp(2j*pi*beta*j/d) * psi(j - alpha).
-    """
-    dim = as_dimension(dim)
-    point.check_range(dim)
-    _check_capacity(dim.d, dim.d, 16)
-    phases, cols = _displacement_action(dim, point.alpha, point.beta)
-    entries = np.zeros((dim.d, dim.d), dtype=complex)
-    entries[np.arange(dim.d), cols] = phases
-    return OperatorMatrix(dim, entries, MatrixKind.UNITARY)
-
-
 def coherent_state(dim, point: PhasePoint) -> StateVector:
     """Displaced normalized wrapped Gaussian with kappa = 1.
 

@@ -33,6 +33,7 @@ from .errors import InvalidParameterError, NumericalFailureError
 from .lattice import Dimension, as_dimension
 
 _WINDOW_CAP = 100_000
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 TERM_TOL = 1e-18
 
 
@@ -215,6 +216,26 @@ def naive_gaussian(dim, kappa: float) -> np.ndarray:
     return _gauss_terms(c, dim.indices().astype(float), dim.s)
 
 
+def _as_int64(n) -> np.ndarray:
+    """n as an int64 array, exactly; InvalidParameterError when it is not integer or lies outside int64.
+
+    Python ints beyond int64 arrive as uint64 or object arrays, and uint64
+    mixed with int64 is float64, so the range is checked before any cast.
+    """
+    narr = np.asarray(n)
+    if narr.dtype == object and all(isinstance(v, int) for v in narr.flat):
+        fits = all(_INT64_MIN <= v <= _INT64_MAX for v in narr.flat)
+    elif np.issubdtype(narr.dtype, np.unsignedinteger):
+        fits = narr.size == 0 or narr.max() <= np.uint64(_INT64_MAX)
+    elif np.issubdtype(narr.dtype, np.integer):
+        fits = True
+    else:
+        raise InvalidParameterError("argument n must be integer-valued")
+    if not fits:
+        raise InvalidParameterError(f"argument n must lie in the int64 range [{_INT64_MIN}, {_INT64_MAX}]")
+    return narr.astype(np.int64)
+
+
 def alternating_wrapped_sum(dim, kappa: float, n):
     """Sign-alternating wrapped Gaussian sum at a literal integer argument.
 
@@ -228,9 +249,7 @@ def alternating_wrapped_sum(dim, kappa: float, n):
     """
     dim = as_dimension(dim)
     kappa = _check_kappa(kappa)
-    narr = np.asarray(n)
-    if not np.issubdtype(narr.dtype, np.integer):
-        raise InvalidParameterError("argument n must be integer-valued")
+    narr = _as_int64(n)
     q, r = np.divmod(narr, np.int64(dim.d))  # n = q*d + r, 0 <= r < d; nothing is added to n
     wrap = r > dim.s
     acc = _wrapped_sum(ThetaKind.THETA2, dim, kappa, np.where(wrap, r - dim.d, r))

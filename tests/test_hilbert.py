@@ -21,7 +21,6 @@ from finitegauss import (
     StateVector,
     UnsupportedOrderError,
     coherent_state,
-    displacement,
     finite_gaussian,
     fourier_apply,
     fourier_matrix,
@@ -33,7 +32,7 @@ from finitegauss import (
     position_operator,
 )
 from finitegauss import spectral, wigner
-from finitegauss.hilbert import HERMITIAN_TOL, _frame_symbol, _hermite_functions
+from finitegauss.hilbert import HERMITIAN_TOL, _displacement_action, _frame_symbol, _hermite_functions
 from finitegauss.lattice import _MAX_ARRAY_BYTES, _check_capacity
 
 
@@ -146,17 +145,25 @@ class TestPositionMomentum:
         assert np.max(np.abs(q_eigs - p_eigs)) <= 1e-12
 
 
+def displacement(dim: Dimension, alpha: int, beta: int) -> np.ndarray:
+    """The dense d x d matrix of D(alpha, beta), built from the action that coherent_state applies."""
+    phases, cols = _displacement_action(dim, alpha, beta)
+    entries = np.zeros((dim.d, dim.d), dtype=complex)
+    entries[np.arange(dim.d), cols] = phases
+    return entries
+
+
 class TestDisplacement:
     def test_translation_part(self):
         dim = Dimension(5)
-        a = displacement(dim, PhasePoint(1, 0)).entries
+        a = displacement(dim, 1, 0)
         psi = np.array([0, 0, 1, 0, 0], dtype=complex)
         moved = a @ psi
         assert moved[3] == pytest.approx(1.0)
 
     def test_modulation_part(self):
         dim = Dimension(5)
-        b = displacement(dim, PhasePoint(0, 1)).entries
+        b = displacement(dim, 0, 1)
         psi = np.ones(5, dtype=complex)
         out = b @ psi
         want = np.exp(2j * np.pi * np.arange(-2, 3) / 5)
@@ -168,8 +175,8 @@ class TestDisplacement:
         s = dim.s
         for alpha in (-s, 0, 1, s):
             for beta in (-s, 0, 1, s):
-                m = displacement(dim, PhasePoint(alpha, beta))
-                assert m.kind is MatrixKind.UNITARY
+                m = displacement(dim, alpha, beta)
+                assert np.max(np.abs(m.conj().T @ m - np.eye(d))) <= 1e-14
 
     @given(
         st.integers(min_value=1, max_value=7),
@@ -182,8 +189,8 @@ class TestDisplacement:
         dim = Dimension(d)
         alpha = data.draw(st.integers(min_value=-s, max_value=s))
         beta = data.draw(st.integers(min_value=-s, max_value=s))
-        a = np.linalg.matrix_power(displacement(dim, PhasePoint(1, 0)).entries, alpha % d)
-        b = np.linalg.matrix_power(displacement(dim, PhasePoint(0, 1)).entries, beta % d)
+        a = np.linalg.matrix_power(displacement(dim, 1, 0), alpha % d)
+        b = np.linalg.matrix_power(displacement(dim, 0, 1), beta % d)
         phase = np.exp(-2j * np.pi * alpha * beta / d)
         assert np.max(np.abs(a @ b - phase * b @ a)) <= 1e-12
 
@@ -191,17 +198,11 @@ class TestDisplacement:
         # D(alpha,beta) equals the phased product of pure shift and modulation.
         dim = Dimension(7)
         for alpha, beta in ((1, 2), (-3, 3), (2, -1)):
-            dab = displacement(dim, PhasePoint(alpha, beta)).entries
-            a = np.linalg.matrix_power(displacement(dim, PhasePoint(1, 0)).entries, alpha % 7)
-            b = np.linalg.matrix_power(displacement(dim, PhasePoint(0, 1)).entries, beta % 7)
+            dab = displacement(dim, alpha, beta)
+            a = np.linalg.matrix_power(displacement(dim, 1, 0), alpha % 7)
+            b = np.linalg.matrix_power(displacement(dim, 0, 1), beta % 7)
             phase = np.exp(1j * np.pi * alpha * beta / 7)
             assert np.max(np.abs(dab - phase * a @ b)) <= 1e-12
-
-    def test_point_out_of_range_rejected(self):
-        with pytest.raises(PhasePointRangeError):
-            displacement(Dimension(5), PhasePoint(3, 0))
-        with pytest.raises(PhasePointRangeError):
-            displacement(Dimension(5), PhasePoint(0, -3))
 
 
 class TestCoherent:
@@ -245,6 +246,12 @@ class TestCoherent:
         finally:
             tracemalloc.stop()
         assert peak <= 64 * dim.d * 16
+
+    def test_point_out_of_range_rejected(self):
+        with pytest.raises(PhasePointRangeError):
+            coherent_state(Dimension(5), PhasePoint(3, 0))
+        with pytest.raises(PhasePointRangeError):
+            coherent_state(Dimension(5), PhasePoint(0, -3))
 
     def test_overlap_modulus_depends_on_separation_only(self):
         dim = Dimension(7)
@@ -454,7 +461,6 @@ DENSE_BUILDERS = {
     "quasi_eigen_residual": lambda: spectral.quasi_eigen_residual(HUGE),
     "momentum_operator": lambda: momentum_operator(HUGE),
     "position_operator": lambda: position_operator(HUGE),
-    "displacement": lambda: displacement(HUGE, PhasePoint(1, 2)),
     "fourier_matrix": lambda: fourier_matrix(HUGE),
     "wigner_definition": lambda: wigner.wigner_definition(HUGE, 1.0),
     "wigner_closed_form": lambda: wigner.wigner_closed_form(HUGE, 1.0),

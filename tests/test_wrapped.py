@@ -282,6 +282,23 @@ class TestSplittingIdentities:
         both = alternating_wrapped_sum(dim, 1.0, np.array([n, 1]))
         assert both.tolist() == [want, alternating_wrapped_sum(dim, 1.0, 1)]
 
+    def test_alternating_reduces_unsigned_n_exactly(self):
+        # uint64 mixed with int64 is float64, which would lose n's residue mod d
+        dim = Dimension(5)
+        n = 2**62 + 1
+        want = alternating_wrapped_sum(dim, 1.0, np.int64(n))
+        assert alternating_wrapped_sum(dim, 1.0, np.uint64(n)) == want
+        ns = np.array([n, 3, 2**63 - 1], dtype=np.uint64)
+        got = alternating_wrapped_sum(dim, 1.0, ns)
+        assert got.tobytes() == alternating_wrapped_sum(dim, 1.0, ns.astype(np.int64)).tobytes()
+        assert got[0] == want
+
+    @pytest.mark.parametrize("n", [2**63, np.uint64(2**64 - 1), 2**64 + 3, -(2**63) - 1,
+                                   np.array([1, 2**63], dtype=np.uint64)])
+    def test_alternating_refuses_n_outside_int64(self, n):
+        with pytest.raises(InvalidParameterError, match="int64 range"):
+            alternating_wrapped_sum(Dimension(5), 1.0, n)
+
 
 # kappa*d log-uniform over both sides of the route switch at kappa*d = 1
 overlap_kd = st.floats(min_value=-1.0, max_value=1.0).map(lambda e: 10.0**e)
