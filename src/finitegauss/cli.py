@@ -18,13 +18,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import CERT_TOL, _defect, certify_period, detect_revival, populated_levels
+from .dynamics import CERT_TOL, _coefficients, _defect, certify_period, detect_revival
 from .errors import FiniteGaussError, InvalidDimensionError, InvalidParameterError
 from .hilbert import PhasePoint, StateVector, coherent_state
 from .lattice import _BLOCK_CELLS, Dimension, _row_blocks
 from .spectral import (
+    _form_eig,
     _free_coefficients,
     _free_levels,
+    _oscillator_form,
     _populated_spectrum,
     commutator_spectrum,
     hermitian_eig,
@@ -118,8 +120,8 @@ def cmd_uncertainty(args):
 def cmd_spectrum(args):
     """Eigenvalues descending with the gap down to the next level."""
     dim = Dimension(args.d)
-    if args.ham == "osc":
-        vals = hermitian_eig(oscillator_hamiltonian(dim)).eigenvalues[::-1]
+    if args.ham == "osc":  # solved from the oscillator's symbol, with the bytes of its dense matrix
+        vals = _form_eig(_oscillator_form(dim)).eigenvalues[::-1]
     else:  # the free levels pi*k**2/d are known in closed form: k = 0 once, each k > 0 twice
         vals = np.repeat(_free_levels(dim)[::-1], 2)[:-1]
     gaps = (vals[:-1] - vals[1:]).tolist() + [None]
@@ -179,32 +181,40 @@ def _row_texts(formatter, values, rows: list[int], symmetric) -> list[str]:
     return [texts[i] for i in rows]
 
 
+def _grid_rows(grid, formatter):
+    """(i, text) for each grid row i in turn, its cells as `_fmt` text joined by the formatter's separator.
+
+    Row -n of an even grid repeats row n, so its text is reused when the bits agree.
+    """
+    d, values = grid.dim.d, grid.values
+    bits = values.view(np.int64)
+    slices = _row_blocks(d, d, 4 * _BLOCK_CELLS)
+    # -0.0 against 0.0 breaks the symmetry, so that each keeps its text
+    symmetric = np.concatenate([np.all(bits[b, d // 2:] == bits[b, d // 2::-1], axis=1) for b in slices])
+    waiting = {}  # the text of rows n < 0 whose row -n is still to come
+    for block in (range(*b.indices(d)) for b in slices):
+        fresh = [i for i in block
+                 if d - 1 - i not in waiting or not np.array_equal(bits[i], bits[d - 1 - i])]
+        texts = dict(zip(fresh, _row_texts(formatter, values, fresh, symmetric)))
+        for i in block:
+            partner = waiting.pop(d - 1 - i, None)
+            cells = texts.get(i, partner)
+            if i < d - 1 - i:
+                waiting[i] = cells
+            yield i, cells
+
+
 def _render_wigner(grid, check_value, fmt: str):
     """The grid's text as chunks, one grid row at a time; JSON reads as json.dumps(payload, indent=2) + newline."""
     from ._shortest import RowFormatter  # on first use: a fresh import of the CLI does not load it
 
+    d = grid.dim.d
     ms = ns = [int(n) for n in grid.dim.indices()]
-    d, values = grid.dim.d, grid.values
-    bits = values.view(np.int64)
-    slices = _row_blocks(d, d, 4 * _BLOCK_CELLS)
-    blocks = [range(*b.indices(d)) for b in slices]
-    # -0.0 against 0.0 breaks the symmetry, so that each keeps its text
-    symmetric = np.concatenate([np.all(bits[b, d // 2:] == bits[b, d // 2::-1], axis=1) for b in slices])
     formatter = RowFormatter("," if fmt == "csv" else ",\n      ")
     if fmt == "csv":
         yield ",".join(["n"] + [str(m) for m in ms]) + "\n"
-        waiting = {}  # the text of rows n < 0 whose row -n is still to come
-        for block in blocks:
-            # Row -n of an even grid repeats row n: reuse its text when the bits agree.
-            fresh = [i for i in block
-                     if d - 1 - i not in waiting or not np.array_equal(bits[i], bits[d - 1 - i])]
-            texts = dict(zip(fresh, _row_texts(formatter, values, fresh, symmetric)))
-            for i in block:
-                partner = waiting.pop(d - 1 - i, None)
-                cells = texts.get(i, partner)
-                if i < d - 1 - i:
-                    waiting[i] = cells
-                yield f"{ns[i]},{cells}\n"
+        for i, cells in _grid_rows(grid, formatter):
+            yield f"{ns[i]},{cells}\n"
         if check_value is not None:
             yield f"check_max_abs_diff,{_fmt(check_value)}\n"
         return
@@ -222,11 +232,12 @@ def _render_wigner(grid, check_value, fmt: str):
         payload["check_max_abs_diff"] = float(check_value)
     head, tail = json.dumps(payload, indent=2).split('"values": []')
     yield head + '"values": ['
-    for block in blocks:
-        for i, text in zip(block, _row_texts(formatter, values, block, symmetric)):
-            # json.dumps spells the non-finite floats as JavaScript does
+    slices = _row_blocks(d, d, 4 * _BLOCK_CELLS)
+    finite = np.concatenate([np.all(np.isfinite(grid.values[b]), axis=1) for b in slices])
+    for i, text in _grid_rows(grid, formatter):
+        if not finite[i]:  # json.dumps spells the non-finite floats as JavaScript does
             text = text.replace("inf", "Infinity").replace("nan", "NaN")
-            yield ("," if i else "") + "\n    [\n      " + text + "\n    ]"
+        yield ("," if i else "") + "\n    [\n      " + text + "\n    ]"
     yield "\n  ]" + tail + "\n"
 
 
@@ -264,23 +275,23 @@ def cmd_revival(args):
     """Detect and certify a revival period; JSON report, exit 3 if uncertified."""
     dim = Dimension(args.d)
     psi = _revival_state(dim, args.state, args.kappa)
-    if args.ham == "osc":
-        h = oscillator_hamiltonian(dim)
-        # the oscillator's revival needs only the levels psi populates
-        spec = _populated_spectrum(h, psi)
-        levels, weights, _ = populated_levels(spec, psi)
-        defect = lambda period: certify_period(h, psi, period, spectrum=spec)
+    certify = None
+    if args.ham == "osc":  # the oscillator's revival needs only the levels psi populates
+        spec = _populated_spectrum(psi)
+        if spec is None:  # psi spreads past the Ritz space: the whole oscillator, solved and certified
+            h = oscillator_hamiltonian(dim)
+            spec = hermitian_eig(h)
+            certify = lambda period: certify_period(h, psi, period, spectrum=spec)
+        levels, coeffs = spec.eigenvalues, _coefficients(spec, psi)
     else:  # the free modes are cosines and sines, so psi's amplitudes on them are one FFT
         levels, coeffs = _free_coefficients(psi)
-        mags = np.abs(coeffs)
-        weights = mags**2
-        defect = lambda period: _defect(levels, mags, period)
-    report = detect_revival(levels, weights, args.rel_tol)
+    mags = np.abs(coeffs)
+    report = detect_revival(levels, mags**2, args.rel_tol)
 
     certified = False
     max_residual = None
     if report.period is not None:
-        max_residual = float(defect(report.period))
+        max_residual = certify(report.period) if certify else _defect(levels, mags, report.period)
         certified = max_residual <= CERT_TOL
     payload = {
         "kind": report.kind,

@@ -63,17 +63,20 @@ class TimeSeries:
         self.values.setflags(write=False)
 
 
-def _spectrum_for(h: OperatorMatrix, psi: StateVector, spectrum: Spectrum | None, times) -> Spectrum:
-    """Check that h evolves psi to times with no phase t*lambda overflowing; solve if no spectrum is given."""
+def _spectrum_for(h: OperatorMatrix, psi: StateVector, spectrum: Spectrum | None) -> Spectrum:
+    """Check that h can evolve psi; solve if no spectrum is given."""
     if h.kind is not MatrixKind.HERMITIAN:
         raise KindMismatchError(f"evolution needs a hermitian generator, got {h.kind.value}")
     if psi.dim != h.dim:
         raise DimensionMismatchError("state and generator live on different lattices")
-    spec = spectrum if spectrum is not None else hermitian_eig(h)
-    t, level = float(np.max(np.abs(times), initial=0.0)), float(np.max(np.abs(spec.eigenvalues)))
+    return spectrum if spectrum is not None else hermitian_eig(h)
+
+
+def _check_phases(levels: np.ndarray, times) -> None:
+    """Raise InvalidParameterError when a phase t*lambda over the times and levels overflows."""
+    t, level = float(np.max(np.abs(times), initial=0.0)), float(np.max(np.abs(levels)))
     if not math.isfinite(t * level):
         raise InvalidParameterError(f"time {t!r} times level {level!r} overflows the phase t*lambda")
-    return spec
 
 
 def _apply(v: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -107,7 +110,8 @@ def evolve(h: OperatorMatrix, psi: StateVector, t: float, spectrum: Spectrum | N
     t = float(t)
     if not math.isfinite(t):
         raise InvalidParameterError(f"evolution time must be finite, got {t}")
-    spec = _spectrum_for(h, psi, spectrum, [t])
+    spec = _spectrum_for(h, psi, spectrum)
+    _check_phases(spec.eigenvalues, [t])
     coeffs = _coefficients(spec, psi)
     return StateVector(psi.dim, _apply(spec.eigenvectors, np.exp(-1j * t * spec.eigenvalues) * coeffs))
 
@@ -121,7 +125,8 @@ def autocorrelation(h: OperatorMatrix, psi: StateVector, times, spectrum: Spectr
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or not np.all(np.isfinite(times)):
         raise InvalidParameterError("times must be a 1-d vector of finite values")
-    spec = _spectrum_for(h, psi, spectrum, times)
+    spec = _spectrum_for(h, psi, spectrum)
+    _check_phases(spec.eigenvalues, times)
     weights = np.abs(_coefficients(spec, psi)) ** 2
     order = np.argsort(weights, kind="stable")
     kept = np.sort(order[np.cumsum(weights[order]) > TERM_TOL * np.sum(weights)])
@@ -280,12 +285,16 @@ def certify_period(
     period = float(period)
     if not math.isfinite(period):
         raise InvalidParameterError(f"period must be finite, got {period}")
-    spec = _spectrum_for(h, psi, spectrum, [period])
+    spec = _spectrum_for(h, psi, spectrum)
     return _defect(spec.eigenvalues, np.abs(_coefficients(spec, psi)), period)
 
 
 def _defect(levels: np.ndarray, mags: np.ndarray, period: float) -> float:
-    """certify_period's D from the levels and the moduli |c_k| of the state's amplitudes on them."""
+    """certify_period's D from the levels and the moduli |c_k| of the state's amplitudes on them.
+
+    A phase period*lambda that overflows raises InvalidParameterError.
+    """
+    _check_phases(levels, [period])
     top = float(np.max(mags))
     if top == 0.0:
         raise DegenerateVectorError("the zero state has no phase to fit a period against")

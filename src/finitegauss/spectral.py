@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -80,33 +81,46 @@ class QuasiEigenReport:
         self.residual.setflags(write=False)
 
 
-def _checked_spectrum(m: OperatorMatrix, residual_tol: float, solve) -> Spectrum:
-    """Check m and residual_tol, solve m through _solved, fix the gauge, check the residual.
+def _checked_spectrum(dim: Dimension, blocks, scale: float, solve, residual_tol: float = EIG_RESIDUAL_TOL):
+    """The Spectrum of a Hermitian operator, largest entry scale, from its blocks: solved, gauged and checked.
 
-    The gauge only reorders the eigenpairs and rescales each by a unit
-    phase (+-1 for real vectors), so it leaves the residual as it is.
+    blocks are the whole matrix, or its even and odd blocks (see _matrix_blocks).  solve(dim, blocks)
+    returns (vals, w) per block; each block's eigenpairs are checked on that block, and two blocks' are
+    assembled by _mirrored.
     """
-    if m.kind is not MatrixKind.HERMITIAN:
-        raise KindMismatchError(f"eigensolver needs a hermitian operator, got {m.kind.value}")
     residual_tol = float(residual_tol)
     if not (math.isfinite(residual_tol) and residual_tol > 0.0):
         raise InvalidParameterError(f"residual_tol must be finite and positive, got {residual_tol}")
-    vals, vecs, residual = _solved(m, solve)
+    pairs = solve(dim, blocks)
+    residual = max(_residual(a, vals, w) for a, (vals, w) in zip(blocks, pairs))
+    return _gauged(dim, pairs, residual, scale, residual_tol)
 
-    pivots = np.argmax(np.abs(vecs), axis=0)
+
+def _gauged(dim: Dimension, pairs, residual: float, scale: float, residual_tol: float) -> Spectrum:
+    """The Spectrum of the solved (vals, w) of one or two blocks, gauged, once residual <= residual_tol * scale.
+
+    The gauge only reorders the eigenpairs and rescales each by a unit phase (+-1 for real vectors),
+    so it leaves the residual as it is.
+    """
+    if len(pairs) == 1:
+        vals, vecs = pairs[0]
+        pivots = np.argmax(np.abs(vecs), axis=0)
+    else:  # mirrored columns have |v(-n)| = |v(n)| bit for bit, so the first maximum lies at n <= 0
+        vals, vecs = _mirrored(pairs)
+        pivots = np.argmax(np.abs(vecs[: dim.s + 1]), axis=0)
+
     order = np.lexsort((pivots, vals))
     vals, vecs, pivots = vals[order], vecs[:, order], pivots[order]
 
     piv = vecs[pivots, np.arange(vecs.shape[1])]
     vecs = vecs * (piv.conj() / np.abs(piv))
 
-    scale = float(np.max(np.abs(m.entries)))
     if residual > residual_tol * scale:
         raise NumericalFailureError(
             f"eigenpair residual {residual:.3e} exceeds {residual_tol:.1e} * {scale:.3e}",
             residual=residual,
         )
-    return Spectrum(m.dim, vals, vecs, residual)
+    return Spectrum(dim, vals, vecs, residual)
 
 
 def _is_parity_even(h: np.ndarray) -> bool:
@@ -119,15 +133,17 @@ def _residual(a: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> float:
     return float(np.max(np.linalg.norm(a @ vecs - vecs * vals, axis=0)))
 
 
-def _solved(m: OperatorMatrix, solve):
-    """(vals, vecs, residual) of m from solve(m, blocks), which returns (vals, w) per block.
+def _matrix_blocks(m: OperatorMatrix):
+    """The blocks of the Hermitian m that _checked_spectrum solves, and max|m|.
 
     A real h = m.entries equal to its parity image is given as two
     blocks, h in the bases delta_0, (delta_n + delta_-n)/sqrt(2) (even)
     and (delta_n - delta_-n)/sqrt(2) (odd), n > 0; any other h is given
-    whole.  Each block's eigenpairs are checked on that block; the bases
-    are orthonormal, so the residual is that of h in exact arithmetic.
+    whole.  The bases are orthonormal, so a block's residual is that of h
+    in exact arithmetic.
     """
+    if m.kind is not MatrixKind.HERMITIAN:
+        raise KindMismatchError(f"eigensolver needs a hermitian operator, got {m.kind.value}")
     h = m.entries
     if _is_parity_even(h):
         s = m.dim.s
@@ -138,14 +154,11 @@ def _solved(m: OperatorMatrix, solve):
         blocks = (even, (up - down)[1:, 1:])
     else:
         blocks = (h,)
-    pairs = solve(m, blocks)
-    residual = max(_residual(a, vals, w) for a, (vals, w) in zip(blocks, pairs))
-    vals, vecs = pairs[0] if len(pairs) == 1 else _mirrored(pairs)
-    return vals, vecs, residual
+    return blocks, float(np.max(np.abs(h)))
 
 
 def _mirrored(pairs):
-    """(vals, vecs) on the lattice from the even and odd (vals, w) of _solved: even columns first.
+    """(vals, vecs) on the lattice from the even and odd (vals, w) of _matrix_blocks: even columns first.
 
     Blocks of any width.  v(0) is row 0 of an even w, v(n) is row n times sqrt(1/2), v(-n) = +-v(n).
     """
@@ -161,8 +174,8 @@ def _mirrored(pairs):
     return np.concatenate((even_vals, odd_vals)), vecs
 
 
-def _parity_split_eigh(m: OperatorMatrix, blocks):
-    """eigh of each block of m that _solved gives: its two parity blocks, or the whole matrix."""
+def _parity_split_eigh(dim: Dimension, blocks):
+    """eigh of each block that _checked_spectrum is given: the two parity blocks, or the whole matrix."""
     try:
         return [np.linalg.eigh(a) for a in blocks]
     except np.linalg.LinAlgError as exc:
@@ -180,11 +193,135 @@ def hermitian_eig(m: OperatorMatrix, residual_tol: float = EIG_RESIDUAL_TOL) -> 
     worst eigenpair residual exceeds residual_tol times the largest
     matrix entry.
     """
-    return _checked_spectrum(m, residual_tol, _parity_split_eigh)
+    return _checked_spectrum(m.dim, *_matrix_blocks(m), _parity_split_eigh, residual_tol)
+
+
+def _fast_length(n: int) -> int:
+    """The smallest 2**a * 3**b * 5**c >= n, a length the FFT takes quickly."""
+    best, p5 = 2 * n, 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            p = p35
+            while p < n:
+                p *= 2
+            best, p35 = min(best, p), p35 * 3
+        p5 *= 5
+    return best
+
+
+@dataclass(frozen=True)
+class _ToeplitzForm:
+    """The real operator H[j, l] = symbol[j - l + d - 1] plus potential[j] on the diagonal, with no d x d array.
+
+    symbol runs over u = 1-d..d-1 and potential over n = -s..s; None for zero keeps the diagonal symbol(0)
+    bit for bit, where adding 0.0 would turn the commutator's -0.0 into 0.0.  Construction checks in
+    O(d) what OperatorMatrix's HERMITIAN tag and finiteness scan, and _is_parity_even, check of the dense
+    matrix in O(d**2): both arrays are finite and exactly even, so H is real symmetric and equals its
+    parity image.  A NaN raises InvalidParameterError and an array that is not exactly even
+    KindMismatchError, the errors of the dense tag check.
+    """
+
+    dim: Dimension
+    symbol: np.ndarray
+    potential: np.ndarray | None = None
+
+    def __post_init__(self):
+        parts = [a for a in (self.symbol, self.potential) if a is not None]
+        if not all(np.all(np.isfinite(a)) for a in parts):
+            raise InvalidParameterError("matrix entries must be finite")
+        if not all(np.array_equal(a, a[::-1]) for a in parts):
+            raise KindMismatchError("symbol or potential is not exactly even: H is not symmetric and parity even")
+
+    def _diagonal(self) -> np.ndarray:
+        """H[n, n] over n = -s..s: symbol(0), plus the potential as the dense builders add it."""
+        zero = self.symbol[self.dim.d - 1]
+        return np.full(self.dim.d, zero) if self.potential is None else zero + self.potential
+
+    def entries(self) -> np.ndarray:
+        """H as a fresh, writable d x d array."""
+        h = _toeplitz(self.symbol)
+        if self.potential is not None:
+            h[np.diag_indices(self.dim.d)] += self.potential
+        return h
+
+    def scale(self) -> float:
+        """max|H|: each symbol value off u = 0 is an entry, and the diagonal holds the rest."""
+        off = np.abs(self.symbol[: self.dim.d - 1])  # u < 0; the symbol is even
+        return float(max(np.max(off), np.max(np.abs(self._diagonal()))))
+
+    def blocks(self):
+        """The even and odd blocks that _matrix_blocks takes from the dense H, bit for bit.
+
+        With T(u) the symbol, up[i, j] = T(i - j) and down[i, j] = T(i + j) over i, j = 0..s, except
+        that their diagonals hold H[n, n]; each block adds or subtracts them as _matrix_blocks does.
+        """
+        d, s = self.dim.d, self.dim.s
+        _check_capacity(s + 1, s + 1, 8)
+        windows = np.lib.stride_tricks.sliding_window_view(self.symbol, s + 1)  # windows[k, j] = T(k + j - d + 1)
+        up, down = windows[s:d][::-1], windows[d - 1 :]
+        diag = self._diagonal()[s:]
+        steps = down.diagonal().copy()  # T(2n), and H[0, 0] at n = 0 where down meets the diagonal
+        steps[0] = diag[0]
+        even = up + down
+        even[np.diag_indices(s + 1)] = diag + steps
+        even[0, :] *= math.sqrt(0.5)
+        even[:, 0] *= math.sqrt(0.5)
+        odd = up[1:, 1:] - down[1:, 1:]
+        odd[np.diag_indices(s)] = diag[1:] - steps[1:]
+        return even, odd
+
+    @cached_property
+    def _circulant(self):
+        """(n, the rfft of the first column) of a circulant whose leading d x d corner is the Toeplitz part.
+
+        n >= 2d - 1 has no prime factor above 5; the column holds the symbol at u = 0..d-1, zeros, then
+        u = 1-d..-1.
+        """
+        d = self.dim.d
+        n = _fast_length(2 * d - 1)
+        col = np.zeros(n)
+        col[:d], col[n - d + 1 :] = self.symbol[d - 1 :], self.symbol[: d - 1]
+        return n, np.fft.rfft(col)
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """H @ v for a real (d, K) array v by one rfft/irfft pair along the rows of v.T, fastest when contiguous."""
+        n, kernel = self._circulant
+        hv = np.fft.irfft(np.fft.rfft(v.T, n=n) * kernel, n=n)[:, : self.dim.d].T
+        if self.potential is not None:
+            hv += self.potential[:, None] * v
+        return hv
+
+    def folded_apply(self, even_w: np.ndarray, odd_w: np.ndarray):
+        """(E @ even_w, O @ odd_w) for the even and odd blocks E and O of _matrix_blocks, by one FFT apply.
+
+        A column w of a block is the lattice vector with v(0) = w[0] and v(+-n) = w[n] * sqrt(1/2) (even),
+        or v(+-n) = +-w[n] * sqrt(1/2) (odd).  Column j of both blocks shares one row of the apply, and
+        H v is folded back: (H v)(0), then ((H v)(n) +- (H v)(-n)) * sqrt(1/2).  H keeps each parity, so
+        each fold keeps its own block's part, up to rounding.
+        """
+        s, half = self.dim.s, math.sqrt(0.5)
+        ke, ko = even_w.shape[1], odd_w.shape[1]
+        rows = np.zeros((max(ke, ko), 2 * s + 1))  # contiguous along the lattice, as the FFT runs fastest
+        rows[:ke, s] = even_w[0]
+        rows[:ke, s + 1 :] = half * even_w[1:].T
+        rows[:ke, :s] = rows[:ke, : s : -1]
+        odd = half * odd_w.T
+        rows[:ko, s + 1 :] += odd
+        rows[:ko, :s] -= odd[:, ::-1]
+        hv = self.apply(rows.T).T
+        up, down = hv[:, s + 1 :], hv[:, s - 1 :: -1]
+        even = np.concatenate((hv[:ke, s : s + 1], half * (up[:ke] + down[:ke])), axis=1)
+        return even.T, (half * (up[:ko] - down[:ko])).T
+
+
+def _form_eig(form: _ToeplitzForm) -> Spectrum:
+    """hermitian_eig of the dense form.entries(), the same bits, from the blocks the form gives."""
+    return _checked_spectrum(form.dim, form.blocks(), form.scale(), _parity_split_eigh)
 
 
 def _hermite_blocks(dim: Dimension, count: int):
-    """The Hermite functions k < count at x_n = sqrt(2*pi/d)*n, as the even and odd block bases of _solved.
+    """The Hermite functions k < count at x_n = sqrt(2*pi/d)*n, as the even and odd block bases of _matrix_blocks.
 
     Even k give the even block's columns over n = 0..s, odd k the odd block's over n = 1..s; rows n > 0
     carry sqrt(2).  The functions come from _hermite_functions, so far states keep their norm at large d.
@@ -194,8 +331,8 @@ def _hermite_blocks(dim: Dimension, count: int):
     return funcs[0::2].T, funcs[1::2, 1:].T
 
 
-def _populated_spectrum(h: OperatorMatrix, psi: StateVector) -> Spectrum:
-    """The levels of the oscillator h that psi populates, by Rayleigh-Ritz on Hermite functions.
+def _populated_spectrum(psi: StateVector) -> Spectrum | None:
+    """The levels of the oscillator that psi populates, by Rayleigh-Ritz on Hermite functions, or None.
 
     The Ritz space is the first K functions of _hermite_blocks, orthonormalized by QR in each parity
     block.  One QR of all d // 8 functions and c = Q^T psi measure what each K misses: the part of psi
@@ -204,17 +341,22 @@ def _populated_spectrum(h: OperatorMatrix, psi: StateVector) -> Spectrum:
     hold no more of psi than lies outside all d // 8, so K misses at most sqrt(2) times what the cap
     misses: rounding, for a coherent state.  The cap keeps every turning point sqrt(2K + 1) below 0.4
     times the lattice half-width sqrt(pi*d/2), in position and by self-duality in momentum.
-    hermitian_eig(h) runs instead when K reaches the cap (the expansion has not settled; so for every
-    d < 72) or misses more than sqrt(TERM_TOL)*|psi|.  The K x K blocks are solved by eigh, and the
-    Ritz pairs assembled by _mirrored pass the gauge and the residual check of hermitian_eig against h.
+    None is returned when K reaches the cap (the expansion has not settled; so for every d < 72) or
+    misses more than sqrt(TERM_TOL)*|psi|: the caller then solves oscillator_hamiltonian(d) whole.
+    Otherwise the oscillator is taken as its _ToeplitzForm, so no d x d array is built: H Q comes from
+    one FFT apply of both blocks' columns, O(K d log d) in time and O(K d) in memory (the selection
+    above holds the d // 8 functions).  The K x K blocks Q^T H Q are solved by eigh, and the Ritz pairs
+    (lambda, Q y), assembled by _mirrored, pass the gauge and the EIG_RESIDUAL_TOL * max|H| residual
+    check of hermitian_eig, with the residual H Q y - lambda Q y taken as (H Q) y - lambda Q y.
     """
-    s, cap = h.dim.s, h.dim.d // 8
+    dim = psi.dim
+    s, cap = dim.s, dim.d // 8
     if cap <= 8:
-        return hermitian_eig(h)
+        return None
     amps = psi.amps
     parts = ((amps[s:] + amps[s::-1]) * math.sqrt(0.5), (amps[s + 1 :] - amps[s - 1 :: -1]) * math.sqrt(0.5))
     parts[0][0] = amps[s]
-    bases = [np.linalg.qr(b)[0] for b in _hermite_blocks(h.dim, cap)]
+    bases = [np.linalg.qr(b)[0] for b in _hermite_blocks(dim, cap)]
     coeffs = [q.T @ part for q, part in zip(bases, parts)]
     outside = sum(float(np.linalg.norm(part - q @ c)) ** 2 for q, part, c in zip(bases, parts, coeffs))
     # tails[b][j]: the squared norm of c over columns j.. of block b; both are 0 at the cap
@@ -223,22 +365,28 @@ def _populated_spectrum(h: OperatorMatrix, psi: StateVector) -> Spectrum:
     later = tails[0][(counts + 1) // 2] + tails[1][counts // 2]
     k = int(counts[np.argmax(later <= outside)])
     if k == cap or outside + later[k - 8] > TERM_TOL * psi.norm() ** 2:
-        return hermitian_eig(h)
+        return None
+    form = _oscillator_form(dim)
     spans = (bases[0][:, : (k + 1) // 2], bases[1][:, : k // 2])
+    hqs = form.folded_apply(*spans)
+    small = _parity_split_eigh(dim, [q.T @ hq for q, hq in zip(spans, hqs)])
+    pairs = [(vals, q @ y) for q, (vals, y) in zip(spans, small)]
+    residual = max(float(np.max(np.linalg.norm(hq @ y - w * vals, axis=0)))
+                   for hq, (_, y), (vals, w) in zip(hqs, small, pairs))
+    return _gauged(dim, pairs, residual, form.scale(), EIG_RESIDUAL_TOL)
 
-    def ritz(m, blocks):  # the oscillator is exactly parity even, so _solved gives two blocks
-        small = _parity_split_eigh(m, [q.T @ (a @ q) for a, q in zip(blocks, spans)])
-        return [(vals, q @ y) for q, (vals, y) in zip(spans, small)]
 
-    return _checked_spectrum(h, EIG_RESIDUAL_TOL, ritz)
-
-
-def _commutator_kernel(dim: Dimension) -> np.ndarray:
-    """The real matrix 1j*[Q, P]: (-1)**(j-l) * (pi*(j-l)/d) / sin(pi*(j-l)/d), zero diagonal."""
+def _commutator_symbol(dim: Dimension) -> np.ndarray:
+    """The symbol of the real matrix 1j*[Q, P]: (-1)**u * (pi*u/d) / sin(pi*u/d), zero at u = 0."""
     u, signs, sines = _lattice_symbol(dim)
     symbol = signs * ((np.pi * u / dim.d) / sines)
     symbol[u == 0] = 0.0
-    return _toeplitz(symbol)
+    return symbol
+
+
+def _commutator_kernel(dim: Dimension) -> np.ndarray:
+    """The real matrix 1j*[Q, P] of _commutator_symbol."""
+    return _toeplitz(_commutator_symbol(dim))
 
 
 def commutator_qp(dim) -> OperatorMatrix:
@@ -258,7 +406,7 @@ def commutator_spectrum(dim) -> Spectrum:
     spectrum; in the large-d bulk they pile up at +1.
     """
     dim = as_dimension(dim)
-    return hermitian_eig(OperatorMatrix(dim, -_commutator_kernel(dim), MatrixKind.HERMITIAN))
+    return _form_eig(_ToeplitzForm(dim, -_commutator_symbol(dim)))
 
 
 def floratos_approx(dim) -> OperatorMatrix:
@@ -278,12 +426,12 @@ def _free_levels(dim: Dimension) -> np.ndarray:
     return np.pi * (k * k) / dim.d
 
 
-def _free_entries(dim: Dimension) -> np.ndarray:
-    """The entries of P**2 / 2 as a fresh, writable array; see free_hamiltonian."""
+def _free_symbol(dim: Dimension) -> np.ndarray:
+    """The symbol of P**2 / 2 over u = 1-d..d-1; see free_hamiltonian."""
     d, s = dim.d, dim.s
     col = np.fft.irfft(_free_levels(dim), n=d)
     col[d - s :] = col[s:0:-1]
-    return _toeplitz(np.concatenate((col[1:], col)))
+    return np.concatenate((col[1:], col))
 
 
 def free_hamiltonian(dim) -> OperatorMatrix:
@@ -295,23 +443,23 @@ def free_hamiltonian(dim) -> OperatorMatrix:
     parity, and extended periodically to the symbol over u = 1-d..d-1.
     """
     dim = as_dimension(dim)
-    return OperatorMatrix(dim, _free_entries(dim), MatrixKind.HERMITIAN)
+    return OperatorMatrix(dim, _toeplitz(_free_symbol(dim)), MatrixKind.HERMITIAN)
 
 
-def _free_eigenpairs(m: OperatorMatrix, blocks):
-    """The closed-form free modes in the coordinates of the blocks _solved gives.
+def _free_eigenpairs(dim: Dimension, blocks):
+    """The closed-form free modes in the coordinates of the blocks _matrix_blocks gives.
 
     The even block's are 2/sqrt(d) * cos(2*pi*k*n/d), n, k = 0..s, with
     row and column 0 scaled by sqrt(1/2); the odd block's are
     2/sqrt(d) * sin(2*pi*k*n/d), n, k = 1..s.  A whole matrix gets them assembled.
     """
-    s = m.dim.s
-    levels = _free_levels(m.dim)
-    roots = _roots(m.dim, np.arange(s + 1), np.arange(s + 1))
-    even = (2.0 / math.sqrt(m.dim.d)) * roots.real
+    s = dim.s
+    levels = _free_levels(dim)
+    roots = _roots(dim, np.arange(s + 1), np.arange(s + 1))
+    even = (2.0 / math.sqrt(dim.d)) * roots.real
     even[0, :] *= math.sqrt(0.5)
     even[:, 0] *= math.sqrt(0.5)
-    odd = (2.0 / math.sqrt(m.dim.d)) * roots.imag[1:, 1:]
+    odd = (2.0 / math.sqrt(dim.d)) * roots.imag[1:, 1:]
     pairs = [(levels, even), (levels[1:], odd)]
     return pairs if len(blocks) == 2 else [_mirrored(pairs)]
 
@@ -345,7 +493,7 @@ def free_spectrum(h: OperatorMatrix) -> Spectrum:
     not the free Hamiltonian fails the residual check with
     NumericalFailureError.
     """
-    return _checked_spectrum(h, EIG_RESIDUAL_TOL, _free_eigenpairs)
+    return _checked_spectrum(h.dim, *_matrix_blocks(h), _free_eigenpairs)
 
 
 def oscillator_hamiltonian(dim) -> OperatorMatrix:
@@ -355,10 +503,13 @@ def oscillator_hamiltonian(dim) -> OperatorMatrix:
     its diagonal, q = sqrt(2*pi/d) * n over the centered labels.
     """
     dim = as_dimension(dim)
-    h = _free_entries(dim)
+    return OperatorMatrix(dim, _oscillator_form(dim).entries(), MatrixKind.HERMITIAN)
+
+
+def _oscillator_form(dim: Dimension) -> _ToeplitzForm:
+    """oscillator_hamiltonian as its kinetic symbol, that of P**2 / 2, and the potential q**2 / 2."""
     q = math.sqrt(2.0 * math.pi / dim.d) * dim.indices().astype(float)
-    h[np.diag_indices(dim.d)] += 0.5 * q * q
-    return OperatorMatrix(dim, h, MatrixKind.HERMITIAN)
+    return _ToeplitzForm(dim, _free_symbol(dim), 0.5 * q * q)
 
 
 def quasi_eigen_residual(dim) -> QuasiEigenReport:
@@ -369,7 +520,7 @@ def quasi_eigen_residual(dim) -> QuasiEigenReport:
     """
     dim = as_dimension(dim)
     g = finite_gaussian(dim, 1.0).values
-    hg = oscillator_hamiltonian(dim).entries @ g
+    hg = _oscillator_form(dim).entries() @ g
     lam = float(hg[dim.s] / g[dim.s])
     return QuasiEigenReport(dim, lam, hg - lam * g)
 

@@ -258,13 +258,13 @@ class TestFormats:
         assert main(["spectrum", "--d", "9", "--ham", "osc"]) == 0
         first = capsys.readouterr().out
         solved = []
-        real_solve = cli.hermitian_eig
+        real_solve = cli._form_eig
 
-        def spy(h):
-            solved.append(h.dim.d)
-            return real_solve(h)
+        def spy(form):
+            solved.append(form.dim.d)
+            return real_solve(form)
 
-        monkeypatch.setattr(cli, "hermitian_eig", spy)
+        monkeypatch.setattr(cli, "_form_eig", spy)
         assert main(["spectrum", "--d", "9", "--ham", "osc"]) == 0
         assert capsys.readouterr().out == first
         assert solved == [9]

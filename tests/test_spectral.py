@@ -561,8 +561,8 @@ class TestFoldedResidual:
     @pytest.mark.parametrize("k", [0, 7, 15, 16, 30])
     def test_shifted_eigenvalue_fails_on_folded_path(self, k):
         # k < 16 shifts an eigenvalue of the d = 31 oscillator's even block, k >= 16 one of its odd block
-        def shifted(m, blocks):
-            pairs = spectral._parity_split_eigh(m, blocks)
+        def shifted(dim, blocks):
+            pairs = spectral._parity_split_eigh(dim, blocks)
             even_size = pairs[0][0].size
             block, i = (0, k) if k < even_size else (1, k - even_size)
             pairs[block][0][i] += 1e-6
@@ -570,7 +570,7 @@ class TestFoldedResidual:
 
         h = oscillator_hamiltonian(Dimension(31))
         with pytest.raises(NumericalFailureError) as info:
-            spectral._checked_spectrum(h, spectral.EIG_RESIDUAL_TOL, shifted)
+            spectral._checked_spectrum(h.dim, *spectral._matrix_blocks(h), shifted)
         assert info.value.residual >= 0.99e-6
 
     def test_complex_matrix_takes_dense_path(self):
@@ -587,13 +587,12 @@ class TestFoldedResidual:
         bent[5, 2] += 1e-12
         given_blocks = []
 
-        def solve(m, blocks):
+        def solve(dim, blocks):
             given_blocks.append(blocks)
             return [(vals, vecs)]
 
-        spec = spectral._checked_spectrum(
-            OperatorMatrix(Dimension(31), bent, MatrixKind.HERMITIAN), spectral.EIG_RESIDUAL_TOL, solve
-        )
+        bent_m = OperatorMatrix(Dimension(31), bent, MatrixKind.HERMITIAN)
+        spec = spectral._checked_spectrum(bent_m.dim, *spectral._matrix_blocks(bent_m), solve)
         assert [b[0].shape for b in given_blocks] == [(31, 31)] and len(given_blocks[0]) == 1
         assert spec.residual == dense_residual(bent, vals, vecs)
 
@@ -604,12 +603,40 @@ class TestFoldedResidual:
         bent[5, 2] += 1e-12
         m = OperatorMatrix(Dimension(31), bent, MatrixKind.HERMITIAN)
         spec = free_spectrum(m)
-        [(vals, vecs)] = spectral._free_eigenpairs(m, (bent,))
+        [(vals, vecs)] = spectral._free_eigenpairs(m.dim, (bent,))
         assert_split(vecs)
         assert spec.residual == dense_residual(bent, vals, vecs)
         want = free_spectrum(h)
         assert np.array_equal(spec.eigenvalues, want.eigenvalues)
         assert np.array_equal(spec.eigenvectors, want.eigenvectors)
+
+
+class TestGaugePivots:
+    """Mirrored columns have |v(-n)| = |v(n)| bit for bit, so the gauge's first largest entry lies at n <= 0."""
+
+    @given(st.integers(1, 40), st.integers(0, 2**32 - 1), st.integers(1, 3))
+    @settings(max_examples=100, deadline=None)
+    def test_top_half_argmax_is_the_full_argmax(self, s, seed, spread):
+        # few distinct magnitudes, so that ties between rows are common
+        rng = np.random.default_rng(seed)
+        even_w = rng.integers(-spread, spread + 1, size=(s + 1, s + 1)) * 0.5
+        odd_w = rng.integers(-spread, spread + 1, size=(s, s)) * 0.5
+        _, vecs = spectral._mirrored([(np.zeros(s + 1), even_w), (np.zeros(s), odd_w)])
+        full = np.argmax(np.abs(vecs), axis=0)
+        assert np.array_equal(full, np.argmax(np.abs(vecs[: s + 1]), axis=0))
+        assert np.all(full <= s)
+
+    @pytest.mark.parametrize("d", [3, 9, 31, 101, 301])
+    def test_each_column_is_positive_at_its_full_argmax(self, d):
+        dim = Dimension(d)
+        spectra = [hermitian_eig(oscillator_hamiltonian(dim)), commutator_spectrum(dim),
+                   free_spectrum(free_hamiltonian(dim)),
+                   hermitian_eig(OperatorMatrix(dim, parity_even_matrix(d, d), MatrixKind.HERMITIAN))]
+        for spec in spectra:
+            v = spec.eigenvectors
+            full = np.argmax(np.abs(v), axis=0)
+            assert np.array_equal(full, np.argmax(np.abs(v[: dim.s + 1]), axis=0))
+            assert np.all(v[full, np.arange(d)] > 0.0)
 
 
 class TestFreeSpectrum:
