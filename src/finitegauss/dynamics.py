@@ -104,8 +104,10 @@ def _coefficients(spec: Spectrum, psi: StateVector) -> np.ndarray:
 def evolve(h: OperatorMatrix, psi: StateVector, t: float, spectrum: Spectrum | None = None) -> StateVector:
     """exp(-1j*t*H) psi via the eigendecomposition of H.
 
-    A precomputed Spectrum of h may be passed to amortize repeated
-    evolutions.
+    Without spectrum=, h's Spectrum comes from hermitian_eig, which solves
+    each operator once and keeps the result on it.  spectrum= passes a
+    Spectrum of h that hermitian_eig does not give: a partial one, or a
+    closed form such as free_spectrum.
     """
     t = float(t)
     if not math.isfinite(t):
@@ -119,10 +121,11 @@ def evolve(h: OperatorMatrix, psi: StateVector, t: float, spectrum: Spectrum | N
 def autocorrelation(h: OperatorMatrix, psi: StateVector, times, spectrum: Spectrum | None = None) -> TimeSeries:
     """|<psi| exp(-1j*t*H) |psi>| sampled at the given times.
 
-    A precomputed Spectrum of h may be passed, as for evolve.  The lightest
-    levels, of total weight at most TERM_TOL * |psi|**2, are left out.
+    h's Spectrum is taken, or given by spectrum=, as for evolve.  The lightest
+    levels, of total weight at most TERM_TOL * |psi|**2, are left out.  The
+    series holds a read-only copy of times; the caller's array is left as it is.
     """
-    times = np.asarray(times, dtype=float)
+    times = np.array(times, dtype=float)
     if times.ndim != 1 or not np.all(np.isfinite(times)):
         raise InvalidParameterError("times must be a 1-d vector of finite values")
     spec = _spectrum_for(h, psi, spectrum)
@@ -280,7 +283,8 @@ def certify_period(
     eps*|lambda_k*T| of each phase.  For a partial spectrum, D is the defect inside the
     span of the levels; the part they miss is bounded by the sqrt(TERM_TOL) * |psi| check
     of _coefficients.  A period is certified when D is at most CERT_TOL, which a NaN
-    defect never is.  The zero state raises DegenerateVectorError.
+    defect never is.  The zero state raises DegenerateVectorError.  h's Spectrum is
+    taken, or given by spectrum=, as for evolve.
     """
     period = float(period)
     if not math.isfinite(period):

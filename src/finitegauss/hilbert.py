@@ -72,19 +72,32 @@ class StateVector:
         return StateVector(self.dim, self.amps / n)
 
 
+def _sealed(a: np.ndarray) -> np.ndarray:
+    """A read-only view of the fresh array a, frozen in place: a must be held by no caller.
+
+    numpy refuses to make a view writeable while its owner is read-only, so the view stays frozen.
+    """
+    a.setflags(write=False)
+    return a.view()
+
+
 @dataclass(frozen=True)
 class OperatorMatrix:
     """A d x d matrix tagged with its structural kind.
 
-    entries is a read-only copy of the input: float64 if it is real, else complex.
+    entries is a read-only copy of the input: float64 if it is real, else complex,
+    and a view that cannot be made writeable again.
     Construction verifies the tag: hermitian matrices must equal their
     adjoint to 1e-13 relative in the max norm, unitary matrices must
-    satisfy M^dag M = I to 1e-12 in the max norm.
+    satisfy M^dag M = I to 1e-12 in the max norm.  spectral.hermitian_eig
+    keeps the Spectrum it solves, with max|entries|, in _spectrum; it is
+    per object, and dataclasses.replace starts without it.
     """
 
     dim: Dimension
     entries: np.ndarray
     kind: MatrixKind = field(default=MatrixKind.GENERAL)
+    _spectrum: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         entries = np.asarray(self.entries, dtype=complex if np.iscomplexobj(self.entries) else float)
@@ -112,8 +125,7 @@ class OperatorMatrix:
                 )
         if np.may_share_memory(entries, self.entries):  # copied after the check, so its temporaries are freed
             entries = entries.copy()
-        entries.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "entries", _sealed(entries))
         object.__setattr__(self, "kind", kind)
 
     def apply(self, state: StateVector) -> StateVector:

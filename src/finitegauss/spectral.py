@@ -14,7 +14,16 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidParameterError, KindMismatchError, NumericalFailureError
-from .hilbert import MatrixKind, OperatorMatrix, StateVector, _hermite_functions, _lattice_symbol, _roots, _toeplitz
+from .hilbert import (
+    MatrixKind,
+    OperatorMatrix,
+    StateVector,
+    _hermite_functions,
+    _lattice_symbol,
+    _roots,
+    _sealed,
+    _toeplitz,
+)
 from .lattice import Dimension, _check_capacity, as_dimension
 from .wrapped import TERM_TOL, finite_gaussian
 
@@ -37,6 +46,9 @@ class Spectrum:
     complex otherwise.  residual is max_k of the 2-norm of M v_k - lambda_k v_k,
     taken on the even and odd blocks solved when M is real and exactly
     parity even, each eigenvector then being exactly even or odd.
+    Both arrays are read-only views that cannot be made writeable: a
+    read-only view of a read-only array is kept as it is, and any other
+    array is copied first, so the caller's own arrays stay as they were.
     """
 
     dim: Dimension
@@ -48,8 +60,10 @@ class Spectrum:
         k, shape = self.eigenvalues.size, self.eigenvectors.shape
         if self.eigenvalues.ndim != 1 or shape != (self.dim.d, k) or not 1 <= k <= self.dim.d:
             raise DimensionMismatchError(f"{k} eigenvalues and eigenvectors {shape} are not 1..{self.dim.d} levels")
-        self.eigenvalues.setflags(write=False)
-        self.eigenvectors.setflags(write=False)
+        for name in ("eigenvalues", "eigenvectors"):
+            a = getattr(self, name)
+            if a.flags.writeable or not isinstance(a.base, np.ndarray) or a.base.flags.writeable:
+                object.__setattr__(self, name, _sealed(a.copy()))
 
 
 @dataclass(frozen=True)
@@ -81,26 +95,38 @@ class QuasiEigenReport:
         self.residual.setflags(write=False)
 
 
-def _checked_spectrum(dim: Dimension, blocks, scale: float, solve, residual_tol: float = EIG_RESIDUAL_TOL):
-    """The Spectrum of a Hermitian operator, largest entry scale, from its blocks: solved, gauged and checked.
+def _checked_spectrum(dim: Dimension, blocks, scale: float, solve) -> Spectrum:
+    """The Spectrum of a Hermitian operator, largest entry scale, from its blocks: solved, gauged and checked."""
+    return _checked(_solved(dim, blocks, solve), scale)
+
+
+def _solved(dim: Dimension, blocks, solve) -> Spectrum:
+    """The gauged Spectrum of a Hermitian operator from its blocks, not yet checked (see _checked).
 
     blocks are the whole matrix, or its even and odd blocks (see _matrix_blocks).  solve(dim, blocks)
-    returns (vals, w) per block; each block's eigenpairs are checked on that block, and two blocks' are
-    assembled by _mirrored.
+    returns (vals, w) per block; each block's residual is taken on that block, and two blocks' pairs
+    are assembled by _mirrored.
     """
-    residual_tol = float(residual_tol)
-    if not (math.isfinite(residual_tol) and residual_tol > 0.0):
-        raise InvalidParameterError(f"residual_tol must be finite and positive, got {residual_tol}")
     pairs = solve(dim, blocks)
     residual = max(_residual(a, vals, w) for a, (vals, w) in zip(blocks, pairs))
-    return _gauged(dim, pairs, residual, scale, residual_tol)
+    return _gauged(dim, pairs, residual)
 
 
-def _gauged(dim: Dimension, pairs, residual: float, scale: float, residual_tol: float) -> Spectrum:
-    """The Spectrum of the solved (vals, w) of one or two blocks, gauged, once residual <= residual_tol * scale.
+def _checked(spectrum: Spectrum, scale: float, residual_tol: float = EIG_RESIDUAL_TOL) -> Spectrum:
+    """spectrum, once its residual is at most residual_tol times the largest entry scale of its operator."""
+    if spectrum.residual > residual_tol * scale:
+        raise NumericalFailureError(
+            f"eigenpair residual {spectrum.residual:.3e} exceeds {residual_tol:.1e} * {scale:.3e}",
+            residual=spectrum.residual,
+        )
+    return spectrum
+
+
+def _gauged(dim: Dimension, pairs, residual: float) -> Spectrum:
+    """The Spectrum of the solved (vals, w) of one or two blocks, gauged, with the residual they were solved to.
 
     The gauge only reorders the eigenpairs and rescales each by a unit phase (+-1 for real vectors),
-    so it leaves the residual as it is.
+    so it leaves the residual as it is.  Its arrays are fresh, so the Spectrum takes them over uncopied.
     """
     if len(pairs) == 1:
         vals, vecs = pairs[0]
@@ -114,13 +140,7 @@ def _gauged(dim: Dimension, pairs, residual: float, scale: float, residual_tol: 
 
     piv = vecs[pivots, np.arange(vecs.shape[1])]
     vecs = vecs * (piv.conj() / np.abs(piv))
-
-    if residual > residual_tol * scale:
-        raise NumericalFailureError(
-            f"eigenpair residual {residual:.3e} exceeds {residual_tol:.1e} * {scale:.3e}",
-            residual=residual,
-        )
-    return Spectrum(dim, vals, vecs, residual)
+    return Spectrum(dim, _sealed(vals), _sealed(vecs), residual)
 
 
 def _is_parity_even(h: np.ndarray) -> bool:
@@ -189,11 +209,26 @@ def hermitian_eig(m: OperatorMatrix, residual_tol: float = EIG_RESIDUAL_TOL) -> 
     its parity image h[::-1, ::-1] exactly is solved as two real blocks,
     even and odd under n -> -n; any other matrix goes to one dense eigh.
 
+    Each OperatorMatrix is solved once: the first call that gets past the
+    kind check and the solver keeps the Spectrum on m, and every later call
+    returns that same object, so m keeps at most one more d x d array for
+    its lifetime.  An equal matrix built anew is solved anew.  Every call
+    validates residual_tol before any solve and checks the kept residual
+    against it.  A partial or closed-form spectrum (free_spectrum) is still
+    handed to the dynamics by their spectrum= argument.
+
     Raises NumericalFailureError if the solver fails to converge or the
     worst eigenpair residual exceeds residual_tol times the largest
     matrix entry.
     """
-    return _checked_spectrum(m.dim, *_matrix_blocks(m), _parity_split_eigh, residual_tol)
+    residual_tol = float(residual_tol)
+    if not (math.isfinite(residual_tol) and residual_tol > 0.0):
+        raise InvalidParameterError(f"residual_tol must be finite and positive, got {residual_tol}")
+    if m._spectrum is None:
+        blocks, scale = _matrix_blocks(m)
+        object.__setattr__(m, "_spectrum", (_solved(m.dim, blocks, _parity_split_eigh), scale))
+    spectrum, scale = m._spectrum
+    return _checked(spectrum, scale, residual_tol)
 
 
 def _fast_length(n: int) -> int:
@@ -373,7 +408,7 @@ def _populated_spectrum(psi: StateVector) -> Spectrum | None:
     pairs = [(vals, q @ y) for q, (vals, y) in zip(spans, small)]
     residual = max(float(np.max(np.linalg.norm(hq @ y - w * vals, axis=0)))
                    for hq, (_, y), (vals, w) in zip(hqs, small, pairs))
-    return _gauged(dim, pairs, residual, form.scale(), EIG_RESIDUAL_TOL)
+    return _checked(_gauged(dim, pairs, residual), form.scale())
 
 
 def _commutator_symbol(dim: Dimension) -> np.ndarray:

@@ -157,6 +157,35 @@ class TestEvolution:
         got = autocorrelation(h, psi, times, spectrum=spec).values
         assert got.tobytes() == want.tobytes()
 
+    def test_solved_operator_evolves_without_a_solve(self, monkeypatch):
+        # every call without spectrum= ran a fresh eigh of h
+        dim = Dimension(31)
+        h = oscillator_hamiltonian(dim)
+        psi = coherent_state(dim, PhasePoint(3, -2))
+        times = np.linspace(0.0, 2.0 * math.pi, 50)
+        spec = hermitian_eig(h)
+
+        def no_solve(*_):
+            raise AssertionError("eigh called")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_solve)
+        pairs = [
+            (autocorrelation(h, psi, times).values, autocorrelation(h, psi, times, spectrum=spec).values),
+            (evolve(h, psi, 1.7).amps, evolve(h, psi, 1.7, spectrum=spec).amps),
+            (certify_period(h, psi, 2.0 * math.pi), certify_period(h, psi, 2.0 * math.pi, spectrum=spec)),
+        ]
+        for got, want in pairs:
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    def test_autocorrelation_leaves_the_callers_times_writeable(self):
+        # the caller's float array went into the series and came back read-only
+        dim = Dimension(9)
+        times = np.linspace(0.0, 1.0, 5)
+        series = autocorrelation(oscillator_hamiltonian(dim), random_state(dim, 3), times)
+        assert times.flags.writeable and not series.times.flags.writeable
+        times[0] = 7.0
+        assert series.times[0] == 0.0
+
     @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
     def test_non_finite_time_is_refused_before_any_solve(self, t, monkeypatch):
         # A nan time used to surface later as "amplitudes must be finite".

@@ -403,6 +403,14 @@ class TestStateAndOperatorTypes:
         assert np.array_equal(view.entries, np.eye(3))
 
     @pytest.mark.parametrize("dtype", [float, complex])
+    def test_operator_entries_cannot_be_thawed(self, dtype):
+        # entries was an owned array, so setflags(write=True) let a write reach an operator after its solve
+        m = OperatorMatrix(Dimension(3), np.eye(3, dtype=dtype), MatrixKind.HERMITIAN)
+        with pytest.raises(ValueError):
+            m.entries.setflags(write=True)
+        assert np.array_equal(m.entries, np.eye(3))
+
+    @pytest.mark.parametrize("dtype", [float, complex])
     def test_state_keeps_its_own_copy(self, dtype):
         amps = np.ones(3, dtype=dtype)
         psi = StateVector(Dimension(3), amps)

@@ -1,4 +1,5 @@
 """Commutator spectrum, uncertainty products, oscillator eigensystem."""
+import dataclasses
 import math
 
 import numpy as np
@@ -375,6 +376,91 @@ class TestUncertainty:
         assert abs(rep.product - 0.5) <= 1e-12
 
 
+class TestStoredSpectrum:
+    def test_each_operator_is_solved_once(self, monkeypatch):
+        h = oscillator_hamiltonian(Dimension(31))
+        shapes = eigh_call_shapes(monkeypatch)
+        spec = hermitian_eig(h)
+        assert hermitian_eig(h) is spec and hermitian_eig(h, 1e-9) is spec
+        assert len(shapes) == 2  # the even and odd blocks, once
+
+    def test_equal_operator_built_anew_is_solved_anew(self, monkeypatch):
+        h = oscillator_hamiltonian(Dimension(31))
+        spec = hermitian_eig(h)
+        shapes = eigh_call_shapes(monkeypatch)
+        again = OperatorMatrix(h.dim, h.entries, MatrixKind.HERMITIAN)
+        assert np.array_equal(again.entries, h.entries)
+        assert hermitian_eig(again) is not spec and len(shapes) == 2
+        assert hermitian_eig(dataclasses.replace(h)) is not spec and len(shapes) == 4
+
+    def test_tight_tol_on_a_solved_operator_raises_without_a_solve(self, monkeypatch):
+        h = oscillator_hamiltonian(Dimension(31))
+        spec = hermitian_eig(h)
+        scale = float(np.max(np.abs(h.entries)))
+        assert spec.residual > 0.0
+        shapes = eigh_call_shapes(monkeypatch)
+        with pytest.raises(NumericalFailureError, match="eigenpair residual") as info:
+            hermitian_eig(h, 0.5 * spec.residual / scale)
+        assert info.value.residual == spec.residual
+        assert hermitian_eig(h) is spec and shapes == []
+
+    def test_tight_tol_on_the_first_call_still_keeps_the_spectrum(self, monkeypatch):
+        h = oscillator_hamiltonian(Dimension(31))
+        shapes = eigh_call_shapes(monkeypatch)
+        with pytest.raises(NumericalFailureError):
+            hermitian_eig(h, 1e-300)
+        spec = hermitian_eig(h)
+        assert hermitian_eig(h) is spec and len(shapes) == 2
+
+    def test_failed_solve_keeps_nothing(self, monkeypatch):
+        h = oscillator_hamiltonian(Dimension(9))
+        real_eigh = np.linalg.eigh
+
+        def diverge(*_):
+            raise np.linalg.LinAlgError("no convergence")
+
+        monkeypatch.setattr(np.linalg, "eigh", diverge)
+        with pytest.raises(NumericalFailureError, match="did not converge"):
+            hermitian_eig(h)
+        monkeypatch.setattr(np.linalg, "eigh", real_eigh)
+        shapes = eigh_call_shapes(monkeypatch)
+        spec = hermitian_eig(h)
+        assert len(shapes) == 2 and hermitian_eig(h) is spec
+
+    def test_failed_kind_check_keeps_nothing(self):
+        g = OperatorMatrix(Dimension(3), np.eye(3), MatrixKind.GENERAL)
+        for _ in range(2):
+            with pytest.raises(KindMismatchError):
+                hermitian_eig(g)
+
+    def test_spectrum_arrays_cannot_be_thawed(self):
+        spec = hermitian_eig(oscillator_hamiltonian(Dimension(9)))
+        for a in (spec.eigenvalues, spec.eigenvectors):
+            with pytest.raises(ValueError):
+                a.setflags(write=True)
+
+    @given(
+        st.integers(min_value=1, max_value=30).map(lambda s: 2 * s + 1),
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+        st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_stored_spectrum_is_a_fresh_solve_of_a_copy(self, d, seed, real, even):
+        rng = np.random.default_rng(seed)
+        b = rng.normal(size=(d, d)) if real else rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        a = 0.5 * (b + b.conj().T)
+        if even:
+            a = 0.5 * (a + a[::-1, ::-1])
+        h = OperatorMatrix(Dimension(d), a, MatrixKind.HERMITIAN)
+        stored = hermitian_eig(h)
+        fresh = hermitian_eig(OperatorMatrix(h.dim, h.entries.copy(), MatrixKind.HERMITIAN))
+        assert hermitian_eig(h) is stored and fresh is not stored
+        assert stored.residual == fresh.residual
+        for got, want in [(stored.eigenvalues, fresh.eigenvalues), (stored.eigenvectors, fresh.eigenvectors)]:
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def parity_even_matrix(d: int, seed: int) -> np.ndarray:
     """A random real symmetric matrix that equals its parity image exactly."""
     b = np.random.default_rng(seed).normal(size=(d, d))
@@ -711,3 +797,19 @@ class TestSpectrumShape:
     def test_other_shapes_raise(self, vals, vecs):
         with pytest.raises(DimensionMismatchError):
             Spectrum(Dimension(9), vals, vecs, 0.0)
+
+    @pytest.mark.parametrize("frozen", [False, True])
+    def test_keeps_the_callers_arrays_as_they_were(self, frozen):
+        # Spectrum froze the caller's vals in place; thawed again, a write showed in the spectrum
+        vals, vecs = np.arange(3.0), np.eye(9)[:, :3].copy()
+        for a in (vals, vecs):
+            a.setflags(write=not frozen)
+        spec = Spectrum(Dimension(9), vals, vecs, 0.0)
+        for a in (vals, vecs):
+            assert a.flags.writeable is not frozen
+            a.setflags(write=True)
+        vals[0], vecs[0, 0] = 99.0, 99.0
+        assert spec.eigenvalues.tolist() == [0.0, 1.0, 2.0] and np.array_equal(spec.eigenvectors, np.eye(9)[:, :3])
+        for a in (spec.eigenvalues, spec.eigenvectors):
+            with pytest.raises(ValueError):
+                a.setflags(write=True)
