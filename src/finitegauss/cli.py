@@ -21,7 +21,7 @@ import numpy as np
 from .dynamics import CERT_TOL, _coefficients, _defect, certify_period, detect_revival
 from .errors import FiniteGaussError, InvalidDimensionError, InvalidParameterError
 from .hilbert import PhasePoint, StateVector, coherent_state
-from .lattice import _BLOCK_CELLS, Dimension, _row_blocks
+from .lattice import _BLOCK_CELLS, Dimension, _row_blocks, _sealed
 from .spectral import (
     _form_eig,
     _free_coefficients,
@@ -184,7 +184,8 @@ def _row_texts(formatter, values, rows: list[int], symmetric) -> list[str]:
 def _grid_rows(grid, formatter):
     """(i, text) for each grid row i in turn, its cells as `_fmt` text joined by the formatter's separator.
 
-    Row -n of an even grid repeats row n, so its text is reused when the bits agree.
+    Row -n of an even grid repeats row n, so its text is reused when the bits agree, in the same
+    block of rows as well: row n < 0 comes first, so its text is waiting when row -n is reached.
     """
     d, values = grid.dim.d, grid.values
     bits = values.view(np.int64)
@@ -193,8 +194,7 @@ def _grid_rows(grid, formatter):
     symmetric = np.concatenate([np.all(bits[b, d // 2:] == bits[b, d // 2::-1], axis=1) for b in slices])
     waiting = {}  # the text of rows n < 0 whose row -n is still to come
     for block in (range(*b.indices(d)) for b in slices):
-        fresh = [i for i in block
-                 if d - 1 - i not in waiting or not np.array_equal(bits[i], bits[d - 1 - i])]
+        fresh = [i for i in block if i <= d - 1 - i or not np.array_equal(bits[i], bits[d - 1 - i])]
         texts = dict(zip(fresh, _row_texts(formatter, values, fresh, symmetric)))
         for i in block:
             partner = waiting.pop(d - 1 - i, None)
@@ -267,7 +267,7 @@ def _revival_state(dim: Dimension, state_spec: list[str], kappa: float) -> State
             raise InvalidParameterError(f"delta position {n} outside |n| <= {dim.s}")
         amps = np.zeros(dim.d, dtype=complex)
         amps[dim.offset(n)] = 1.0
-        return StateVector(dim, amps)
+        return StateVector(dim, _sealed(amps))
     raise InvalidParameterError(f"unknown state kind {kind!r}; use gauss, coherent, or delta")
 
 

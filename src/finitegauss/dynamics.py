@@ -23,8 +23,9 @@ from .errors import (
     NumericalFailureError,
 )
 from .hilbert import MatrixKind, OperatorMatrix, StateVector
+from .lattice import _owned, _sealed
 from .spectral import Spectrum, hermitian_eig
-from .wrapped import TERM_TOL
+from .wrapped import TERM_TOL, _positive
 
 WEIGHT_FLOOR = 1e-12  # a level is populated when |<v|psi>|**2 exceeds this
 MAX_DEN = 10**6  # the largest denominator a level ratio's convergent may have
@@ -53,14 +54,14 @@ class RevivalReport:
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """Sampled |autocorrelation| values; values[i] pairs with times[i]."""
+    """Sampled |autocorrelation| values; values[i] pairs with times[i].  Both are kept by lattice._owned."""
 
     times: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
-        self.times.setflags(write=False)
-        self.values.setflags(write=False)
+        object.__setattr__(self, "times", _owned(self.times))
+        object.__setattr__(self, "values", _owned(self.values))
 
 
 def _spectrum_for(h: OperatorMatrix, psi: StateVector, spectrum: Spectrum | None) -> Spectrum:
@@ -115,7 +116,7 @@ def evolve(h: OperatorMatrix, psi: StateVector, t: float, spectrum: Spectrum | N
     spec = _spectrum_for(h, psi, spectrum)
     _check_phases(spec.eigenvalues, [t])
     coeffs = _coefficients(spec, psi)
-    return StateVector(psi.dim, _apply(spec.eigenvectors, np.exp(-1j * t * spec.eigenvalues) * coeffs))
+    return StateVector(psi.dim, _sealed(_apply(spec.eigenvectors, np.exp(-1j * t * spec.eigenvalues) * coeffs)))
 
 
 def autocorrelation(h: OperatorMatrix, psi: StateVector, times, spectrum: Spectrum | None = None) -> TimeSeries:
@@ -123,9 +124,9 @@ def autocorrelation(h: OperatorMatrix, psi: StateVector, times, spectrum: Spectr
 
     h's Spectrum is taken, or given by spectrum=, as for evolve.  The lightest
     levels, of total weight at most TERM_TOL * |psi|**2, are left out.  The
-    series holds a read-only copy of times; the caller's array is left as it is.
+    series keeps its own copy of times; the caller's array is left as it is.
     """
-    times = np.array(times, dtype=float)
+    times = np.asarray(times, dtype=float)
     if times.ndim != 1 or not np.all(np.isfinite(times)):
         raise InvalidParameterError("times must be a 1-d vector of finite values")
     spec = _spectrum_for(h, psi, spectrum)
@@ -134,7 +135,7 @@ def autocorrelation(h: OperatorMatrix, psi: StateVector, times, spectrum: Spectr
     order = np.argsort(weights, kind="stable")
     kept = np.sort(order[np.cumsum(weights[order]) > TERM_TOL * np.sum(weights)])
     phases = np.exp(-1j * np.outer(times, spec.eigenvalues[kept]))
-    return TimeSeries(times, np.abs(phases @ weights[kept]))
+    return TimeSeries(times, _sealed(np.abs(phases @ weights[kept])))
 
 
 def populated_levels(spectrum: Spectrum, psi: StateVector):
@@ -210,9 +211,7 @@ def detect_revival(levels, weights, rel_tol: float = 1e-9) -> RevivalReport:
         raise InvalidParameterError("levels and weights must be finite")
     if np.any(wts < 0.0):
         raise InvalidParameterError("weights must be nonnegative")
-    rel_tol = float(rel_tol)
-    if not (math.isfinite(rel_tol) and rel_tol > 0.0):
-        raise InvalidParameterError(f"rel_tol must be finite and positive, got {rel_tol}")
+    rel_tol = _positive("rel_tol", rel_tol)
 
     selected = np.flatnonzero(wts > WEIGHT_FLOOR)
     if selected.size == 0:

@@ -25,7 +25,7 @@ from .errors import (
     PhasePointRangeError,
     UnsupportedOrderError,
 )
-from .lattice import _BLOCK_CELLS, Dimension, _check_capacity, _row_blocks, as_dimension
+from .lattice import _BLOCK_CELLS, Dimension, _check_capacity, _owned, _row_blocks, _sealed, as_dimension
 from .wrapped import _WINDOW_CAP, TERM_TOL, finite_gaussian
 
 HERMITIAN_TOL = 1e-13
@@ -40,20 +40,19 @@ class MatrixKind(enum.Enum):
 
 @dataclass(frozen=True)
 class StateVector:
-    """A vector in C^d over the centered lattice; amps is a read-only complex copy."""
+    """A vector in C^d over the centered lattice; amps is complex and kept by lattice._owned."""
 
     dim: Dimension
     amps: np.ndarray
 
     def __post_init__(self):
-        amps = np.array(self.amps, dtype=complex)
+        amps = _owned(self.amps, complex)
         if amps.shape != (self.dim.d,):
             raise DimensionMismatchError(
                 f"amplitude vector has shape {amps.shape}, lattice needs ({self.dim.d},)"
             )
         if not np.all(np.isfinite(amps.view(float))):
             raise InvalidParameterError("amplitudes must be finite")
-        amps.setflags(write=False)
         object.__setattr__(self, "amps", amps)
 
     def norm(self) -> float:
@@ -68,25 +67,15 @@ class StateVector:
         if n < 1e-150:
             raise DegenerateVectorError(f"cannot normalize a vector of norm {n}")
         if math.isinf(n):  # the norm itself overflows: normalize a copy scaled by 2**-600
-            return StateVector(self.dim, self.amps * 2.0**-600).normalized()
-        return StateVector(self.dim, self.amps / n)
-
-
-def _sealed(a: np.ndarray) -> np.ndarray:
-    """A read-only view of the fresh array a, frozen in place: a must be held by no caller.
-
-    numpy refuses to make a view writeable while its owner is read-only, so the view stays frozen.
-    """
-    a.setflags(write=False)
-    return a.view()
+            return StateVector(self.dim, _sealed(self.amps * 2.0**-600)).normalized()
+        return StateVector(self.dim, _sealed(self.amps / n))
 
 
 @dataclass(frozen=True)
 class OperatorMatrix:
     """A d x d matrix tagged with its structural kind.
 
-    entries is a read-only copy of the input: float64 if it is real, else complex,
-    and a view that cannot be made writeable again.
+    entries is float64 if the input is real, else complex, and kept by lattice._owned.
     Construction verifies the tag: hermitian matrices must equal their
     adjoint to 1e-13 relative in the max norm, unitary matrices must
     satisfy M^dag M = I to 1e-12 in the max norm.  spectral.hermitian_eig
@@ -123,15 +112,13 @@ class OperatorMatrix:
                 raise KindMismatchError(
                     f"matrix tagged unitary fails M^dag M = I by {dev:.3e}"
                 )
-        if np.may_share_memory(entries, self.entries):  # copied after the check, so its temporaries are freed
-            entries = entries.copy()
-        object.__setattr__(self, "entries", _sealed(entries))
+        object.__setattr__(self, "entries", _owned(entries))  # after the check, so its temporaries are freed
         object.__setattr__(self, "kind", kind)
 
     def apply(self, state: StateVector) -> StateVector:
         if state.dim != self.dim:
             raise DimensionMismatchError("operator and state live on different lattices")
-        return StateVector(self.dim, self.entries @ state.amps)
+        return StateVector(self.dim, _sealed(self.entries @ state.amps))
 
 
 @dataclass(frozen=True)
@@ -177,7 +164,7 @@ def fourier_matrix(dim) -> OperatorMatrix:
     dim = as_dimension(dim)
     n = dim.indices()
     entries = _roots(dim, n, n) / math.sqrt(dim.d)
-    return OperatorMatrix(dim, entries, MatrixKind.UNITARY)
+    return OperatorMatrix(dim, _sealed(entries), MatrixKind.UNITARY)
 
 
 def fourier_apply(state: StateVector, inverse: bool = False) -> StateVector:
@@ -185,7 +172,7 @@ def fourier_apply(state: StateVector, inverse: bool = False) -> StateVector:
     # the kernel's positive sign is numpy's inverse FFT; labels roll so n = 0 comes first
     transform = np.fft.fft if inverse else np.fft.ifft
     amps = np.fft.fftshift(transform(np.fft.ifftshift(state.amps), norm="ortho"))
-    return StateVector(state.dim, amps)
+    return StateVector(state.dim, _sealed(amps))
 
 
 def position_operator(dim) -> OperatorMatrix:
@@ -193,7 +180,7 @@ def position_operator(dim) -> OperatorMatrix:
     dim = as_dimension(dim)
     _check_capacity(dim.d, dim.d, 8)
     q = math.sqrt(2.0 * math.pi / dim.d) * dim.indices().astype(float)
-    return OperatorMatrix(dim, np.diag(q), MatrixKind.HERMITIAN)
+    return OperatorMatrix(dim, _sealed(np.diag(q)), MatrixKind.HERMITIAN)
 
 
 def _lattice_symbol(dim: Dimension):
@@ -218,7 +205,7 @@ def momentum_operator(dim) -> OperatorMatrix:
     u, signs, sines = _lattice_symbol(dim)
     symbol = -0.5j * math.sqrt(2.0 * math.pi / dim.d) * signs / sines
     symbol[u == 0] = 0.0
-    return OperatorMatrix(dim, _toeplitz(symbol), MatrixKind.HERMITIAN)
+    return OperatorMatrix(dim, _sealed(_toeplitz(symbol)), MatrixKind.HERMITIAN)
 
 
 def _displacement_action(dim: Dimension, alpha: int, beta: int):
@@ -241,7 +228,7 @@ def coherent_state(dim, point: PhasePoint) -> StateVector:
     g = finite_gaussian(dim, 1.0)
     base = g.values / math.sqrt(g.squared_norm())
     phases, cols = _displacement_action(dim, point.alpha, point.beta)
-    return StateVector(dim, phases * base[cols])
+    return StateVector(dim, _sealed(phases * base[cols]))
 
 
 def _frame_symbol(dim: Dimension) -> np.ndarray:

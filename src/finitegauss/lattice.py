@@ -59,6 +59,24 @@ def _row_blocks(rows: int, width: int, cells: int) -> list[slice]:
     return [slice(i, i + step) for i in range(0, rows, step)]
 
 
+def _sealed(a: np.ndarray) -> np.ndarray:
+    """A read-only view of the fresh array a, frozen in place: a must be held by no caller.
+
+    numpy refuses to make a view writeable while its owner is read-only, so the view stays frozen.
+    """
+    a.setflags(write=False)
+    return a.view()
+
+
+def _owned(a, dtype=None) -> np.ndarray:
+    """a as an array that no one can write: a read-only view of a read-only array (a _sealed one) is kept as
+    it is, and anything else is copied, as dtype if given, and sealed, so the caller's own array stays as it was."""
+    if (isinstance(a, np.ndarray) and not a.flags.writeable and isinstance(a.base, np.ndarray)
+            and not a.base.flags.writeable and (dtype is None or a.dtype == dtype)):
+        return a
+    return _sealed(np.array(a, dtype=dtype))
+
+
 def _check_capacity(rows: int, cols: int, itemsize: int) -> None:
     """Raise CapacityExceededError, before allocating, when a rows x cols array exceeds _MAX_ARRAY_BYTES."""
     if rows * cols * itemsize > _MAX_ARRAY_BYTES:

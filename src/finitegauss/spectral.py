@@ -21,11 +21,10 @@ from .hilbert import (
     _hermite_functions,
     _lattice_symbol,
     _roots,
-    _sealed,
     _toeplitz,
 )
-from .lattice import Dimension, _check_capacity, as_dimension
-from .wrapped import TERM_TOL, finite_gaussian
+from .lattice import Dimension, _check_capacity, _owned, _sealed, as_dimension
+from .wrapped import TERM_TOL, _positive, finite_gaussian
 
 EIG_RESIDUAL_TOL = 1e-10
 HALF_COMM_CROSS_TOL = 1e-12
@@ -46,9 +45,7 @@ class Spectrum:
     complex otherwise.  residual is max_k of the 2-norm of M v_k - lambda_k v_k,
     taken on the even and odd blocks solved when M is real and exactly
     parity even, each eigenvector then being exactly even or odd.
-    Both arrays are read-only views that cannot be made writeable: a
-    read-only view of a read-only array is kept as it is, and any other
-    array is copied first, so the caller's own arrays stay as they were.
+    Both arrays are kept by lattice._owned.
     """
 
     dim: Dimension
@@ -61,9 +58,7 @@ class Spectrum:
         if self.eigenvalues.ndim != 1 or shape != (self.dim.d, k) or not 1 <= k <= self.dim.d:
             raise DimensionMismatchError(f"{k} eigenvalues and eigenvectors {shape} are not 1..{self.dim.d} levels")
         for name in ("eigenvalues", "eigenvectors"):
-            a = getattr(self, name)
-            if a.flags.writeable or not isinstance(a.base, np.ndarray) or a.base.flags.writeable:
-                object.__setattr__(self, name, _sealed(a.copy()))
+            object.__setattr__(self, name, _owned(getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -84,7 +79,7 @@ class QuasiEigenReport:
     """Rayleigh-style quotient and pointwise defect of H g_1 = lam g_1.
 
     residual[i] = (H g_1 - lam g_1)(n) at n = i - s, with lam chosen so
-    the defect vanishes at n = 0.
+    the defect vanishes at n = 0.  residual is kept by lattice._owned.
     """
 
     dim: Dimension
@@ -92,7 +87,7 @@ class QuasiEigenReport:
     residual: np.ndarray
 
     def __post_init__(self):
-        self.residual.setflags(write=False)
+        object.__setattr__(self, "residual", _owned(self.residual))
 
 
 def _checked_spectrum(dim: Dimension, blocks, scale: float, solve) -> Spectrum:
@@ -156,25 +151,40 @@ def _residual(a: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> float:
 def _matrix_blocks(m: OperatorMatrix):
     """The blocks of the Hermitian m that _checked_spectrum solves, and max|m|.
 
-    A real h = m.entries equal to its parity image is given as two
-    blocks, h in the bases delta_0, (delta_n + delta_-n)/sqrt(2) (even)
-    and (delta_n - delta_-n)/sqrt(2) (odd), n > 0; any other h is given
-    whole.  The bases are orthonormal, so a block's residual is that of h
-    in exact arithmetic.
+    A real h = m.entries equal to its parity image is given as its two
+    _parity_blocks; any other h is given whole.  The bases are
+    orthonormal, so a block's residual is that of h in exact arithmetic.
     """
     if m.kind is not MatrixKind.HERMITIAN:
         raise KindMismatchError(f"eigensolver needs a hermitian operator, got {m.kind.value}")
-    h = m.entries
-    if _is_parity_even(h):
-        s = m.dim.s
-        up, down = h[s:, s:], h[s:, s::-1]
-        even = up + down
-        even[0, :] *= math.sqrt(0.5)
-        even[:, 0] *= math.sqrt(0.5)
-        blocks = (even, (up - down)[1:, 1:])
-    else:
-        blocks = (h,)
+    h, s = m.entries, m.dim.s
+    blocks = _parity_blocks(h[s:, s:], h[s:, s::-1], h.diagonal()[s:]) if _is_parity_even(h) else (h,)
     return blocks, float(np.max(np.abs(h)))
+
+
+def _parity_blocks(up: np.ndarray, down: np.ndarray, diag: np.ndarray):
+    """A real parity-even H in the bases delta_0, (delta_n + delta_-n)/sqrt(2) (even) and (delta_n - delta_-n)/sqrt(2)
+    (odd), n > 0, from the views up[i, j] = H[i, j] and down[i, j] = H[i, -j], i, j = 0..s.
+
+    H[n, n] is read from diag alone, also where down meets it at n = 0, so a symbol's windows stand in for up and down.
+    """
+    steps = down.diagonal().copy()  # H[n, -n]
+    steps[0] = diag[0]
+    even = up + down
+    even[np.diag_indices(diag.size)] = diag + steps
+    even[0, :] *= math.sqrt(0.5)
+    even[:, 0] *= math.sqrt(0.5)
+    odd = up[1:, 1:] - down[1:, 1:]
+    odd[np.diag_indices(diag.size - 1)] = diag[1:] - steps[1:]
+    return even, odd
+
+
+def _folded(v: np.ndarray):
+    """The rows of v in the bases of _parity_blocks: v(0), then (v(n) +- v(-n)) * sqrt(1/2), n > 0, along axis 0."""
+    s = v.shape[0] // 2
+    even = (v[s:] + v[s::-1]) * math.sqrt(0.5)
+    even[0] = v[s]
+    return even, (v[s + 1 :] - v[s - 1 :: -1]) * math.sqrt(0.5)
 
 
 def _mirrored(pairs):
@@ -221,9 +231,7 @@ def hermitian_eig(m: OperatorMatrix, residual_tol: float = EIG_RESIDUAL_TOL) -> 
     worst eigenpair residual exceeds residual_tol times the largest
     matrix entry.
     """
-    residual_tol = float(residual_tol)
-    if not (math.isfinite(residual_tol) and residual_tol > 0.0):
-        raise InvalidParameterError(f"residual_tol must be finite and positive, got {residual_tol}")
+    residual_tol = _positive("residual_tol", residual_tol)
     if m._spectrum is None:
         blocks, scale = _matrix_blocks(m)
         object.__setattr__(m, "_spectrum", (_solved(m.dim, blocks, _parity_split_eigh), scale))
@@ -249,8 +257,8 @@ def _fast_length(n: int) -> int:
 class _ToeplitzForm:
     """The real operator H[j, l] = symbol[j - l + d - 1] plus potential[j] on the diagonal, with no d x d array.
 
-    symbol runs over u = 1-d..d-1 and potential over n = -s..s; None for zero keeps the diagonal symbol(0)
-    bit for bit, where adding 0.0 would turn the commutator's -0.0 into 0.0.  Construction checks in
+    symbol runs over u = 1-d..d-1 and potential over n = -s..s; None stands for -0.0, which adds to every
+    float without changing a bit, where 0.0 would turn the commutator's -0.0 into 0.0.  Construction checks in
     O(d) what OperatorMatrix's HERMITIAN tag and finiteness scan, and _is_parity_even, check of the dense
     matrix in O(d**2): both arrays are finite and exactly even, so H is real symmetric and equals its
     parity image.  A NaN raises InvalidParameterError and an array that is not exactly even
@@ -262,7 +270,9 @@ class _ToeplitzForm:
     potential: np.ndarray | None = None
 
     def __post_init__(self):
-        parts = [a for a in (self.symbol, self.potential) if a is not None]
+        if self.potential is None:
+            object.__setattr__(self, "potential", np.full(self.dim.d, -0.0))
+        parts = (self.symbol, self.potential)
         if not all(np.all(np.isfinite(a)) for a in parts):
             raise InvalidParameterError("matrix entries must be finite")
         if not all(np.array_equal(a, a[::-1]) for a in parts):
@@ -270,14 +280,12 @@ class _ToeplitzForm:
 
     def _diagonal(self) -> np.ndarray:
         """H[n, n] over n = -s..s: symbol(0), plus the potential as the dense builders add it."""
-        zero = self.symbol[self.dim.d - 1]
-        return np.full(self.dim.d, zero) if self.potential is None else zero + self.potential
+        return self.symbol[self.dim.d - 1] + self.potential
 
     def entries(self) -> np.ndarray:
         """H as a fresh, writable d x d array."""
         h = _toeplitz(self.symbol)
-        if self.potential is not None:
-            h[np.diag_indices(self.dim.d)] += self.potential
+        h[np.diag_indices(self.dim.d)] += self.potential
         return h
 
     def scale(self) -> float:
@@ -288,23 +296,13 @@ class _ToeplitzForm:
     def blocks(self):
         """The even and odd blocks that _matrix_blocks takes from the dense H, bit for bit.
 
-        With T(u) the symbol, up[i, j] = T(i - j) and down[i, j] = T(i + j) over i, j = 0..s, except
-        that their diagonals hold H[n, n]; each block adds or subtracts them as _matrix_blocks does.
+        With T(u) the symbol, the _parity_blocks views are up[i, j] = T(i - j) and down[i, j] = T(i + j)
+        over i, j = 0..s, off the diagonal of H, which is given whole.
         """
         d, s = self.dim.d, self.dim.s
         _check_capacity(s + 1, s + 1, 8)
         windows = np.lib.stride_tricks.sliding_window_view(self.symbol, s + 1)  # windows[k, j] = T(k + j - d + 1)
-        up, down = windows[s:d][::-1], windows[d - 1 :]
-        diag = self._diagonal()[s:]
-        steps = down.diagonal().copy()  # T(2n), and H[0, 0] at n = 0 where down meets the diagonal
-        steps[0] = diag[0]
-        even = up + down
-        even[np.diag_indices(s + 1)] = diag + steps
-        even[0, :] *= math.sqrt(0.5)
-        even[:, 0] *= math.sqrt(0.5)
-        odd = up[1:, 1:] - down[1:, 1:]
-        odd[np.diag_indices(s)] = diag[1:] - steps[1:]
-        return even, odd
+        return _parity_blocks(windows[s:d][::-1], windows[d - 1 :], self._diagonal()[s:])
 
     @cached_property
     def _circulant(self):
@@ -323,8 +321,7 @@ class _ToeplitzForm:
         """H @ v for a real (d, K) array v by one rfft/irfft pair along the rows of v.T, fastest when contiguous."""
         n, kernel = self._circulant
         hv = np.fft.irfft(np.fft.rfft(v.T, n=n) * kernel, n=n)[:, : self.dim.d].T
-        if self.potential is not None:
-            hv += self.potential[:, None] * v
+        hv += self.potential[:, None] * v
         return hv
 
     def folded_apply(self, even_w: np.ndarray, odd_w: np.ndarray):
@@ -332,8 +329,7 @@ class _ToeplitzForm:
 
         A column w of a block is the lattice vector with v(0) = w[0] and v(+-n) = w[n] * sqrt(1/2) (even),
         or v(+-n) = +-w[n] * sqrt(1/2) (odd).  Column j of both blocks shares one row of the apply, and
-        H v is folded back: (H v)(0), then ((H v)(n) +- (H v)(-n)) * sqrt(1/2).  H keeps each parity, so
-        each fold keeps its own block's part, up to rounding.
+        H v is _folded back.  H keeps each parity, so each fold keeps its own block's part, up to rounding.
         """
         s, half = self.dim.s, math.sqrt(0.5)
         ke, ko = even_w.shape[1], odd_w.shape[1]
@@ -344,10 +340,8 @@ class _ToeplitzForm:
         odd = half * odd_w.T
         rows[:ko, s + 1 :] += odd
         rows[:ko, :s] -= odd[:, ::-1]
-        hv = self.apply(rows.T).T
-        up, down = hv[:, s + 1 :], hv[:, s - 1 :: -1]
-        even = np.concatenate((hv[:ke, s : s + 1], half * (up[:ke] + down[:ke])), axis=1)
-        return even.T, (half * (up[:ko] - down[:ko])).T
+        even, odd = _folded(self.apply(rows.T))
+        return even[:, :ke], odd[:, :ko]
 
 
 def _form_eig(form: _ToeplitzForm) -> Spectrum:
@@ -385,12 +379,10 @@ def _populated_spectrum(psi: StateVector) -> Spectrum | None:
     check of hermitian_eig, with the residual H Q y - lambda Q y taken as (H Q) y - lambda Q y.
     """
     dim = psi.dim
-    s, cap = dim.s, dim.d // 8
+    cap = dim.d // 8
     if cap <= 8:
         return None
-    amps = psi.amps
-    parts = ((amps[s:] + amps[s::-1]) * math.sqrt(0.5), (amps[s + 1 :] - amps[s - 1 :: -1]) * math.sqrt(0.5))
-    parts[0][0] = amps[s]
+    parts = _folded(psi.amps)
     bases = [np.linalg.qr(b)[0] for b in _hermite_blocks(dim, cap)]
     coeffs = [q.T @ part for q, part in zip(bases, parts)]
     outside = sum(float(np.linalg.norm(part - q @ c)) ** 2 for q, part, c in zip(bases, parts, coeffs))
@@ -431,7 +423,7 @@ def commutator_qp(dim) -> OperatorMatrix:
     -1j * (pi*(j-l)/d) * (-1)**(j-l) / sin(pi*(j-l)/d).
     """
     dim = as_dimension(dim)
-    return OperatorMatrix(dim, -1j * _commutator_kernel(dim), MatrixKind.GENERAL)
+    return OperatorMatrix(dim, _sealed(-1j * _commutator_kernel(dim)), MatrixKind.GENERAL)
 
 
 def commutator_spectrum(dim) -> Spectrum:
@@ -452,7 +444,7 @@ def floratos_approx(dim) -> OperatorMatrix:
     """
     dim = as_dimension(dim)
     u, signs, _ = _lattice_symbol(dim)
-    return OperatorMatrix(dim, _toeplitz(1j * signs * ((u == 0) - 1.0)), MatrixKind.GENERAL)
+    return OperatorMatrix(dim, _sealed(_toeplitz(1j * signs * ((u == 0) - 1.0))), MatrixKind.GENERAL)
 
 
 def _free_levels(dim: Dimension) -> np.ndarray:
@@ -478,7 +470,7 @@ def free_hamiltonian(dim) -> OperatorMatrix:
     parity, and extended periodically to the symbol over u = 1-d..d-1.
     """
     dim = as_dimension(dim)
-    return OperatorMatrix(dim, _toeplitz(_free_symbol(dim)), MatrixKind.HERMITIAN)
+    return OperatorMatrix(dim, _sealed(_toeplitz(_free_symbol(dim))), MatrixKind.HERMITIAN)
 
 
 def _free_eigenpairs(dim: Dimension, blocks):
@@ -538,7 +530,7 @@ def oscillator_hamiltonian(dim) -> OperatorMatrix:
     its diagonal, q = sqrt(2*pi/d) * n over the centered labels.
     """
     dim = as_dimension(dim)
-    return OperatorMatrix(dim, _oscillator_form(dim).entries(), MatrixKind.HERMITIAN)
+    return OperatorMatrix(dim, _sealed(_oscillator_form(dim).entries()), MatrixKind.HERMITIAN)
 
 
 def _oscillator_form(dim: Dimension) -> _ToeplitzForm:
@@ -557,7 +549,7 @@ def quasi_eigen_residual(dim) -> QuasiEigenReport:
     g = finite_gaussian(dim, 1.0).values
     hg = _oscillator_form(dim).entries() @ g
     lam = float(hg[dim.s] / g[dim.s])
-    return QuasiEigenReport(dim, lam, hg - lam * g)
+    return QuasiEigenReport(dim, lam, _sealed(hg - lam * g))
 
 
 def uncertainty_product(dim, kappa: float) -> UncertaintyReport:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import NumericalFailureError
 from .lattice import _BLOCK_CELLS, Dimension, _check_capacity, _row_blocks, as_dimension
-from .wrapped import ThetaKind, _check_kappa, finite_gaussian, shifted_finite_gaussian, theta
+from .wrapped import ThetaKind, _positive, finite_gaussian, shifted_finite_gaussian, theta
 
 REALNESS_TOL = 1e-13
 
@@ -77,7 +77,7 @@ def wigner_definition(dim, kappa: float) -> WignerGrid:
     against 1e-13 times the largest value and discarded.
     """
     dim = as_dimension(dim)
-    kappa = _check_kappa(kappa)
+    kappa = _positive("kappa", kappa)
     d = dim.d
     _check_capacity(d, d, 8)
     # row n + s of each factor is a window of three periods of g, over k = 0..d-1: the order the DFT reads
@@ -108,7 +108,7 @@ def wigner_closed_form(dim, kappa: float) -> WignerGrid:
                                       + g+_{2k}(n) (g_{2/k}(m) - g+_{2/k}(m)) ]
     """
     dim = as_dimension(dim)
-    kappa = _check_kappa(kappa)
+    kappa = _positive("kappa", kappa)
     _check_capacity(dim.d, dim.d, 8)
     gn = finite_gaussian(dim, 2.0 * kappa).values
     gn_plus = shifted_finite_gaussian(dim, 2.0 * kappa).values

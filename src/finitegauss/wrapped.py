@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError, NumericalFailureError
-from .lattice import Dimension, as_dimension
+from .lattice import Dimension, _owned, _sealed, as_dimension
 
 _WINDOW_CAP = 100_000
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
@@ -51,6 +51,7 @@ class FiniteGaussian:
 
     values[i] holds the value at n = i - s.  value(n) accepts any
     integer (or integer array) and reduces it into the lattice first.
+    values is kept by lattice._owned.
     """
 
     dim: Dimension
@@ -59,7 +60,7 @@ class FiniteGaussian:
     values: np.ndarray
 
     def __post_init__(self):
-        self.values.setflags(write=False)
+        object.__setattr__(self, "values", _owned(self.values))
 
     def value(self, n):
         return self.values[self.dim.offset(n)]
@@ -68,11 +69,12 @@ class FiniteGaussian:
         return float(np.dot(self.values, self.values))
 
 
-def _check_kappa(kappa: float) -> float:
-    kappa = float(kappa)
-    if not math.isfinite(kappa) or kappa <= 0.0:
-        raise InvalidParameterError(f"kappa must be finite and positive, got {kappa}")
-    return kappa
+def _positive(name: str, x: float) -> float:
+    """x as a float, or InvalidParameterError naming it when it is not finite and positive."""
+    x = float(x)
+    if not math.isfinite(x) or x <= 0.0:
+        raise InvalidParameterError(f"{name} must be finite and positive, got {x}")
+    return x
 
 
 def _halfwidth(c: float, step: float, shift: float, half: float, what: str) -> int:
@@ -154,9 +156,9 @@ def finite_gaussian(dim, kappa: float) -> FiniteGaussian:
     in position, small kappa narrows its Fourier transform.
     """
     dim = as_dimension(dim)
-    kappa = _check_kappa(kappa)
+    kappa = _positive("kappa", kappa)
     values = _wrapped_sum(ThetaKind.THETA3, dim, kappa)
-    return FiniteGaussian(dim, kappa, False, values)
+    return FiniteGaussian(dim, kappa, False, _sealed(values))
 
 
 def shifted_finite_gaussian(dim, kappa: float) -> FiniteGaussian:
@@ -165,9 +167,9 @@ def shifted_finite_gaussian(dim, kappa: float) -> FiniteGaussian:
     Peaks at the lattice edges |n| = s instead of at n = 0.
     """
     dim = as_dimension(dim)
-    kappa = _check_kappa(kappa)
+    kappa = _positive("kappa", kappa)
     values = _wrapped_sum(ThetaKind.THETA4, dim, kappa)
-    return FiniteGaussian(dim, kappa, True, values)
+    return FiniteGaussian(dim, kappa, True, _sealed(values))
 
 
 def theta(kind: ThetaKind, z, t: float):
@@ -184,11 +186,9 @@ def theta(kind: ThetaKind, z, t: float):
     """
     kind = ThetaKind(kind)
     z = np.asarray(z, dtype=float)
-    t = float(t)
     if not np.all(np.isfinite(z)):
         raise InvalidParameterError(f"z must be finite, got {z}")
-    if not math.isfinite(t) or t <= 0.0:
-        raise InvalidParameterError(f"t must be finite and positive, got {t}")
+    t = _positive("t", t)
 
     c = math.pi * t
     half = 0.5 if kind is ThetaKind.THETA2 else 0.0
@@ -209,7 +209,7 @@ def naive_gaussian(dim, kappa: float) -> np.ndarray:
     it is not even approximately its own Fourier transform at small d.
     """
     dim = as_dimension(dim)
-    kappa = _check_kappa(kappa)
+    kappa = _positive("kappa", kappa)
     c = kappa * math.pi / dim.d
     if not math.isfinite(c):
         raise InvalidParameterError(f"kappa = {kappa} is out of range at d = {dim.d}: kappa*pi/d is not finite")
@@ -248,7 +248,7 @@ def alternating_wrapped_sum(dim, kappa: float, n):
     Accepts scalar or array n; returns matching shape.
     """
     dim = as_dimension(dim)
-    kappa = _check_kappa(kappa)
+    kappa = _positive("kappa", kappa)
     narr = _as_int64(n)
     q, r = np.divmod(narr, np.int64(dim.d))  # n = q*d + r, 0 <= r < d; nothing is added to n
     wrap = r > dim.s

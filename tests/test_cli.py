@@ -703,3 +703,24 @@ class TestConsoleEntryPoint:
         )
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[0] == "n,g,g_plus,naive"
+
+
+class TestWignerRowReuse:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("source", ["definition", "closed", "theta"])
+    def test_rows_n_above_zero_reuse_the_text_of_rows_below_at_d_31(self, source, fmt, monkeypatch, capsys):
+        # d = 31 fits in one block of rows, so each row -n is reused from within its own block
+        from finitegauss._shortest import RowFormatter
+
+        formatted = []
+        real = RowFormatter.join_rows
+
+        def counting(self, rows, columns=None):
+            formatted.extend(rows)
+            return real(self, rows, columns)
+
+        monkeypatch.setattr(RowFormatter, "join_rows", counting)
+        assert main(["wigner", "--d", "31", "--source", source, "--format", fmt]) == 0
+        reference = reference_wigner_csv if fmt == "csv" else reference_wigner_json
+        assert capsys.readouterr().out == reference(WIGNER_ROUTES[source](Dimension(31)), None)
+        assert len(formatted) == 16

@@ -2,6 +2,7 @@
 against the dense matrices they stand in for."""
 import contextlib
 import io
+import math
 import tracemalloc
 
 import numpy as np
@@ -19,7 +20,7 @@ from finitegauss import (
     oscillator_hamiltonian,
 )
 from finitegauss import cli, hilbert, spectral
-from finitegauss.spectral import _matrix_blocks, _ToeplitzForm
+from finitegauss.spectral import _folded, _matrix_blocks, _mirrored, _parity_blocks, _ToeplitzForm
 
 # The FFT apply against the dense product, relative to max|H| * |v|: worst seen
 # 4.0e-16 for the lattice apply and 5.5e-16 for the folded blocks, over every odd
@@ -183,3 +184,49 @@ class TestNoDenseMatrix:
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(argv) == 0
         assert calls == [("oscillator_hamiltonian", False), ("hermitian_eig", False), ("certify_period", True)]
+
+
+def explicit_parity_basis(s: int) -> np.ndarray:
+    """P whose columns are delta_0, (delta_n + delta_-n)/sqrt(2) for n = 1..s, then (delta_n - delta_-n)/sqrt(2)."""
+    d, half, n = 2 * s + 1, math.sqrt(0.5), np.arange(1, s + 1)
+    p = np.zeros((d, d))
+    p[s, 0] = 1.0
+    p[s + n, n] = p[s - n, n] = p[s + n, s + n] = half
+    p[s - n, s + n] = -half
+    return p
+
+
+class TestOneParityBasis:
+    """_parity_blocks and _folded against the explicit basis P: worst seen 5.9e-16 and 3.0e-16 of the scale
+    over 3000 random cases with s < 31."""
+
+    @given(st.integers(1, 30), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_blocks_and_fold_are_those_of_the_explicit_basis(self, s, seed):
+        rng = np.random.default_rng(seed)
+        d = 2 * s + 1
+        a = rng.normal(size=(d, d))
+        h = a + a[::-1, ::-1]  # real and exactly parity even, not symmetric
+        p = explicit_parity_basis(s)
+        want = p.T @ h @ p
+        even, odd = _parity_blocks(h[s:, s:], h[s:, s::-1], h.diagonal()[s:])
+        assert np.max(np.abs(even - want[: s + 1, : s + 1])) <= 1e-15 * np.max(np.abs(h))
+        assert np.max(np.abs(odd - want[s + 1 :, s + 1 :])) <= 1e-15 * np.max(np.abs(h))
+        assert np.max(np.abs(want[: s + 1, s + 1 :])) <= 1e-15 * np.max(np.abs(h))  # H keeps each parity
+        v = rng.normal(size=(d, 3))
+        folded = np.vstack(_folded(v))
+        assert np.max(np.abs(folded - p.T @ v)) <= 1e-15 * np.max(np.abs(v))
+        assert np.array_equal(np.concatenate(_folded(v[:, 0])), folded[:, 0])  # a vector folds as a column does
+
+    @given(st.integers(1, 30), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_fold_takes_mirrored_columns_back_to_their_blocks(self, s, data):
+        ke, ko = data.draw(st.integers(1, s + 1)), data.draw(st.integers(1, s))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        even_w, odd_w = rng.normal(size=(s + 1, ke)), rng.normal(size=(s, ko))
+        _, vecs = _mirrored([(np.zeros(ke), even_w), (np.zeros(ko), odd_w)])
+        even, odd = _folded(vecs)
+        assert not np.any(even[:, ke:]) and not np.any(odd[:, :ke])  # mirrored columns are exactly even or odd
+        assert np.array_equal(even[0, :ke], even_w[0])
+        assert np.max(np.abs(even[:, :ke] - even_w)) <= 4 * np.finfo(float).eps * np.max(np.abs(even_w))
+        assert np.max(np.abs(odd[:, ke:] - odd_w)) <= 4 * np.finfo(float).eps * np.max(np.abs(odd_w))
