@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalFailureError
-from .lattice import _BLOCK_CELLS, Dimension, _check_capacity, _row_blocks, as_dimension
+from .lattice import _BLOCK_CELLS, Dimension, _check_capacity, _owned, _row_blocks, _sealed, as_dimension
 from .wrapped import ThetaKind, _positive, finite_gaussian, shifted_finite_gaussian, theta
 
 REALNESS_TOL = 1e-13
@@ -49,8 +49,14 @@ class WignerGrid:
 
 @dataclass(frozen=True)
 class Marginals:
+    """Row sums pos and column sums mom of a Wigner grid.  Both are kept by lattice._owned."""
+
     pos: np.ndarray
     mom: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "pos", _owned(self.pos))
+        object.__setattr__(self, "mom", _owned(self.mom))
 
 
 def _two_products(a: np.ndarray, b: np.ndarray, c: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -142,4 +148,4 @@ def wigner_theta_form(dim) -> WignerGrid:
 
 def wigner_marginals(w: WignerGrid) -> Marginals:
     """Row sums (position marginal) and column sums (momentum marginal)."""
-    return Marginals(pos=w.values.sum(axis=1), mom=w.values.sum(axis=0))
+    return Marginals(pos=_sealed(w.values.sum(axis=1)), mom=_sealed(w.values.sum(axis=0)))

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import finitegauss
 from finitegauss import (
     Dimension,
+    FiniteGaussError,
     NumericalFailureError,
     WignerGrid,
     WignerSource,
@@ -25,6 +26,8 @@ from finitegauss import (
     detect_revival,
     free_hamiltonian,
     free_spectrum,
+    hermitian_eig,
+    oscillator_hamiltonian,
     populated_levels,
     wigner_closed_form,
     wigner_definition,
@@ -33,6 +36,7 @@ from finitegauss import (
 from finitegauss import cli
 from finitegauss.cli import _build_parser, _golden_jobs, _render_wigner, main
 from finitegauss.dynamics import CERT_TOL
+from finitegauss.spectral import _populated_spectrum
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
@@ -415,6 +419,56 @@ class TestFreeRevival:
         assert code == 0 and peak <= bound, f"tracemalloc peak {peak / 1e6:.2f} MB"
         if argv[0] == "revival":
             assert 0.0 <= json.loads(text[0])["max_residual"] <= CERT_TOL
+
+
+def dense_oscillator_revival(d: int, state: list[str], kappa: float, rel_tol: float) -> dict:
+    """revival --ham osc's report from the public pipeline on the d x d oscillator."""
+    dim = Dimension(d)
+    h = oscillator_hamiltonian(dim)
+    spec = hermitian_eig(h)
+    psi = cli._revival_state(dim, state, kappa)
+    levels, weights, _ = populated_levels(spec, psi)
+    report = detect_revival(levels, weights, rel_tol)
+    residual = None if report.period is None else float(certify_period(h, psi, report.period, spectrum=spec))
+    return {"kind": report.kind, "period": report.period, "m": report.m,
+            "certified": residual is not None and residual <= CERT_TOL, "max_residual": residual,
+            "zero_level": report.zero_level, "note": report.note}
+
+
+# (d, state, kappa, rel_tol) of oscillator revivals the Ritz space does not hold: every d < 72, and
+# states spread over many levels beyond
+FALLBACK_JOBS = [
+    (3, ["gauss"], 1.0, 1e-9),
+    (5, ["delta", "0"], 1.0, 1e-9),
+    (9, ["coherent", "1", "0"], 1.0, 1e-9),  # the denominator LCM exceeds the capacity
+    (9, ["coherent", "1", "0"], 1.0, 1e-6),
+    (31, ["gauss"], 1.0, 1e-9),
+    (31, ["coherent", "1", "0"], 1.0, 1e-6),
+    (63, ["gauss"], 0.5, 1e-9),
+    (71, ["delta", "1"], 1.0, 1e-9),  # kind none
+    (101, ["delta", "0"], 1.0, 1e-9),
+    (301, ["coherent", "15", "0"], 1.0, 1e-9),
+    (301, ["coherent", "30", "7"], 1.0, 1e-6),
+    (1001, ["coherent", "300", "0"], 1.0, 1e-9),
+]
+
+
+class TestOscillatorFallback:
+    @pytest.mark.parametrize("d,state,kappa,rel_tol", FALLBACK_JOBS,
+                             ids=[f"d{d}-{'-'.join(s)}-k{k}-tol{t}" for d, s, k, t in FALLBACK_JOBS])
+    def test_report_matches_the_dense_pipeline(self, d, state, kappa, rel_tol):
+        assert _populated_spectrum(cli._revival_state(Dimension(d), state, kappa)) is None
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["revival", "--d", str(d), "--ham", "osc", "--state", *state,
+                         "--kappa", repr(kappa), "--rel-tol", repr(rel_tol)])
+        try:
+            want = dense_oscillator_revival(d, state, kappa, rel_tol)
+        except FiniteGaussError as exc:
+            assert (code, out.getvalue(), err.getvalue()) == (3, "", f"numerical failure: {exc}\n")
+            return
+        assert code == (0 if want["certified"] else 3)
+        assert json.loads(out.getvalue()) == want  # max_residual too, by ==
 
 
 def reference_wigner_csv(grid, check_value) -> str:

@@ -1,4 +1,4 @@
-"""The six value types that hold arrays keep them by one rule: no one can write the stored arrays,
+"""The seven value types that hold arrays keep them by one rule: no one can write the stored arrays,
 and the caller's own arrays are left as they were."""
 import numpy as np
 import pytest
@@ -6,6 +6,7 @@ import pytest
 from finitegauss import (
     Dimension,
     FiniteGaussian,
+    Marginals,
     OperatorMatrix,
     PhasePoint,
     QuasiEigenReport,
@@ -20,6 +21,8 @@ from finitegauss import (
     hermitian_eig,
     oscillator_hamiltonian,
     quasi_eigen_residual,
+    wigner_definition,
+    wigner_marginals,
 )
 
 DIM = Dimension(5)
@@ -36,6 +39,7 @@ BUILDS = {
     "FiniteGaussian": (lambda: [np.ones(5)], lambda a: FiniteGaussian(DIM, 1.0, False, a), lambda v: [v.values]),
     "QuasiEigenReport": (lambda: [np.zeros(5)], lambda a: QuasiEigenReport(DIM, 0.5, a), lambda v: [v.residual]),
     "TimeSeries": (lambda: [np.linspace(0.0, 1.0, 4), np.ones(4)], TimeSeries, lambda v: [v.times, v.values]),
+    "Marginals": (lambda: [np.ones(5), np.arange(5.0)], Marginals, lambda v: [v.pos, v.mom]),
 }
 
 
@@ -85,5 +89,7 @@ def test_builders_hand_over_arrays_that_cannot_be_thawed():
         quasi_eigen_residual(DIM).residual,
         autocorrelation(h, psi, [0.0, 1.0]).times,
         autocorrelation(h, psi, [0.0, 1.0]).values,
+        wigner_marginals(wigner_definition(DIM, 1.0)).pos,
+        wigner_marginals(wigner_definition(DIM, 1.0)).mom,
     ):
         assert_frozen(a)
