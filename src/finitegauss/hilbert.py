@@ -262,9 +262,11 @@ def _hermite_functions(x, count: int) -> np.ndarray:
     (h_k, h_{k-1}) is divided by a power of two whose exponent the point keeps, and the factor
     exp(-x**2/2) is applied together with that exponent in log form, so no psi_k underflows before
     its value does (Bunck, BIT 49, 281, 2009).  Values below 2**-900 are returned as exact zeros.
+    A table beyond lattice._MAX_ARRAY_BYTES raises CapacityExceededError before it is allocated.
     """
     ln2_hi, ln2_lo = 6.93147180369123816490e-01, 1.90821492927058770002e-10  # shift * ln2_hi is exact (Cody-Waite)
     x = np.asarray(x, dtype=float)
+    _check_capacity(count, x.size, 8)
     out = np.empty((count,) + x.shape)
     half_square = 0.5 * x * x
     prev, h = np.zeros(x.shape), np.full(x.shape, math.pi**-0.25)

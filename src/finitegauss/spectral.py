@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -239,20 +238,6 @@ def hermitian_eig(m: OperatorMatrix, residual_tol: float = EIG_RESIDUAL_TOL) -> 
     return _checked(spectrum, scale, residual_tol)
 
 
-def _fast_length(n: int) -> int:
-    """The smallest 2**a * 3**b * 5**c >= n, a length the FFT takes quickly."""
-    best, p5 = 2 * n, 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            p = p35
-            while p < n:
-                p *= 2
-            best, p35 = min(best, p), p35 * 3
-        p5 *= 5
-    return best
-
-
 @dataclass(frozen=True)
 class _ToeplitzForm:
     """The real operator H[j, l] = symbol[j - l + d - 1] plus potential[j] on the diagonal, with no d x d array.
@@ -304,45 +289,6 @@ class _ToeplitzForm:
         windows = np.lib.stride_tricks.sliding_window_view(self.symbol, s + 1)  # windows[k, j] = T(k + j - d + 1)
         return _parity_blocks(windows[s:d][::-1], windows[d - 1 :], self._diagonal()[s:])
 
-    @cached_property
-    def _circulant(self):
-        """(n, the rfft of the first column) of a circulant whose leading d x d corner is the Toeplitz part.
-
-        n >= 2d - 1 has no prime factor above 5; the column holds the symbol at u = 0..d-1, zeros, then
-        u = 1-d..-1.
-        """
-        d = self.dim.d
-        n = _fast_length(2 * d - 1)
-        col = np.zeros(n)
-        col[:d], col[n - d + 1 :] = self.symbol[d - 1 :], self.symbol[: d - 1]
-        return n, np.fft.rfft(col)
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        """H @ v for a real (d, K) array v by one rfft/irfft pair along the rows of v.T, fastest when contiguous."""
-        n, kernel = self._circulant
-        hv = np.fft.irfft(np.fft.rfft(v.T, n=n) * kernel, n=n)[:, : self.dim.d].T
-        hv += self.potential[:, None] * v
-        return hv
-
-    def folded_apply(self, even_w: np.ndarray, odd_w: np.ndarray):
-        """(E @ even_w, O @ odd_w) for the even and odd blocks E and O of _matrix_blocks, by one FFT apply.
-
-        A column w of a block is the lattice vector with v(0) = w[0] and v(+-n) = w[n] * sqrt(1/2) (even),
-        or v(+-n) = +-w[n] * sqrt(1/2) (odd).  Column j of both blocks shares one row of the apply, and
-        H v is _folded back.  H keeps each parity, so each fold keeps its own block's part, up to rounding.
-        """
-        s, half = self.dim.s, math.sqrt(0.5)
-        ke, ko = even_w.shape[1], odd_w.shape[1]
-        rows = np.zeros((max(ke, ko), 2 * s + 1))  # contiguous along the lattice, as the FFT runs fastest
-        rows[:ke, s] = even_w[0]
-        rows[:ke, s + 1 :] = half * even_w[1:].T
-        rows[:ke, :s] = rows[:ke, : s : -1]
-        odd = half * odd_w.T
-        rows[:ko, s + 1 :] += odd
-        rows[:ko, :s] -= odd[:, ::-1]
-        even, odd = _folded(self.apply(rows.T))
-        return even[:, :ke], odd[:, :ko]
-
 
 def _form_eig(form: _ToeplitzForm) -> Spectrum:
     """hermitian_eig of the dense form.entries(), the same bits, from the blocks the form gives."""
@@ -372,11 +318,11 @@ def _populated_spectrum(psi: StateVector) -> Spectrum | None:
     times the lattice half-width sqrt(pi*d/2), in position and by self-duality in momentum.
     None is returned when K reaches the cap (the expansion has not settled; so for every d < 72) or
     misses more than sqrt(TERM_TOL)*|psi|: the caller then solves oscillator_hamiltonian(d) whole.
-    Otherwise the oscillator is taken as its _ToeplitzForm, so no d x d array is built: H Q comes from
-    one FFT apply of both blocks' columns, O(K d log d) in time and O(K d) in memory (the selection
-    above holds the d // 8 functions).  The K x K blocks Q^T H Q are solved by eigh, and the Ritz pairs
-    (lambda, Q y), assembled by _mirrored, pass the gauge and the EIG_RESIDUAL_TOL * max|H| residual
-    check of hermitian_eig, with the residual H Q y - lambda Q y taken as (H Q) y - lambda Q y.
+    Otherwise no d x d array is built: H Q comes from one _folded_oscillator_apply of both blocks'
+    columns, O(K d log d) in time and O(K d) in memory (the selection above holds the d // 8
+    functions).  The K x K blocks Q^T H Q are solved by eigh, and the Ritz pairs (lambda, Q y),
+    assembled by _mirrored, pass the gauge and the EIG_RESIDUAL_TOL * max|H| residual check of
+    hermitian_eig, with the residual H Q y - lambda Q y taken as (H Q) y - lambda Q y.
     """
     dim = psi.dim
     cap = dim.d // 8
@@ -393,14 +339,13 @@ def _populated_spectrum(psi: StateVector) -> Spectrum | None:
     k = int(counts[np.argmax(later <= outside)])
     if k == cap or outside + later[k - 8] > TERM_TOL * psi.norm() ** 2:
         return None
-    form = _oscillator_form(dim)
     spans = (bases[0][:, : (k + 1) // 2], bases[1][:, : k // 2])
-    hqs = form.folded_apply(*spans)
+    hqs = _folded_oscillator_apply(dim, *spans)
     small = _parity_split_eigh(dim, [q.T @ hq for q, hq in zip(spans, hqs)])
     pairs = [(vals, q @ y) for q, (vals, y) in zip(spans, small)]
     residual = max(float(np.max(np.linalg.norm(hq @ y - w * vals, axis=0)))
                    for hq, (_, y), (vals, w) in zip(hqs, small, pairs))
-    return _checked(_gauged(dim, pairs, residual), form.scale())
+    return _checked(_gauged(dim, pairs, residual), _oscillator_form(dim).scale())
 
 
 def _commutator_symbol(dim: Dimension) -> np.ndarray:
@@ -533,10 +478,48 @@ def oscillator_hamiltonian(dim) -> OperatorMatrix:
     return OperatorMatrix(dim, _sealed(_oscillator_form(dim).entries()), MatrixKind.HERMITIAN)
 
 
+def _oscillator_potential(dim: Dimension) -> np.ndarray:
+    """q**2 / 2 over n = -s..s, q = sqrt(2*pi/d) * n."""
+    q = math.sqrt(2.0 * math.pi / dim.d) * dim.indices().astype(float)
+    return 0.5 * q * q
+
+
 def _oscillator_form(dim: Dimension) -> _ToeplitzForm:
     """oscillator_hamiltonian as its kinetic symbol, that of P**2 / 2, and the potential q**2 / 2."""
-    q = math.sqrt(2.0 * math.pi / dim.d) * dim.indices().astype(float)
-    return _ToeplitzForm(dim, _free_symbol(dim), 0.5 * q * q)
+    return _ToeplitzForm(dim, _free_symbol(dim), _oscillator_potential(dim))
+
+
+def _oscillator_apply(dim: Dimension, rows: np.ndarray) -> np.ndarray:
+    """H v for each row v of the real array rows, (K, d) or (d,), as the paper writes H = (P**2 + Q**2) / 2.
+
+    P = F Q F^dag, so P**2 / 2 multiplies mode k of the rfft by the free level pi*k**2/d, and Q**2 / 2 multiplies
+    v(n) by q**2 / 2.  O(K d log d) time and O(K d) memory, fastest with the rows contiguous along the lattice.
+    """
+    modes = np.fft.rfft(rows)
+    modes *= _free_levels(dim)  # in place: one complex temporary fewer at the peak
+    hv = np.fft.irfft(modes, n=dim.d)
+    hv += _oscillator_potential(dim) * rows
+    return hv
+
+
+def _folded_oscillator_apply(dim: Dimension, even_w: np.ndarray, odd_w: np.ndarray):
+    """(E @ even_w, O @ odd_w) for the oscillator's even and odd blocks E and O of _matrix_blocks, by one apply.
+
+    A column w of a block is the lattice vector with v(0) = w[0] and v(+-n) = w[n] * sqrt(1/2) (even),
+    or v(+-n) = +-w[n] * sqrt(1/2) (odd).  Column j of both blocks shares one row of the apply, and
+    H v is _folded back.  H keeps each parity, so each fold keeps its own block's part, up to rounding.
+    """
+    s, half = dim.s, math.sqrt(0.5)
+    ke, ko = even_w.shape[1], odd_w.shape[1]
+    rows = np.zeros((max(ke, ko), 2 * s + 1))
+    rows[:ke, s] = even_w[0]
+    rows[:ke, s + 1 :] = half * even_w[1:].T
+    rows[:ke, :s] = rows[:ke, : s : -1]
+    odd = half * odd_w.T
+    rows[:ko, s + 1 :] += odd
+    rows[:ko, :s] -= odd[:, ::-1]
+    even, odd = _folded(_oscillator_apply(dim, rows).T)
+    return even[:, :ke], odd[:, :ko]
 
 
 def quasi_eigen_residual(dim) -> QuasiEigenReport:
@@ -544,10 +527,11 @@ def quasi_eigen_residual(dim) -> QuasiEigenReport:
 
     lam = (H g_1)(0) / g_1(0) and residual = H g_1 - lam g_1, which is
     zero at n = 0 by construction and shrinks rapidly with d elsewhere.
+    H g_1 comes from _oscillator_apply, so no d x d array is built.
     """
     dim = as_dimension(dim)
     g = finite_gaussian(dim, 1.0).values
-    hg = _oscillator_form(dim).entries() @ g
+    hg = _oscillator_apply(dim, g)
     lam = float(hg[dim.s] / g[dim.s])
     return QuasiEigenReport(dim, lam, _sealed(hg - lam * g))
 

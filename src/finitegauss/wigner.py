@@ -32,6 +32,7 @@ class WignerGrid:
 
     fitted_scale is set only for the theta form: the exact constant
     c = (2*d**3)**-0.5 that scales its values to the kappa = 1 grid.
+    values is kept by lattice._owned.
     """
 
     dim: Dimension
@@ -41,7 +42,7 @@ class WignerGrid:
     fitted_scale: float | None = None
 
     def __post_init__(self):
-        self.values.setflags(write=False)
+        object.__setattr__(self, "values", _owned(self.values))
 
     def value(self, n: int, m: int) -> float:
         return float(self.values[self.dim.offset(n), self.dim.offset(m)])
@@ -79,12 +80,14 @@ def wigner_definition(dim, kappa: float) -> WignerGrid:
 
     The chords are real and even in k, so the k-sum is a real DFT read
     at frequency 2m mod d folded into 0..s.  It runs over blocks of rows
-    n, each written into the one grid; its imaginary residue is checked
-    against 1e-13 times the largest value and discarded.
+    n <= 0, each written into the one grid, and rows n > 0 are their
+    mirror: g is exactly even, so row -n holds the same chords as row n.
+    Its imaginary residue is checked against 1e-13 times the largest
+    value and discarded.
     """
     dim = as_dimension(dim)
     kappa = _positive("kappa", kappa)
-    d = dim.d
+    d, s = dim.d, dim.s
     _check_capacity(d, d, 8)
     # row n + s of each factor is a window of three periods of g, over k = 0..d-1: the order the DFT reads
     periods = np.tile(finite_gaussian(dim, kappa).values, 3)
@@ -94,17 +97,18 @@ def wigner_definition(dim, kappa: float) -> WignerGrid:
     cols = np.minimum(freq, d - freq)
     grid = np.empty((d, d))
     top = residue = 0.0
-    for rows in _row_blocks(d, d, 4 * _BLOCK_CELLS):  # larger than _two_products' blocks: one rfft call each
+    for rows in _row_blocks(s + 1, d, 4 * _BLOCK_CELLS):  # larger than _two_products' blocks: one rfft call each
         block = np.take(np.fft.rfft(ahead[rows] * behind[rows], axis=1) / d, cols, axis=1)
         top = max(top, float(np.max(np.abs(block))))
         residue = max(residue, float(np.max(np.abs(block.imag))))
         grid[rows] = block.real
+    grid[s + 1 :] = grid[s - 1 :: -1]
     if residue > REALNESS_TOL * top:
         raise NumericalFailureError(
             f"Wigner grid of an even state has imaginary residue {residue:.3e}",
             residual=residue,
         )
-    return WignerGrid(dim, kappa, grid, WignerSource.DEFINITION)
+    return WignerGrid(dim, kappa, _sealed(grid), WignerSource.DEFINITION)
 
 
 def wigner_closed_form(dim, kappa: float) -> WignerGrid:
@@ -122,7 +126,7 @@ def wigner_closed_form(dim, kappa: float) -> WignerGrid:
     gm_plus = shifted_finite_gaussian(dim, 2.0 / kappa).values
     grid = _two_products(gn, gm + gm_plus, gn_plus, gm - gm_plus)
     grid /= math.sqrt(2.0 * kappa * dim.d)
-    return WignerGrid(dim, kappa, grid, WignerSource.CLOSED_FORM)
+    return WignerGrid(dim, kappa, _sealed(grid), WignerSource.CLOSED_FORM)
 
 
 def wigner_theta_form(dim) -> WignerGrid:
@@ -143,7 +147,7 @@ def wigner_theta_form(dim) -> WignerGrid:
     row3 = theta(ThetaKind.THETA3, 2.0 * ns / d, 2.0 / d)
     row2 = theta(ThetaKind.THETA2, 2.0 * ns / d, 2.0 / d)
     grid = _two_products(col3, row3, col4, row2)
-    return WignerGrid(dim, 1.0, grid, WignerSource.THETA_FORM, fitted_scale=(2.0 * d**3) ** -0.5)
+    return WignerGrid(dim, 1.0, _sealed(grid), WignerSource.THETA_FORM, fitted_scale=(2.0 * d**3) ** -0.5)
 
 
 def wigner_marginals(w: WignerGrid) -> Marginals:

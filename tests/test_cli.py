@@ -82,6 +82,19 @@ class TestDeterminism:
         assert run_to_file(argv, a) == run_to_file(argv, b)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_quasi_bytes_do_not_depend_on_the_blas_thread_count(self):
+        # The oscillator is applied by FFT, so no BLAS summation order reaches the digits.
+        package_root = str(Path(finitegauss.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+        outputs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+            proc = subprocess.run([sys.executable, "-m", "finitegauss.cli", "quasi", "--d", "1001"],
+                                  capture_output=True, env=env)
+            assert proc.returncode == 0
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
+
     def test_csv_dialect(self, tmp_path):
         out = tmp_path / "x.csv"
         run_to_file(["gauss", "--d", "5"], out)

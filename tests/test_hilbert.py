@@ -1,4 +1,6 @@
 """Fourier transform, Weyl pair, coherent frame, Mehta eigenvectors."""
+import contextlib
+import io
 import math
 import tracemalloc
 from decimal import Decimal, localcontext
@@ -31,7 +33,7 @@ from finitegauss import (
     oscillator_hamiltonian,
     position_operator,
 )
-from finitegauss import spectral, wigner
+from finitegauss import cli, lattice, spectral, wigner
 from finitegauss.hilbert import HERMITIAN_TOL, _displacement_action, _frame_symbol, _hermite_functions
 from finitegauss.lattice import _MAX_ARRAY_BYTES, _check_capacity
 
@@ -466,7 +468,6 @@ DENSE_BUILDERS = {
     "commutator_spectrum": lambda: spectral.commutator_spectrum(HUGE),
     "floratos_approx": lambda: spectral.floratos_approx(HUGE),
     "uncertainty_product": lambda: spectral.uncertainty_product(HUGE, 1.0),
-    "quasi_eigen_residual": lambda: spectral.quasi_eigen_residual(HUGE),
     "momentum_operator": lambda: momentum_operator(HUGE),
     "position_operator": lambda: position_operator(HUGE),
     "fourier_matrix": lambda: fourier_matrix(HUGE),
@@ -497,6 +498,30 @@ class TestCapacityGuard:
     def test_dense_builders_refuse_before_allocating(self, build, no_large_allocation):
         with pytest.raises(CapacityExceededError, match="exceeds 2147483648 bytes"):
             build()
+
+    def test_quasi_holds_no_square_array(self):
+        # quasi_eigen_residual applies H by one FFT; a d x d array would be 3.2 GB here
+        d = 20001
+        argv = ["quasi", "--d", str(d)]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 8 * d
+
+    def test_hermite_table_refuses_before_allocating(self, monkeypatch, capsys):
+        # the Ritz selection at d = 1001 samples d // 8 = 125 functions on the s + 1 = 501 points n >= 0
+        monkeypatch.setattr(lattice, "_MAX_ARRAY_BYTES", 400000)
+        argv = ["revival", "--d", "1001", "--ham", "osc", "--state", "coherent", "1", "0", "--rel-tol", "1e-6"]
+        assert cli.main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "a 125 x 501 array of 8-byte entries exceeds 400000 bytes" in captured.err
 
     def test_budget_keeps_every_documented_size(self):
         # a complex d x d array fits up to d = 11585, so every path at d <= 10001 runs

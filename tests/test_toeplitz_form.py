@@ -22,10 +22,10 @@ from finitegauss import (
 from finitegauss import cli, hilbert, spectral
 from finitegauss.spectral import _folded, _matrix_blocks, _mirrored, _parity_blocks, _ToeplitzForm
 
-# The FFT apply against the dense product, relative to max|H| * |v|: worst seen
-# 4.0e-16 for the lattice apply and 5.5e-16 for the folded blocks, over every odd
-# d < 200 and d in {301, 501, 999, 1001, 1501, 2001}, for the three operators and
-# random normal columns.
+# The oscillator's FFT apply against the dense product, relative to max|H| * |v|: worst
+# seen 1.75e-16 for the lattice apply and 2.68e-16 for the folded blocks, over every odd
+# d < 200 and d in {301, 501, 997, 999, 1001, 1009, 1501, 2001, 2003}, for random normal
+# columns.
 APPLY_TOL = 2e-15
 
 
@@ -59,19 +59,20 @@ class TestAgainstDense:
         for form, m in forms_and_matrices(Dimension(d)).values():
             assert_bitwise(form.entries(), m.entries)
 
-    @pytest.mark.parametrize("d", [3, 5, 31, 101, 999, 2001])
+    @pytest.mark.parametrize("d", [3, 5, 31, 101, 999, 1009, 2001])  # 1009 is prime: another FFT algorithm
     def test_fft_apply_matches_the_dense_product(self, d):
         rng = np.random.default_rng(d)
-        for form, m in forms_and_matrices(Dimension(d)).values():
-            v = rng.normal(size=(d, 3))
-            err = np.max(np.abs(form.apply(v) - m.entries @ v))
-            assert err <= APPLY_TOL * form.scale() * np.max(np.linalg.norm(v, axis=0))
-            dense = form.blocks()
-            for ke, ko in ((3, 3), (3, 2), (1, 2)):  # the blocks share rows of the apply, whatever their widths
-                ws = rng.normal(size=(dense[0].shape[1], ke)), rng.normal(size=(dense[1].shape[1], ko))
-                for got, block, w in zip(form.folded_apply(*ws), dense, ws):
-                    err = np.max(np.abs(got - block @ w))
-                    assert err <= APPLY_TOL * form.scale() * max(np.max(np.linalg.norm(x, axis=0)) for x in ws)
+        dim = Dimension(d)
+        form, m = forms_and_matrices(dim)["oscillator"]
+        v = rng.normal(size=(d, 3))
+        err = np.max(np.abs(spectral._oscillator_apply(dim, v.T).T - m.entries @ v))
+        assert err <= APPLY_TOL * form.scale() * np.max(np.linalg.norm(v, axis=0))
+        dense = form.blocks()
+        for ke, ko in ((3, 3), (3, 2), (1, 2)):  # the blocks share rows of the apply, whatever their widths
+            ws = rng.normal(size=(dense[0].shape[1], ke)), rng.normal(size=(dense[1].shape[1], ko))
+            for got, block, w in zip(spectral._folded_oscillator_apply(dim, *ws), dense, ws):
+                err = np.max(np.abs(got - block @ w))
+                assert err <= APPLY_TOL * form.scale() * max(np.max(np.linalg.norm(x, axis=0)) for x in ws)
 
     @pytest.mark.parametrize("d", [9, 31, 301])
     def test_spectra_are_those_of_hermitian_eig(self, d):
@@ -157,7 +158,8 @@ class TestNoDenseMatrix:
         ["spectrum", "--d", "31", "--ham", "osc"],
         ["commutator", "--d", "31"],
         ["revival", "--d", "301", "--ham", "osc", "--state", "coherent", "1", "0", "--rel-tol", "1e-6"],
-    ], ids=["spectrum", "commutator", "revival-ritz"])
+        ["quasi", "--d", "301"],
+    ], ids=["spectrum", "commutator", "revival-ritz", "quasi"])
     def test_cli_eigen_jobs_build_no_operator_matrix(self, argv, monkeypatch):
         def refuse(*_args):
             raise AssertionError("built a d x d matrix")

@@ -1,4 +1,4 @@
-"""The seven value types that hold arrays keep them by one rule: no one can write the stored arrays,
+"""The eight value types that hold arrays keep them by one rule: no one can write the stored arrays,
 and the caller's own arrays are left as they were."""
 import numpy as np
 import pytest
@@ -13,6 +13,8 @@ from finitegauss import (
     Spectrum,
     StateVector,
     TimeSeries,
+    WignerGrid,
+    WignerSource,
     autocorrelation,
     coherent_state,
     evolve,
@@ -21,8 +23,10 @@ from finitegauss import (
     hermitian_eig,
     oscillator_hamiltonian,
     quasi_eigen_residual,
+    wigner_closed_form,
     wigner_definition,
     wigner_marginals,
+    wigner_theta_form,
 )
 
 DIM = Dimension(5)
@@ -40,6 +44,11 @@ BUILDS = {
     "QuasiEigenReport": (lambda: [np.zeros(5)], lambda a: QuasiEigenReport(DIM, 0.5, a), lambda v: [v.residual]),
     "TimeSeries": (lambda: [np.linspace(0.0, 1.0, 4), np.ones(4)], TimeSeries, lambda v: [v.times, v.values]),
     "Marginals": (lambda: [np.ones(5), np.arange(5.0)], Marginals, lambda v: [v.pos, v.mom]),
+    "WignerGrid": (
+        lambda: [np.ones((5, 5))],
+        lambda a: WignerGrid(DIM, 1.0, a, WignerSource.DEFINITION),
+        lambda v: [v.values],
+    ),
 }
 
 
@@ -91,5 +100,8 @@ def test_builders_hand_over_arrays_that_cannot_be_thawed():
         autocorrelation(h, psi, [0.0, 1.0]).values,
         wigner_marginals(wigner_definition(DIM, 1.0)).pos,
         wigner_marginals(wigner_definition(DIM, 1.0)).mom,
+        wigner_definition(DIM, 1.0).values,
+        wigner_closed_form(DIM, 1.0).values,
+        wigner_theta_form(DIM).values,
     ):
         assert_frozen(a)

@@ -243,9 +243,11 @@ class TestOneGrid:
                                        lambda dim: wigner_closed_form(dim, 0.7), wigner_theta_form],
                              ids=["definition", "closed", "theta"])
     def test_grid_owns_a_contiguous_buffer(self, route):
+        # values is a sealed view (lattice._owned) of one contiguous d x d float64 buffer
         values = route(Dimension(31)).values
         assert values.dtype == np.float64
-        assert values.flags.c_contiguous and values.flags.owndata
+        assert values.flags.c_contiguous and values.base.flags.owndata
+        assert values.base.nbytes == values.nbytes
 
     def test_definition_keeps_no_complex_grid_alive(self):
         dim = Dimension(301)
