@@ -61,10 +61,19 @@ def _cell_json(c):
 
 
 def _column_csv(col) -> list[str]:
-    """The CSV text of one column's cells; a float64 array goes to repr straight from tolist."""
-    if isinstance(col, np.ndarray):
-        return list(map(repr if col.dtype == np.float64 else _cell_csv, col.tolist()))
-    return list(map(_cell_csv, col))
+    """The CSV text of each cell of one column.
+
+    A float64 array is formatted once per distinct bit pattern, so that 0.0 and
+    -0.0 keep their own text; an integer array or a range goes through str;
+    any other column is written cell by cell.
+    """
+    if isinstance(col, np.ndarray) and col.dtype == np.float64:
+        bits, where = np.unique(col.view(np.int64), return_inverse=True)
+        return np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)[where].tolist()
+    cells = col.tolist() if isinstance(col, np.ndarray) else col
+    if isinstance(col, range) or isinstance(col, np.ndarray) and col.dtype.kind in "iu":
+        return list(map(str, cells))
+    return list(map(_cell_csv, cells))
 
 
 def _render_table(header: list[str], columns: list, fmt: str) -> str:

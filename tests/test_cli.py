@@ -24,11 +24,14 @@ from finitegauss import (
     certify_period,
     commutator_spectrum,
     detect_revival,
+    finite_gaussian,
     free_hamiltonian,
     free_spectrum,
     hermitian_eig,
+    naive_gaussian,
     oscillator_hamiltonian,
     populated_levels,
+    shifted_finite_gaussian,
     wigner_closed_form,
     wigner_definition,
     wigner_theta_form,
@@ -322,27 +325,47 @@ class TestFormats:
         assert lines[-1].endswith(",")
 
 
+def _reference_csv_cell(c) -> str:
+    if c is None:
+        return ""
+    if isinstance(c, (float, np.floating)):
+        return repr(float(c))
+    return str(c)
+
+
+def _reference_json_cell(c):
+    """The Python-native value json.dumps writes for one cell."""
+    if isinstance(c, (float, np.floating)):
+        return float(c)
+    if isinstance(c, np.integer):
+        return int(c)
+    return c
+
+
 def reference_table(header, rows, fmt: str) -> str:
     """The table rendered a row at a time, one cell after another: the renderer's reference."""
     if fmt == "csv":
         lines = [",".join(header)]
         for row in rows:
-            lines.append(",".join(cli._cell_csv(c) for c in row))
+            lines.append(",".join(_reference_csv_cell(c) for c in row))
         return "\n".join(lines) + "\n"
-    payload = [{key: cli._cell_json(c) for key, c in zip(header, row)} for row in rows]
+    payload = [{key: _reference_json_cell(c) for key, c in zip(header, row)} for row in rows]
     return json.dumps(payload, indent=2) + "\n"
 
 
+# a small pool, so that columns repeat cells; the two NaNs differ in their payload bits
+_POOLED_FLOATS = [0.0, -0.0, 1.0, np.nan, np.array(0x7FF8000000000001).view(np.float64).item(), np.inf, 5e-324]
 _FLOAT_CELLS = st.one_of(
     st.floats(width=64),
     st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.225073858507201e-308]),
+    st.sampled_from(_POOLED_FLOATS),
 )
 
 
 @st.composite
 def table_columns(draw):
     """A header and columns of one length: float64 and int64 arrays, and lists of ints, str, floats or None."""
-    rows = draw(st.integers(0, 12))
+    rows = draw(st.integers(0, 64))
     cells = st.lists(_FLOAT_CELLS, min_size=rows, max_size=rows)
     kinds = {
         "float64": cells.map(lambda v: np.array(v, dtype=np.float64)),
@@ -388,13 +411,53 @@ class TestTables:
         rows = [list(row) for row in zip(*columns)]
         assert cli._render_table(header, columns, fmt).encode() == reference_table(header, rows, fmt).encode()
 
+    @staticmethod
+    def gauss_columns(d: int):
+        dim = Dimension(d)
+        return [dim.indices(), finite_gaussian(dim, 1.0).values, shifted_finite_gaussian(dim, 1.0).values,
+                naive_gaussian(dim, 1.0)]
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    @pytest.mark.parametrize("d", [5, 101, 1001])
-    def test_free_spectrum_prints_the_dense_levels(self, d, fmt, capsys):
-        vals = free_spectrum(free_hamiltonian(Dimension(d))).eigenvalues[::-1]
-        rows = [[k, v, vals[k] - vals[k + 1] if k + 1 < d else None] for k, v in enumerate(vals)]
-        assert main(["spectrum", "--d", str(d), "--ham", "free", "--format", fmt]) == 0
-        assert capsys.readouterr().out.encode() == reference_table(["k", "eigenvalue", "gap"], rows, fmt).encode()
+    @pytest.mark.parametrize(("job", "d"), [("spectrum", 5), ("spectrum", 101), ("spectrum", 1001), ("gauss", 10001)],
+                             ids=["5", "101", "1001", "gauss-10001"])
+    def test_free_spectrum_prints_the_dense_levels(self, job, d, fmt, capsys):
+        # and gauss, whose float columns repeat most of their cells
+        if job == "spectrum":
+            vals = free_spectrum(free_hamiltonian(Dimension(d))).eigenvalues[::-1]
+            header, argv = ["k", "eigenvalue", "gap"], ["spectrum", "--d", str(d), "--ham", "free"]
+            rows = [[k, v, vals[k] - vals[k + 1] if k + 1 < d else None] for k, v in enumerate(vals)]
+        else:
+            header, argv = ["n", "g", "g_plus", "naive"], ["gauss", "--d", str(d)]
+            rows = [list(row) for row in zip(*self.gauss_columns(d))]
+        assert main([*argv, "--format", fmt]) == 0
+        assert capsys.readouterr().out.encode() == reference_table(header, rows, fmt).encode()
+
+    def test_each_distinct_float_is_formatted_once(self, monkeypatch, capsys):
+        calls = []
+
+        def counted_repr(x):
+            calls.append(x)
+            return repr(x)
+
+        monkeypatch.setattr(cli, "repr", counted_repr, raising=False)  # found before the builtin
+        assert main(["gauss", "--d", "1001"]) == 0
+        capsys.readouterr()
+        floats = self.gauss_columns(1001)[1:]
+        assert len(calls) == sum(np.unique(col.view(np.int64)).size for col in floats)
+
+    def test_csv_table_holds_o_d_memory(self, tmp_path):
+        # measured at d = 20001 (numpy 2.4, Python 3.11): 32.1 x 8d bytes. JSON is not checked here:
+        # a JSON table goes through json.dumps(indent=2), which peaks at 151 x 8d bytes.
+        d = 20001
+        argv = ["gauss", "--d", str(d), "--out", str(tmp_path / "gauss.csv")]
+        assert cli.main(argv) == 0
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * 8 * d
 
 
 class TestFreeRevival:
