@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -77,12 +78,15 @@ def _column_csv(col) -> list[str]:
 
 
 def _render_table(header: list[str], columns: list, fmt: str) -> str:
-    """The table whose columns, one per header key, are arrays or sequences of cells, rendered a column at a time."""
+    """The table whose columns, one per header key, are arrays or sequences of cells, rendered a column at a time.
+
+    A column shorter than the others ends in empty cells (None).
+    """
     if fmt == "csv":
         texts = [_column_csv(col) for col in columns]
-        return "\n".join([",".join(header), *map(",".join, zip(*texts))]) + "\n"
+        return "\n".join([",".join(header), *map(",".join, zip_longest(*texts, fillvalue=""))]) + "\n"
     cells = [col.tolist() if isinstance(col, np.ndarray) else list(map(_cell_json, col)) for col in columns]
-    payload = [dict(zip(header, row)) for row in zip(*cells)]
+    payload = [dict(zip(header, row)) for row in zip_longest(*cells)]
     return json.dumps(payload, indent=2) + "\n"
 
 
@@ -133,7 +137,7 @@ def cmd_spectrum(args):
         vals = _form_eig(_oscillator_form(dim)).eigenvalues[::-1]
     else:  # the free levels pi*k**2/d are known in closed form: k = 0 once, each k > 0 twice
         vals = np.repeat(_free_levels(dim)[::-1], 2)[:-1]
-    gaps = (vals[:-1] - vals[1:]).tolist() + [None]
+    gaps = vals[:-1] - vals[1:]  # one short: the lowest level has no gap
     return _render_table(["k", "eigenvalue", "gap"], [range(vals.size), vals, gaps], args.format), 0
 
 

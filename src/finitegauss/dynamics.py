@@ -166,18 +166,13 @@ def _first_convergent(x: float, rel_tol: float):
     return None
 
 
-def _merge_levels(eps: np.ndarray, wts: np.ndarray, tol: float):
-    """Cluster sorted levels closer than tol; weights add within a cluster."""
-    order = np.argsort(eps)
-    eps, wts = eps[order], wts[order]
-    reps, reps_w = [eps[0]], [wts[0]]
-    for e, w in zip(eps[1:], wts[1:]):
-        if e - reps[-1] <= tol:
-            reps_w[-1] += w
-        else:
+def _merge_levels(eps: np.ndarray, tol: float) -> np.ndarray:
+    """The lowest level of each cluster: sorted, a level joins the cluster whose lowest level is within tol."""
+    reps = []
+    for e in np.sort(eps):
+        if not reps or e - reps[-1] > tol:
             reps.append(e)
-            reps_w.append(w)
-    return np.array(reps), np.array(reps_w)
+    return np.array(reps)
 
 
 def _zero_level_fits(base: float, gap: float, rel_tol: float) -> bool:
@@ -220,7 +215,7 @@ def detect_revival(levels, weights, rel_tol: float = 1e-9) -> RevivalReport:
     eps = levels[selected]
     scale = float(np.max(np.abs(eps)))
     merge_tol = rel_tol * scale if scale > 0.0 else 0.0
-    reps, _ = _merge_levels(eps, wts[selected], merge_tol)
+    reps = _merge_levels(eps, merge_tol)
 
     zero_level = bool(np.any(np.abs(reps) <= merge_tol))
     nonzero = reps[np.abs(reps) > merge_tol]

@@ -356,11 +356,6 @@ def _commutator_symbol(dim: Dimension) -> np.ndarray:
     return symbol
 
 
-def _commutator_kernel(dim: Dimension) -> np.ndarray:
-    """The real matrix 1j*[Q, P] of _commutator_symbol."""
-    return _toeplitz(_commutator_symbol(dim))
-
-
 def commutator_qp(dim) -> OperatorMatrix:
     """Exact commutator [Q, P]; anti-Hermitian with zero diagonal.
 
@@ -368,7 +363,7 @@ def commutator_qp(dim) -> OperatorMatrix:
     -1j * (pi*(j-l)/d) * (-1)**(j-l) / sin(pi*(j-l)/d).
     """
     dim = as_dimension(dim)
-    return OperatorMatrix(dim, _sealed(-1j * _commutator_kernel(dim)), MatrixKind.GENERAL)
+    return OperatorMatrix(dim, _sealed(-1j * _toeplitz(_commutator_symbol(dim))), MatrixKind.GENERAL)
 
 
 def commutator_spectrum(dim) -> Spectrum:
@@ -543,8 +538,10 @@ def uncertainty_product(dim, kappa: float) -> UncertaintyReport:
     g_kappa up to scale.  half_comm is half the magnitude of the
     commutator expectation in the normalized state, accumulated as the
     explicit pair sum over j > l; it is cross-checked against the
-    quadratic form with the full commutator matrix, and the report
-    ships the pair-sum value.
+    quadratic form with the full commutator, and the report ships the
+    pair-sum value.  Both sums take the rows of i*[Q, P] g as
+    convolutions of g with the commutator's symbol, so no d x d array
+    is built.
     """
     dim = as_dimension(dim)
     d = dim.d
@@ -558,11 +555,12 @@ def uncertainty_product(dim, kappa: float) -> UncertaintyReport:
     gdualsq = float(np.dot(gdual, gdual))
     var_p = 2.0 * math.pi / d * float(np.dot(ns * ns * gdual, gdual)) / gdualsq
 
-    kernel = _commutator_kernel(dim)
-    # sum i*[Q, P] over j > l only, then the expectation carries a factor 2
-    pair_sum = float(g @ (np.tril(kernel, -1) @ g))
+    # (i*[Q, P] g)[j] = sum_l symbol(j - l) g[l], a convolution of g with the symbol over u = 1-d..d-1;
+    # the pair sum keeps j > l only (u > 0), so the expectation carries a factor 2
+    symbol = _commutator_symbol(dim)
+    pair_sum = float(g[1:] @ np.convolve(g, symbol[d:])[: d - 1])
     expect_mag = abs(2.0 * pair_sum / gsq)
-    quad_mag = abs(float(g @ (kernel @ g)) / gsq)
+    quad_mag = abs(float(g @ np.convolve(g, symbol, "valid")) / gsq)  # "valid": the d rows j = 0..d-1
     if abs(expect_mag - quad_mag) > HALF_COMM_CROSS_TOL:
         raise NumericalFailureError(
             "pair-sum and quadratic-form commutator expectations disagree: "

@@ -85,18 +85,28 @@ class TestDeterminism:
         assert run_to_file(argv, a) == run_to_file(argv, b)
         assert a.read_bytes() == b.read_bytes()
 
-    def test_quasi_bytes_do_not_depend_on_the_blas_thread_count(self):
-        # The oscillator is applied by FFT, so no BLAS summation order reaches the digits.
+    @staticmethod
+    def stdout_at_1_and_2_blas_threads(argv):
         package_root = str(Path(finitegauss.__file__).parents[1])
         path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
         outputs = []
         for threads in ("1", "2"):
             env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
-            proc = subprocess.run([sys.executable, "-m", "finitegauss.cli", "quasi", "--d", "1001"],
-                                  capture_output=True, env=env)
+            proc = subprocess.run([sys.executable, "-m", "finitegauss.cli", *argv], capture_output=True, env=env)
             assert proc.returncode == 0
             outputs.append(proc.stdout)
-        assert outputs[0] == outputs[1]
+        return outputs
+
+    def test_quasi_bytes_do_not_depend_on_the_blas_thread_count(self):
+        # The oscillator is applied by FFT, so no BLAS summation order reaches the digits.
+        one, two = self.stdout_at_1_and_2_blas_threads(["quasi", "--d", "1001"])
+        assert one == two
+
+    def test_uncertainty_bytes_do_not_depend_on_the_blas_thread_count(self):
+        # Both commutator sums are row convolutions, not dense matrix-vector products, so at
+        # this size their summation order does not follow the thread count.
+        one, two = self.stdout_at_1_and_2_blas_threads(["uncertainty", "--d-list", "1001"])
+        assert one == two
 
     def test_csv_dialect(self, tmp_path):
         out = tmp_path / "x.csv"
@@ -440,10 +450,14 @@ class TestTables:
             return repr(x)
 
         monkeypatch.setattr(cli, "repr", counted_repr, raising=False)  # found before the builtin
-        assert main(["gauss", "--d", "1001"]) == 0
-        capsys.readouterr()
-        floats = self.gauss_columns(1001)[1:]
-        assert len(calls) == sum(np.unique(col.view(np.int64)).size for col in floats)
+        vals = free_spectrum(free_hamiltonian(Dimension(1001))).eigenvalues[::-1]
+        jobs = [(["gauss", "--d", "1001"], self.gauss_columns(1001)[1:]),
+                (["spectrum", "--d", "1001", "--ham", "free"], [vals, vals[:-1] - vals[1:]])]
+        for argv, floats in jobs:
+            calls.clear()
+            assert main(argv) == 0
+            capsys.readouterr()
+            assert len(calls) == sum(np.unique(col.view(np.int64)).size for col in floats)
 
     def test_csv_table_holds_o_d_memory(self, tmp_path):
         # measured at d = 20001 (numpy 2.4, Python 3.11): 32.1 x 8d bytes. JSON is not checked here:

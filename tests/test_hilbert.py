@@ -467,7 +467,6 @@ DENSE_BUILDERS = {
     "commutator_qp": lambda: spectral.commutator_qp(HUGE),
     "commutator_spectrum": lambda: spectral.commutator_spectrum(HUGE),
     "floratos_approx": lambda: spectral.floratos_approx(HUGE),
-    "uncertainty_product": lambda: spectral.uncertainty_product(HUGE, 1.0),
     "momentum_operator": lambda: momentum_operator(HUGE),
     "position_operator": lambda: position_operator(HUGE),
     "fourier_matrix": lambda: fourier_matrix(HUGE),
@@ -503,6 +502,21 @@ class TestCapacityGuard:
         # quasi_eigen_residual applies H by one FFT; a d x d array would be 3.2 GB here
         d = 20001
         argv = ["quasi", "--d", str(d)]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 8 * d
+
+    def test_uncertainty_holds_no_square_array(self):
+        # both commutator sums are convolutions of g with the symbol; a d x d array would be 3.2 GB here
+        d = 20001
+        argv = ["uncertainty", "--d-list", str(d)]
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(argv) == 0
         tracemalloc.start()

@@ -33,6 +33,7 @@ from finitegauss import (
     uncertainty_product,
 )
 from finitegauss import spectral
+from finitegauss.hilbert import _toeplitz
 
 # 15 published eigenvalues of -i[Q,P] at d = 15, ascending.
 COMMUTATOR_D15 = [
@@ -362,6 +363,22 @@ class TestUncertainty:
         assert rep.product >= rep.half_comm - 1e-12
         assert rep.gap >= -1e-12
 
+    @given(
+        st.integers(min_value=1, max_value=150).map(lambda s: 2 * s + 1),
+        st.sampled_from([1e-8, 1e-4, 0.3, 1.0, 3.0, 1e4, 1e8]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_half_comm_matches_the_dense_pair_sum(self, d, kappa):
+        # the reference sums the d x d matrix i[Q, P] over j > l; the worst difference seen over
+        # every odd d <= 301 and these kappa is 2.0e-14 (d = 299, kappa = 1e-4, where half_comm is 3.2e-14)
+        dim = Dimension(d)
+        kernel = _toeplitz(spectral._commutator_symbol(dim))
+        g = finite_gaussian(dim, kappa).values
+        half_comm = abs(float(g @ (np.tril(kernel, -1) @ g)) / float(g @ g))
+        rep = uncertainty_product(dim, kappa)
+        assert abs(rep.half_comm - half_comm) <= 1e-13
+        assert abs(rep.gap - (rep.product - half_comm)) <= 1e-13
+
     def test_gap_limit_is_the_named_constant(self, monkeypatch):
         # d = 5 has gap ~ 8.9e-4; a limit of -2*gap demands gap >= 2*gap and fails it
         gap = uncertainty_product(Dimension(5), 1.0).gap
@@ -599,8 +616,8 @@ class TestFoldedResidual:
 
     @pytest.mark.parametrize("d", [9, 31, 101, 301, 1001])
     def test_commutator(self, d):
-        spec = commutator_spectrum(Dimension(d))
-        assert_blocks_match_dense(spec, -spectral._commutator_kernel(Dimension(d)))
+        dim = Dimension(d)
+        assert_blocks_match_dense(commutator_spectrum(dim), -_toeplitz(spectral._commutator_symbol(dim)))
 
     @given(st.integers(min_value=1, max_value=30).map(lambda s: 2 * s + 1))
     @settings(max_examples=30, deadline=None)

@@ -31,7 +31,7 @@ APPLY_TOL = 2e-15
 
 def forms_and_matrices(dim: Dimension):
     """(form, dense OperatorMatrix) for the oscillator, the free Hamiltonian and -i[Q,P]."""
-    commutator = OperatorMatrix(dim, -spectral._commutator_kernel(dim), MatrixKind.HERMITIAN)
+    commutator = OperatorMatrix(dim, -hilbert._toeplitz(spectral._commutator_symbol(dim)), MatrixKind.HERMITIAN)
     return {
         "oscillator": (spectral._oscillator_form(dim), oscillator_hamiltonian(dim)),
         "free": (_ToeplitzForm(dim, spectral._free_symbol(dim)), free_hamiltonian(dim)),
