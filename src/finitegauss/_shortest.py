@@ -247,18 +247,17 @@ class RowFormatter:
             self.buffers[name] = _scratch(nbytes)
         return self.buffers[name][:nbytes]
 
-    def join_rows(self, rows, columns=None) -> list[str]:
-        """sep.join(map(repr, row[columns].tolist())) for each row, a 2-D array or a list of equal rows.
+    def join_rows(self, rows: np.ndarray, columns=None) -> list[str]:
+        """sep.join(map(repr, row[columns].tolist())) for each row of the 2-D array rows.
 
         Given columns, a row repeats cells of its values without formatting
-        them again.  Rows may be views into a larger array.
+        them again.  rows may be a strided view into a larger array.
         """
         if not len(rows):
             return []
-        shape = len(rows), len(rows[0])
-        values = self._buffer("values", 8 * shape[0] * shape[1]).view(np.float64).reshape(shape)
-        for target, row in zip(values, rows):
-            target[:] = row
+        shape = rows.shape
+        values = self._buffer("values", 8 * rows.size).view(np.float64).reshape(shape)
+        values[:] = rows
         flat = values.reshape(-1)
         cells = self._buffer("formatted", flat.size * self.width).reshape(*shape, self.width)
         flat_cells = cells.reshape(-1, self.width)

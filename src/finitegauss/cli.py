@@ -3,11 +3,12 @@
 Each subcommand accepts only the flags it reads.  Exit codes: 0 success,
 2 usage/parameter error, 3 numerical failure or an uncertified revival
 period.  Floats are printed with the shortest round-trip decimal so
-identical configs give byte-identical files: `repr` for table cells, and for
+identical configs give byte-identical files: `repr` once per distinct float64
+table value, `str` (a float's `repr`) for every other table cell, and for
 Wigner grids a vectorized kernel in `_shortest` that writes the same bytes
-for a block of rows at a time.  Each cmd_* takes the parsed
-arguments and returns its rendered text, as one string or as chunks to
-write in turn (None when it writes its own files), and its exit code.
+for a block of rows at a time.  Each cmd_* takes the parsed arguments and
+returns its rendered text, as one string or as chunks to write in turn (None
+when it writes its own files), and its exit code.
 """
 from __future__ import annotations
 
@@ -41,40 +42,17 @@ from .wrapped import finite_gaussian, naive_gaussian, shifted_finite_gaussian
 DEFAULT_D_LIST = (3, 5, 7, 9, 11, 13, 15)
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
-
-
-def _cell_csv(c) -> str:
-    if c is None:
-        return ""
-    if isinstance(c, (float, np.floating)):
-        return _fmt(c)
-    return str(c)
-
-
-def _cell_json(c):
-    if isinstance(c, (float, np.floating)):
-        return float(c)
-    if isinstance(c, np.integer):
-        return int(c)
-    return c
-
-
 def _column_csv(col) -> list[str]:
     """The CSV text of each cell of one column.
 
     A float64 array is formatted once per distinct bit pattern, so that 0.0 and
-    -0.0 keep their own text; an integer array or a range goes through str;
-    any other column is written cell by cell.
+    -0.0 keep their own text; any other column goes through str, which writes a
+    float as repr does.
     """
     if isinstance(col, np.ndarray) and col.dtype == np.float64:
         bits, where = np.unique(col.view(np.int64), return_inverse=True)
         return np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)[where].tolist()
-    cells = col.tolist() if isinstance(col, np.ndarray) else col
-    if isinstance(col, range) or isinstance(col, np.ndarray) and col.dtype.kind in "iu":
-        return list(map(str, cells))
-    return list(map(_cell_csv, cells))
+    return list(map(str, col.tolist() if isinstance(col, np.ndarray) else col))
 
 
 def _render_table(header: list[str], columns: list, fmt: str) -> str:
@@ -85,7 +63,7 @@ def _render_table(header: list[str], columns: list, fmt: str) -> str:
     if fmt == "csv":
         texts = [_column_csv(col) for col in columns]
         return "\n".join([",".join(header), *map(",".join, zip_longest(*texts, fillvalue=""))]) + "\n"
-    cells = [col.tolist() if isinstance(col, np.ndarray) else list(map(_cell_json, col)) for col in columns]
+    cells = [col.tolist() if isinstance(col, np.ndarray) else list(col) for col in columns]
     payload = [dict(zip(header, row)) for row in zip_longest(*cells)]
     return json.dumps(payload, indent=2) + "\n"
 
@@ -178,43 +156,32 @@ def _wigner_check(args, grid) -> float:
                for rows in _row_blocks(dim.d, dim.d, _BLOCK_CELLS))
 
 
-def _row_texts(formatter, values, rows: list[int], symmetric) -> list[str]:
-    """The cells of the listed grid rows as `_fmt` text, joined by the formatter's separator.
-
-    A row whose bits are symmetric in m formats its m >= 0 half and mirrors
-    the text.  The rows go to the formatter as views, so that no copy of a
-    block of them is left in the heap among the row texts.
-    """
-    half = values.shape[1] // 2
-    halves = [i for i in rows if symmetric[i]]
-    whole = [i for i in rows if not symmetric[i]]
-    texts = dict(zip(halves, formatter.join_rows([values[i, half:] for i in halves],
-                                                 np.abs(np.arange(-half, half + 1)))))
-    texts.update(zip(whole, formatter.join_rows([values[i] for i in whole])))
-    return [texts[i] for i in rows]
-
-
 def _grid_rows(grid, formatter):
-    """(i, text) for each grid row i in turn, its cells as `_fmt` text joined by the formatter's separator.
+    """The text of each grid row in turn, its cells as `repr` text joined by the formatter's separator.
 
-    Row -n of an even grid repeats row n, so its text is reused when the bits agree, in the same
-    block of rows as well: row n < 0 comes first, so its text is waiting when row -n is reached.
+    g_kappa is even, so the routes' grids are even in n and in m bit for bit.  Each symmetry is
+    decided once per grid, on the bits, so that -0.0 against 0.0 breaks it.  Even in m, a row is
+    formatted as its m >= 0 half with mirror columns; even in n, only rows n <= 0 are formatted,
+    and the text of each row n < 0 is held until row -n is written.
     """
-    d, values = grid.dim.d, grid.values
+    d, s, values = grid.dim.d, grid.dim.s, grid.values
     bits = values.view(np.int64)
-    slices = _row_blocks(d, d, 4 * _BLOCK_CELLS)
-    # -0.0 against 0.0 breaks the symmetry, so that each keeps its text
-    symmetric = np.concatenate([np.all(bits[b, d // 2:] == bits[b, d // 2::-1], axis=1) for b in slices])
-    waiting = {}  # the text of rows n < 0 whose row -n is still to come
-    for block in (range(*b.indices(d)) for b in slices):
-        fresh = [i for i in block if i <= d - 1 - i or not np.array_equal(bits[i], bits[d - 1 - i])]
-        texts = dict(zip(fresh, _row_texts(formatter, values, fresh, symmetric)))
-        for i in block:
-            partner = waiting.pop(d - 1 - i, None)
-            cells = texts.get(i, partner)
-            if i < d - 1 - i:
-                waiting[i] = cells
-            yield i, cells
+    block_cells = 4 * _BLOCK_CELLS
+    # in blocks of rows, so that no d x d temporary is built
+    even_m = all(np.array_equal(bits[b, s:], bits[b, s::-1]) for b in _row_blocks(d, d, block_cells))
+    even_n = all(np.array_equal(bits[b], bits[::-1][b]) for b in _row_blocks(s, d, block_cells))
+    rows = values[:s + 1] if even_n else values
+    columns = np.abs(np.arange(-s, s + 1)) if even_m else None
+    waiting = []  # the texts of rows n < 0, in order
+    for b in _row_blocks(len(rows), d, block_cells):
+        texts = formatter.join_rows(rows[b, s:] if even_m else rows[b], columns)
+        yield from texts
+        if even_n:
+            waiting += texts
+    if even_n:
+        del waiting[s:]  # row n = 0 is its own mirror
+        while waiting:  # popped as written, so that no text is held after its row
+            yield waiting.pop()
 
 
 def _render_wigner(grid, check_value, fmt: str):
@@ -226,10 +193,10 @@ def _render_wigner(grid, check_value, fmt: str):
     formatter = RowFormatter("," if fmt == "csv" else ",\n      ")
     if fmt == "csv":
         yield ",".join(["n"] + [str(m) for m in ms]) + "\n"
-        for i, cells in _grid_rows(grid, formatter):
-            yield f"{ns[i]},{cells}\n"
+        for n, cells in zip(ns, _grid_rows(grid, formatter)):
+            yield f"{n},{cells}\n"
         if check_value is not None:
-            yield f"check_max_abs_diff,{_fmt(check_value)}\n"
+            yield f"check_max_abs_diff,{check_value!r}\n"
         return
     payload = {
         "d": d,
@@ -245,10 +212,10 @@ def _render_wigner(grid, check_value, fmt: str):
         payload["check_max_abs_diff"] = float(check_value)
     head, tail = json.dumps(payload, indent=2).split('"values": []')
     yield head + '"values": ['
-    slices = _row_blocks(d, d, 4 * _BLOCK_CELLS)
-    finite = np.concatenate([np.all(np.isfinite(grid.values[b]), axis=1) for b in slices])
-    for i, text in _grid_rows(grid, formatter):
-        if not finite[i]:  # json.dumps spells the non-finite floats as JavaScript does
+    # json.dumps spells the non-finite floats as JavaScript does; a finite float's repr has no inf or nan
+    finite = all(np.isfinite(grid.values[b]).all() for b in _row_blocks(d, d, 4 * _BLOCK_CELLS))
+    for i, text in enumerate(_grid_rows(grid, formatter)):
+        if not finite:
             text = text.replace("inf", "Infinity").replace("nan", "NaN")
         yield ("," if i else "") + "\n    [\n      " + text + "\n    ]"
     yield "\n  ]" + tail + "\n"

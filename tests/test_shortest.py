@@ -94,6 +94,17 @@ class TestRows:
         columns = np.array([2, 1, 0, 1, 2])
         assert RowFormatter(",").join_rows(values, columns) == [",".join(reprs(row[columns])) for row in values]
 
+    def test_strided_view_of_a_grid(self):
+        # the m >= 0 half of a grid even in m, as the Wigner writer passes it, whole and with mirror columns
+        rng = np.random.default_rng(5)
+        s = 4
+        half = 10.0 ** rng.uniform(-30, 5, (7, s + 1)) * rng.choice([-1.0, 1.0], (7, s + 1))
+        values = np.hstack([half[:, :0:-1], half])
+        view = values[:, s:]
+        assert RowFormatter(",").join_rows(view) == [",".join(reprs(row)) for row in half]
+        columns = np.abs(np.arange(-s, s + 1))
+        assert RowFormatter(",").join_rows(view, columns) == [",".join(reprs(row)) for row in values]
+
     def test_rows_longer_than_a_chunk(self):
         values = np.linspace(-1.0, 1.0, 8 * _BLOCK_CELLS + 3).reshape(1, -1)
         assert RowFormatter(",").join_rows(values) == [",".join(reprs(values[0]))]
