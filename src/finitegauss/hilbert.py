@@ -25,7 +25,7 @@ from .errors import (
     PhasePointRangeError,
     UnsupportedOrderError,
 )
-from .lattice import _BLOCK_CELLS, Dimension, _check_capacity, _owned, _row_blocks, _sealed, as_dimension
+from .lattice import Dimension, _check_capacity, _owned, _sealed, as_dimension
 from .wrapped import _WINDOW_CAP, TERM_TOL, finite_gaussian
 
 HERMITIAN_TOL = 1e-13
@@ -235,14 +235,13 @@ def _frame_symbol(dim: Dimension) -> np.ndarray:
     """(1/d) times the sum of the d**2 coherent projectors, whose (j, l) entry is symbol[(j - l) % d].
 
     The phase exp(-1j*pi*alpha*beta/d) cancels in each projector, leaving R(u) * S(u) / d:
-    R is the cyclic autocorrelation of the normalized g, taken by FFT, and S(u) = sum_beta exp(2j*pi*beta*u/d).
+    R is the cyclic autocorrelation of the normalized g, and S(u)/d, with S(u) = sum_beta exp(2j*pi*beta*u/d),
+    is the inverse DFT of the constant vector; both are taken by FFT.
     """
     g = finite_gaussian(dim, 1.0)
     base = g.values / math.sqrt(g.squared_norm())
     autocorrelation = np.fft.irfft(np.abs(np.fft.rfft(base)) ** 2, dim.d)
-    sums = sum(_roots(dim, dim.indices()[rows], np.arange(dim.d)).sum(axis=0)  # blocks of beta: no d x d table
-               for rows in _row_blocks(dim.d, dim.d, 4 * _BLOCK_CELLS))
-    return autocorrelation * sums / dim.d
+    return autocorrelation * np.fft.ifft(np.ones(dim.d))
 
 
 def frame_resolution_residual(dim) -> float:

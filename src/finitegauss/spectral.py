@@ -539,9 +539,9 @@ def uncertainty_product(dim, kappa: float) -> UncertaintyReport:
     commutator expectation in the normalized state, accumulated as the
     explicit pair sum over j > l; it is cross-checked against the
     quadratic form with the full commutator, and the report ships the
-    pair-sum value.  Both sums take the rows of i*[Q, P] g as
-    convolutions of g with the commutator's symbol, so no d x d array
-    is built.
+    pair-sum value.  -i[Q, P] commutes with F, so both sums run on the
+    narrower of g_kappa and g_{1/kappa}, as convolutions with the
+    commutator's symbol: no d x d array is built.
     """
     dim = as_dimension(dim)
     d = dim.d
@@ -557,6 +557,7 @@ def uncertainty_product(dim, kappa: float) -> UncertaintyReport:
 
     # (i*[Q, P] g)[j] = sum_l symbol(j - l) g[l], a convolution of g with the symbol over u = 1-d..d-1;
     # the pair sum keeps j > l only (u > 0), so the expectation carries a factor 2
+    g, gsq = (g, gsq) if kappa >= 1.0 else (gdual, gdualsq)
     symbol = _commutator_symbol(dim)
     pair_sum = float(g[1:] @ np.convolve(g, symbol[d:])[: d - 1])
     expect_mag = abs(2.0 * pair_sum / gsq)

@@ -149,6 +149,12 @@ class TestExitCodes:
         assert main(["revival", "--d", "5", "--ham", "osc", "--state", "coherent", "1"]) == 2
         capsys.readouterr()
 
+    def test_uncertainty_at_large_d_and_small_kappa(self, capsys):
+        # the commutator sums run on g_{1/kappa}, a lattice delta here, so half_comm and gap are exactly 0
+        assert main(["uncertainty", "--d-list", "20001", "--kappa", "1e-8"]) == 0
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert row[0] == "20001" and row[-2:] == ["0.0", "0.0"]
+
     def test_bad_d_list_rejected(self, capsys):
         assert main(["uncertainty", "--d-list", "3,x"]) == 2
         capsys.readouterr()

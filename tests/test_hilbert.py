@@ -220,7 +220,7 @@ class TestCoherent:
         for alpha, beta in ((1, 0), (2, -3), (-5, 5)):
             assert coherent_state(dim, PhasePoint(alpha, beta)).norm() == pytest.approx(1.0, rel=1e-13)
 
-    @pytest.mark.parametrize("d", [3, 5, 9, 15])
+    @pytest.mark.parametrize("d", [3, 5, 9, 15, 10001])
     def test_tight_frame(self, d):
         assert frame_resolution_residual(Dimension(d)) <= 1e-12
 
@@ -239,7 +239,7 @@ class TestCoherent:
         assert np.max(np.abs(_frame_symbol(dim)[(j - l) % d] - want)) <= 1e-14
 
     def test_frame_symbol_holds_no_square_table(self):
-        # A d x d complex table is 16 MB at d = 1001; the symbol takes blocks of beta and an FFT.
+        # A d x d complex table is 16 MB at d = 1001; the symbol takes three FFTs of length d.
         dim = Dimension(1001)
         tracemalloc.start()
         try:

@@ -161,6 +161,13 @@ class TestCommutator:
         middle = vals[d // 3 : -d // 3 or None]
         assert np.max(np.abs(np.asarray(middle) - 1.0)) <= 0.2
 
+    @pytest.mark.parametrize("d, count", [(31, 18), (101, 26), (301, 33), (1001, 42)])
+    def test_levels_off_the_bulk(self, d, count):
+        # every other level of -i[Q, P] is 1 to within 1e-10; the nearest levels below and above
+        # that threshold are 3.9e-11/3.9e-10, 3.1e-11/1.4e-10, 7.3e-11/2.3e-10 and 6.5e-11/1.6e-10 off 1
+        vals = np.asarray(commutator_spectrum(Dimension(d)).eigenvalues)
+        assert int(np.sum(np.abs(vals - 1.0) > 1e-10)) == count
+
     @pytest.mark.parametrize("d", [3, 7, 15])
     def test_floratos_limit_spectrum(self, d):
         # The rank-one approximation has eigenvalues {1 (d-1 times), 1-d}.
@@ -346,12 +353,15 @@ class TestUncertainty:
         rep = uncertainty_product(Dimension(9), 1.0)
         assert rep.delta_q == pytest.approx(rep.delta_p, rel=1e-14)
 
-    def test_kappa_inversion_swaps_spreads(self):
-        a = uncertainty_product(Dimension(11), 2.0)
-        b = uncertainty_product(Dimension(11), 0.5)
-        assert a.delta_q == pytest.approx(b.delta_p, rel=1e-12)
-        assert a.delta_p == pytest.approx(b.delta_q, rel=1e-12)
-        assert a.product == pytest.approx(b.product, rel=1e-12)
+    @pytest.mark.parametrize("d", [11, 101, 1001])
+    @pytest.mark.parametrize("k", range(-4, 5))
+    def test_reciprocal_kappa_gives_the_same_report(self, d, k):
+        # F maps g_kappa to g_{1/kappa} and commutes with -i[Q, P], so kappa and 1/kappa share
+        # half_comm, product and gap, and swap the spreads; 2**k makes 1/(1/kappa) exact
+        a = uncertainty_product(Dimension(d), 2.0**k)
+        b = uncertainty_product(Dimension(d), 2.0**-k)
+        assert (a.half_comm, a.product, a.gap) == (b.half_comm, b.product, b.gap)
+        assert (a.delta_q, a.delta_p) == (b.delta_p, b.delta_q)
 
     @given(
         st.integers(min_value=1, max_value=12).map(lambda s: 2 * s + 1),
@@ -369,15 +379,16 @@ class TestUncertainty:
     )
     @settings(max_examples=80, deadline=None)
     def test_half_comm_matches_the_dense_pair_sum(self, d, kappa):
-        # the reference sums the d x d matrix i[Q, P] over j > l; the worst difference seen over
-        # every odd d <= 301 and these kappa is 2.0e-14 (d = 299, kappa = 1e-4, where half_comm is 3.2e-14)
+        # the reference sums the d x d matrix i[Q, P] over j > l on the narrower of g_kappa and
+        # g_{1/kappa}; the worst difference seen over every odd d <= 301 and these kappa is 5.0e-16
+        # (d = 237, kappa = 1, where half_comm is 0.5)
         dim = Dimension(d)
         kernel = _toeplitz(spectral._commutator_symbol(dim))
-        g = finite_gaussian(dim, kappa).values
+        g = finite_gaussian(dim, max(kappa, 1.0 / kappa)).values
         half_comm = abs(float(g @ (np.tril(kernel, -1) @ g)) / float(g @ g))
         rep = uncertainty_product(dim, kappa)
-        assert abs(rep.half_comm - half_comm) <= 1e-13
-        assert abs(rep.gap - (rep.product - half_comm)) <= 1e-13
+        assert abs(rep.half_comm - half_comm) <= 2e-15
+        assert abs(rep.gap - (rep.product - half_comm)) <= 2e-15
 
     def test_gap_limit_is_the_named_constant(self, monkeypatch):
         # d = 5 has gap ~ 8.9e-4; a limit of -2*gap demands gap >= 2*gap and fails it

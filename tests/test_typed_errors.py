@@ -139,6 +139,20 @@ class TestChecksThatFire:
         with pytest.raises(NumericalFailureError, match="^pair-sum and quadratic-form commutator expectations disagree: "):
             uncertainty_product(9, 1.0)
 
+    @pytest.mark.parametrize("kappa", [1.0 / 3.0, 1.0, 3.0])
+    def test_half_commutator_cross_check_sees_a_symbol_error(self, monkeypatch, kappa):
+        # an error 10x the bound on the u = +1 entry alone reaches the pair sum twice and the quadratic form once
+        exact = spectral._commutator_symbol
+
+        def perturbed(dim):
+            symbol = exact(dim)
+            symbol[dim.d] += 10 * spectral.HALF_COMM_CROSS_TOL
+            return symbol
+
+        monkeypatch.setattr(spectral, "_commutator_symbol", perturbed)
+        with pytest.raises(NumericalFailureError, match="^pair-sum and quadratic-form commutator expectations disagree: "):
+            uncertainty_product(15, kappa)
+
     def test_wigner_realness(self, monkeypatch):
         monkeypatch.setattr(wigner, "REALNESS_TOL", -1.0)
         with pytest.raises(NumericalFailureError, match="^Wigner grid of an even state has imaginary residue ") as err:
